@@ -26,7 +26,27 @@ oracles
     an independent Newton solve for verification.
 cli
     Batch front end (``lsqctrl`` console script).
+
+Threads
+-------
+``LSQCTRL_THREADS=N`` sets the BLAS/OpenMP thread pools (unless their own
+variables are already set).  It is read on import and acts only when
+``lsqctrl`` is imported before numpy; unset, the pools are left alone.
+A value that is not a positive integer is ignored with a warning.
 """
+
+import os
+import warnings
+
+_threads = os.environ.get("LSQCTRL_THREADS")
+if _threads:
+    if _threads.isdigit() and int(_threads) > 0:
+        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(_var, _threads)
+    else:
+        warnings.warn(f"LSQCTRL_THREADS={_threads!r} ignored: not a positive integer",
+                      RuntimeWarning, stacklevel=2)
 
 from . import abstract_descent, cli, discretization, oracles, steady_nse, stokes_control
 from .abstract_descent import (

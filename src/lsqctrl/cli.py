@@ -12,14 +12,6 @@ configuration (the offending key is named on stderr), 3 iteration
 budget exhausted, 4 solver failure.
 """
 
-import os
-
-_threads = os.environ.get("LSQCTRL_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import sys
@@ -113,14 +105,14 @@ def _convert(key, raw):
 def _validate(cfg: RunConfig):
     v = cfg.values
     for key in ("domain.Lx", "domain.Ly", "time.T", "physics.nu"):
-        if v[key] <= 0:
+        if not (v[key] > 0):
             raise ConfigError(key, "must be positive")
     for key in ("grid.nx", "grid.ny", "grid.nt"):
         if v[key] < 2:
             raise ConfigError(key, "must be an integer >= 2")
     for key in ("solver.tol_energy", "solver.tol_energy_rel", "solver.tol_grad",
                 "solver.tol_kernel", "solver.epsilon", "solver.inner_tol_grad"):
-        if v[key] < 0:
+        if not (v[key] >= 0):
             raise ConfigError(key, "must be nonnegative")
     for key in ("solver.max_iter", "solver.inner_max_iter"):
         if v[key] < 0:

@@ -71,6 +71,17 @@ def inner_a0(u1: Triplet, u2: Triplet, metric="a0_exact"):
     return val
 
 
+def _exact_denominator(grid, lam_t, lam_x):
+    return grid.hx * grid.hy * (1.0 + lam_x + lam_t / lam_x)
+
+
+def _simplified_denominator(grid, lam_t, lam_x):
+    return grid.hx * grid.hy * (1.0 + lam_x + grid.ht**2 * lam_t)
+
+
+_DENOMINATORS = {"a0_exact": _exact_denominator, "simplified": _simplified_denominator}
+
+
 def a0_velocity_riesz(grid, rvec, fixed, metric="a0_exact"):
     """Solve M ybar = rvec for the velocity block of the A0 metric.
 
@@ -79,17 +90,4 @@ def a0_velocity_riesz(grid, rvec, fixed, metric="a0_exact"):
     Returns the representer on the same levels.
     """
     _check_metric(metric)
-    area = grid.hx * grid.hy
-    ht2 = grid.ht**2
-
-    if metric == "a0_exact":
-
-        def denom(lm, lamx):
-            return area * (1.0 + lamx + lm / lamx)
-
-    else:
-
-        def denom(lm, lamx):
-            return area * (1.0 + lamx + ht2 * lm)
-
-    return _st_solve(grid, rvec, denom, fixed)
+    return _st_solve(grid, rvec, _DENOMINATORS[metric], fixed)

@@ -3,11 +3,13 @@
 Everything here exploits the uniform tensor grid: the 5-point Dirichlet
 Laplacian diagonalizes in the DST-I sine basis, and the temporal part of
 the space-time operator (piecewise-linear time derivative with natural
-boundary conditions) diagonalizes through a small dense generalized
-eigenproblem.  Each solve is therefore a fixed sequence of orthogonal
-transforms plus a diagonal division: deterministic, bitwise reproducible
-at a fixed thread count, and accurate to machine precision, which keeps
-the residual contracts of the callers trivially satisfied.
+boundary conditions) diagonalizes in a closed-form cosine/sine basis in
+time (DCT-I, DST-I or DST-III, by trace constraint), applied as one
+matrix product over the time levels.  Each solve is therefore a fixed
+sequence of orthogonal transforms plus a diagonal division by cached
+per-mode denominators: deterministic, bitwise reproducible at a fixed
+thread count, and accurate to machine precision, which keeps the
+residual contracts of the callers trivially satisfied.
 
 Operator conventions (hx*hy folded into the dual vectors):
 
@@ -23,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.linalg import eigh
 
 from .grid import SpaceTimeGrid
 from .stencils import laplace
@@ -34,9 +35,9 @@ __all__ = [
     "poisson_solve",
     "shifted_poisson_solve",
     "time_stiffness",
-    "time_weight_diag",
     "TimeBasis",
     "time_basis",
+    "mode_denominators",
     "level_slice",
     "spacetime_elliptic_solve",
     "spacetime_solve_weak",
@@ -95,10 +96,6 @@ def time_stiffness(grid):
     return K / grid.ht
 
 
-def time_weight_diag(grid):
-    return grid.time_weights()
-
-
 def level_slice(grid, fixed):
     """Unknown time levels for the given trace constraint.
 
@@ -124,42 +121,77 @@ class TimeBasis:
     lam: np.ndarray
 
     def to_modes(self, a):
-        return np.einsum("km,k...->m...", self.Z, a)
+        """Mode coefficients Z^T a over the leading (level) axis."""
+        return (self.Z.T @ a.reshape(len(a), -1)).reshape(a.shape)
 
     def from_modes(self, c):
         # Z^{-1} = Z^T W, so synthesis uses Z itself: a = Z c.
-        return np.einsum("km,m...->k...", self.Z, c)
+        return (self.Z @ c.reshape(len(c), -1)).reshape(c.shape)
 
 
 @lru_cache(maxsize=64)
 def time_basis(grid: SpaceTimeGrid, fixed: str):
+    """Closed-form eigenbasis of the temporal stiffness on the unknown levels.
+
+    With level index j and mode k the unnormalized basis vectors are
+
+    fixed='none'    -> cos(pi k j / nt),          k = 0..nt      (DCT-I)
+    fixed='both'    -> sin(pi k j / nt),          k = 1..nt-1    (DST-I)
+    fixed='initial' -> sin(pi (2k-1) j / (2 nt)), k = 1..nt      (DST-III)
+
+    i.e. cos/sin(pi p j / d) with frequency p over denominator d, and the
+    eigenvalues are 4/ht^2 sin^2(pi p / (2 d)).  The columns are scaled
+    to Z^T W Z = I.  The phase p*j is reduced modulo 2d in integers, so
+    the trigonometric arguments stay in [0, 2 pi).
+    """
     sl = level_slice(grid, fixed)
-    K = time_stiffness(grid)[sl, sl]
-    W = np.diag(time_weight_diag(grid)[sl])
-    lam, Z = eigh(K, W)
-    lam = np.where(np.abs(lam) < 1e-13 / grid.ht, 0.0, lam)
+    nt = grid.nt
+    j = np.arange(nt + 1)[sl]
+    if fixed == "none":
+        p, d, trig = np.arange(nt + 1), nt, np.cos
+    elif fixed == "both":
+        p, d, trig = np.arange(1, nt), nt, np.sin
+    else:
+        p, d, trig = 2 * np.arange(1, nt + 1) - 1, 2 * nt, np.sin
+    Z = trig(np.pi / d * (np.outer(j, p) % (2 * d)))
+    Z /= np.sqrt(grid.time_weights()[sl] @ Z**2)
+    lam = 4.0 / grid.ht**2 * np.sin(np.pi * p / (2 * d)) ** 2
     lam.flags.writeable = False
     Z.flags.writeable = False
     return TimeBasis(sl, Z, lam)
 
 
-def _st_solve(grid, bvec, denom_of_mode, fixed):
+@lru_cache(maxsize=64)
+def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
+    """Read-only (m, ny, nx) diagonal of a space-time operator in the
+    time/sine eigenbasis of the given trace constraint.
+
+    rule(grid, lam_t, lam_x) maps the temporal and spatial eigenvalues to
+    the diagonal entry.  It is evaluated once, elementwise, on the
+    (m, 1, 1) temporal against the (ny, nx) spatial eigenvalues.
+    """
+    lam_t = time_basis(grid, fixed).lam[:, None, None]
+    out = rule(grid, lam_t, sine_eigenvalues(grid))
+    out.flags.writeable = False
+    return out
+
+
+def _st_solve(grid, bvec, rule, fixed):
     """Diagonalized solve of a space-time operator on the given levels.
 
-    bvec: dual vector shaped (m_levels, ..., ny, nx).
-    denom_of_mode(lam_m) must return the (ny, nx) diagonal of the
-    transformed operator for temporal eigenvalue lam_m.
+    bvec: dual vector shaped (m_levels, ..., ny, nx).  rule is the
+    operator's denominator rule, see mode_denominators.
     """
     tb = time_basis(grid, fixed)
-    c = tb.to_modes(np.asarray(bvec, dtype=float))
-    chat = sine_transform(c)
-    lamx = sine_eigenvalues(grid)
-    denom = np.stack([denom_of_mode(lm, lamx) for lm in tb.lam])
+    chat = sine_transform(tb.to_modes(np.asarray(bvec, dtype=float)))
+    denom = mode_denominators(grid, fixed, rule)
     # broadcast the per-mode (ny, nx) denominators across component axes
-    extra = chat.ndim - denom.ndim
-    shape = (denom.shape[0],) + (1,) * extra + denom.shape[1:]
-    chat /= denom.reshape(shape)
+    chat /= denom.reshape(denom.shape[:1] + (1,) * (chat.ndim - denom.ndim) + denom.shape[1:])
     return tb.from_modes(sine_transform(chat))
+
+
+def _weak_denominator(grid, lam_t, lam_x):
+    return grid.hx * grid.hy * (lam_t + lam_x)
 
 
 def spacetime_solve_weak(grid, bvec):
@@ -169,12 +201,7 @@ def spacetime_solve_weak(grid, bvec):
     time, Dirichlet walls); bvec is an assembled functional vector of
     shape (nt+1, ..., ny, nx).
     """
-    area = grid.hx * grid.hy
-
-    def denom(lm, lamx):
-        return area * (lm + lamx)
-
-    return _st_solve(grid, bvec, denom, "none")
+    return _st_solve(grid, bvec, _weak_denominator, "none")
 
 
 def spacetime_elliptic_solve(grid, rhs):

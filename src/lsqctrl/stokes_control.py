@@ -102,9 +102,9 @@ class ControlProblem:
     metric: str = "a0_exact"
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not (self.nu > 0):
             raise ValueError("viscosity must be positive")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise ValueError("epsilon must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -383,7 +383,9 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
             corr = corrector(p, s)
             q = _div_part(p, s) * _div_weight
         e = current_energy()
-        if energies and e > energies[-1] * (1 + 1e-12) + 1e-14 * max(e0, 1e-300):
+        if not energies and not np.isfinite(e):
+            raise DescentDivergence(f"non-finite initial energy: {e}")
+        if energies and not (e <= energies[-1] * (1 + 1e-12) + 1e-14 * max(e0, 1e-300)):
             if cfg.algorithm == "cg" and not restarted:
                 # conjugacy lost to roundoff: fall back to a pure
                 # gradient step before declaring divergence

@@ -1,11 +1,15 @@
 """CLI: config validation, round trips, runs, determinism, dumps."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lsqctrl
 from lsqctrl.cli import (
     ConfigError,
     emit_config,
@@ -19,6 +23,34 @@ from lsqctrl.cli import (
 def invoke(args, cwd=None):
     return subprocess.run([sys.executable, "-m", "lsqctrl.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+THREAD_VARS = ("LSQCTRL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# Prints the BLAS thread variables as numpy starts to load.
+THREAD_PROBE = """
+import os, sys
+
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy", os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpySpy())
+import lsqctrl
+"""
+
+
+def thread_probe(threads):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if threads is not None:
+        env["LSQCTRL_THREADS"] = threads
+    src = str(Path(lsqctrl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                          capture_output=True, text=True)
 
 
 class TestParseConfig:
@@ -173,6 +205,12 @@ class TestProcessLevel:
         assert r.returncode == 2
         assert "control.omega" in r.stderr
 
+    @pytest.mark.parametrize("flag", ["--physics.nu=nan", "--solver.tol_grad=nan"])
+    def test_nan_value_exits_2_with_key_name(self, tmp_path, flag):
+        r = invoke(["stokes-control", flag, f"--io.out_dir={tmp_path}"])
+        assert r.returncode == 2
+        assert flag[2:].split("=")[0] in r.stderr
+
     def test_missing_config_file_exits_2(self, tmp_path):
         r = invoke(["stokes-control", "--config", str(tmp_path / "nope.cfg")])
         assert r.returncode == 2
@@ -186,3 +224,19 @@ class TestProcessLevel:
         t1 = (tmp_path / "r1" / "trace.csv").read_bytes()
         t2 = (tmp_path / "r2" / "trace.csv").read_bytes()
         assert t1 == t2
+
+    @pytest.mark.parametrize("threads, expected", [
+        ("2", ["numpy 2 2"]),
+        (None, ["numpy None None"]),
+    ])
+    def test_threads_knob_set_before_numpy_loads(self, threads, expected):
+        r = thread_probe(threads)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == expected
+
+    @pytest.mark.parametrize("threads", ["0", " 2", "abc"])
+    def test_bad_threads_value_ignored_with_warning(self, threads):
+        r = thread_probe(threads)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["numpy None None"]
+        assert "LSQCTRL_THREADS" in r.stderr

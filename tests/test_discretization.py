@@ -19,13 +19,16 @@ from lsqctrl.discretization import (
     poisson_solve,
     quadrature_l2,
     remove_slice_means,
+    sine_eigenvalues,
     space_inner,
     spacetime_elliptic_solve,
     spacetime_solve_weak,
     st_inner,
+    time_basis,
     time_stiffness,
     trace_norms,
 )
+from lsqctrl.discretization.elliptic import mode_denominators
 
 
 def stream_bump(grid):
@@ -249,6 +252,65 @@ class TestSpacetimeSolve:
         lhs = spacetime_elliptic_solve(g, 1.5 * r1 + 0.5 * r2)
         rhs = 1.5 * spacetime_elliptic_solve(g, r1) + 0.5 * spacetime_elliptic_solve(g, r2)
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+CONSTRAINTS = ["none", "initial", "both"]
+
+
+class TestTimeBasis:
+    @pytest.mark.parametrize("fixed", CONSTRAINTS)
+    @pytest.mark.parametrize("nt", [2, 3, 8, 16])
+    def test_closed_form_matches_generalized_eigh(self, fixed, nt):
+        import scipy.linalg as sla
+
+        g = SpaceTimeGrid(4, 4, nt, T_final=0.7)
+        tb = time_basis(g, fixed)
+        sl = level_slice(g, fixed)
+        K = time_stiffness(g)[sl, sl]
+        W = np.diag(g.time_weights()[sl])
+        lam_ref = sla.eigh(K, W, eigvals_only=True)
+        assert np.abs(tb.lam - lam_ref).max() <= 1e-13 * lam_ref.max()
+        Z = tb.Z
+        assert np.abs(Z.T @ W @ Z - np.eye(len(lam_ref))).max() <= 1e-13
+        KZ = K @ Z
+        assert np.abs(KZ - W @ Z * tb.lam).max() <= 1e-13 * np.abs(KZ).max()
+        assert not Z.flags.writeable and not tb.lam.flags.writeable
+
+    @pytest.mark.parametrize("fixed", CONSTRAINTS)
+    @pytest.mark.parametrize("components", [(2,), ()], ids=["vector", "scalar"])
+    def test_transforms_match_einsum(self, fixed, components):
+        g = SpaceTimeGrid(5, 4, 6, T_final=1.3)
+        tb = time_basis(g, fixed)
+        m = len(tb.lam)
+        a = np.random.default_rng(16).standard_normal((m, *components, g.ny, g.nx))
+        for got, ref in (
+            (tb.to_modes(a), np.einsum("km,k...->m...", tb.Z, a)),
+            (tb.from_modes(a), np.einsum("km,m...->k...", tb.Z, a)),
+        ):
+            assert got.shape == a.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_cached_denominators_match_per_mode_stack(self):
+        from lsqctrl.discretization import a0, elliptic
+
+        g = SpaceTimeGrid(5, 4, 6, Lx=1.3, T_final=0.7)
+        area, ht2 = g.hx * g.hy, g.ht**2
+        # the per-mode rules as written before the denominators were cached
+        cases = [
+            (elliptic._weak_denominator, ["none"], lambda lm, lamx: area * (lm + lamx)),
+            (a0._DENOMINATORS["a0_exact"], ["initial", "both"],
+             lambda lm, lamx: area * (1.0 + lamx + lm / lamx)),
+            (a0._DENOMINATORS["simplified"], ["initial", "both"],
+             lambda lm, lamx: area * (1.0 + lamx + ht2 * lm)),
+        ]
+        lamx = sine_eigenvalues(g)
+        for rule, constraints, old in cases:
+            for fixed in constraints:
+                ref = np.stack([old(lm, lamx) for lm in time_basis(g, fixed).lam])
+                got = mode_denominators(g, fixed, rule)
+                assert np.array_equal(got, ref)
+                assert not got.flags.writeable
+                assert mode_denominators(g, fixed, rule) is got
 
 
 class TestQuadrature:

@@ -45,6 +45,26 @@ def small_data_problem(grid, amp=0.05, nu=1.0):
     return SteadyProblem(grid, nu, amp * f)
 
 
+class TestProblem:
+    def test_nan_viscosity_rejected(self):
+        g = SpatialGrid(6, 6)
+        with pytest.raises(ValueError):
+            SteadyProblem(g, float("nan"), np.zeros((2, 6, 6)))
+
+    def test_corrector_makes_one_poisson_solve(self, monkeypatch):
+        from lsqctrl import steady_nse
+
+        p = small_data_problem(SpatialGrid(8, 8))
+        calls = []
+        solve = steady_nse.poisson_solve
+        monkeypatch.setattr(steady_nse, "poisson_solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        s = SteadyState.zeros(p.grid)
+        corrector_steady(p, s)
+        corrector_steady(p, s)
+        assert len(calls) == 2
+
+
 class TestConvection:
     def test_zero_second_argument(self):
         g = SpatialGrid(8, 8)

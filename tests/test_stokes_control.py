@@ -82,6 +82,20 @@ class TestProblemValidation:
             sc.ControlProblem(g, nu=1.0, y0=np.zeros((2, 4, 4)),
                               mask=SupportMask(0, 1, 0, 1), mode="wat")
 
+    def test_nan_viscosity_rejected(self):
+        g = SpaceTimeGrid(4, 4, 4)
+        with pytest.raises(ValueError):
+            sc.ControlProblem(g, nu=float("nan"), y0=np.zeros((2, 4, 4)),
+                              mask=SupportMask(0, 1, 0, 1))
+
+    @pytest.mark.parametrize("algorithm", ["steepest", "cg"])
+    def test_nan_energy_raises_divergence(self, algorithm):
+        p = small_problem()
+        p.nu = float("nan")
+        cfg = sc.SolveConfig(max_iter=5, algorithm=algorithm, tol_kernel=1e-3)
+        with pytest.raises(sc.DescentDivergence):
+            sc.descend(p, cfg)
+
 
 class TestLift:
     def test_zero_y0(self):
