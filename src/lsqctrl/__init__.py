@@ -25,7 +25,9 @@ oracles
     Manufactured solutions, independent dense assembly, FD ladders and
     an independent Newton solve for verification.
 cli
-    Batch front end (``lsqctrl`` console script).
+    Batch front end (``lsqctrl`` console script).  Import it as
+    ``lsqctrl.cli``; ``import lsqctrl`` does not load it, so that
+    ``python -m lsqctrl.cli`` runs the module once.
 
 Threads
 -------
@@ -48,7 +50,7 @@ if _threads:
         warnings.warn(f"LSQCTRL_THREADS={_threads!r} ignored: not a positive integer",
                       RuntimeWarning, stacklevel=2)
 
-from . import abstract_descent, cli, discretization, oracles, steady_nse, stokes_control
+from . import abstract_descent, discretization, oracles, steady_nse, stokes_control
 from .abstract_descent import (
     DescentConfig,
     DescentReport,
@@ -77,7 +79,6 @@ __all__ = [
     "SupportMask",
     "Triplet",
     "abstract_descent",
-    "cli",
     "discretization",
     "oracles",
     "steady_nse",

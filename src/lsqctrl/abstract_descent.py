@@ -6,6 +6,10 @@ subspace H of a finite-dimensional inner-product space X.  Everything
 is dense, so the kernel A = Ker T \\cap H, its orthogonal projectors and
 the exact minimizer are all computable and serve as oracles for the
 matrix-free PDE machinery.
+
+``run_descent`` is the iteration loop the PDE solvers share: stop tests,
+per-iterate history, report and observer hook, around a per-method step
+rule.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +27,7 @@ __all__ = [
     "oracle_minimizer",
     "descend",
     "random_instance",
+    "run_descent",
 ]
 
 _KERNEL_CUTOFF = 1e-10  # singular values below cutoff*sigma_max span Ker T
@@ -119,7 +124,6 @@ class DescentConfig:
     tol_grad: float = 0.0
     step_rule: str = "exact"  # "exact" or "fixed"
     fixed_step: float = 1.0
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.max_iter <= 0:
@@ -137,9 +141,9 @@ class DescentReport:
     iterates_count: int
     energies: np.ndarray
     grad_norms: np.ndarray
-    final_u: np.ndarray
     converged: bool
-    reason: str  # energy_tol | grad_tol | max_iter | kernel_stall
+    reason: str  # energy_tol | grad_tol | max_iter | kernel_stall | line_search_stall
+    final_u: np.ndarray = None
     steps: np.ndarray = None
     kernel_ratios: np.ndarray = None
     extras: dict = field(default_factory=dict)
@@ -234,43 +238,47 @@ def oracle_minimizer(p: LsqProblem):
     return gh_isqrt @ d
 
 
-def descend(p: LsqProblem, u_init, cfg: DescentConfig):
+def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
     """Steepest descent u_{k+1} = u_k - eta_k g_k with exact or fixed step.
 
     With the exact step the energy is non-increasing to roundoff and, if
-    u_init lies in A-perp, so does every iterate.
+    u_init lies in A-perp, so does every iterate.  This is the dense
+    reference, so its tolerances are absolute and a kernel stall is not
+    convergence.  ``observer(record, u)`` is called as in ``run_descent``.
     """
     u = p._check_u(u_init).copy()
     energies, gnorms, steps, ratios = [], [], [], []
     converged = False
     reason = "max_iter"
-    for _ in range(cfg.max_iter + 1):
+    for k in range(cfg.max_iter + 1):
         e = energy(p, u)
         g = gradient(p, u)
         gn = p.norm_H(g)
         energies.append(e)
         gnorms.append(gn)
+        record = {"iter": k, "E": e, "grad_norm": gn}
         if e <= cfg.tol_energy:
             converged, reason = True, "energy_tol"
-            break
-        if gn <= cfg.tol_grad:
+        elif gn <= cfg.tol_grad:
             converged, reason = True, "grad_tol"
+        elif k < cfg.max_iter:
+            Tg = p._TH @ g
+            tg2 = p.Y.inner(Tg, Tg)
+            record["kernel_ratio"] = np.sqrt(max(tg2, 0.0)) / gn if gn > 0 else 0.0
+            ratios.append(record["kernel_ratio"])
+            if tg2 <= (1e-14 * gn) ** 2:
+                # direction numerically inside Ker T: no energy to extract
+                reason = "kernel_stall"
+            elif cfg.step_rule == "exact":
+                record["step"] = p.Y.inner(p.image(u), Tg) / tg2
+            else:
+                record["step"] = cfg.fixed_step
+        if observer is not None:
+            observer(record, u)
+        if "step" not in record:
             break
-        if len(energies) > cfg.max_iter:
-            break
-        Tg = p._TH @ g
-        tg2 = p.Y.inner(Tg, Tg)
-        ratios.append(np.sqrt(max(tg2, 0.0)) / gn if gn > 0 else 0.0)
-        if tg2 <= (1e-14 * gn) ** 2:
-            # direction numerically inside Ker T: no energy to extract
-            reason = "kernel_stall"
-            break
-        if cfg.step_rule == "exact":
-            eta = p.Y.inner(p.image(u), Tg) / tg2
-        else:
-            eta = cfg.fixed_step
-        u -= eta * g
-        steps.append(eta)
+        u -= record["step"] * g
+        steps.append(record["step"])
     return DescentReport(
         iterates_count=len(energies),
         energies=np.array(energies),
@@ -280,4 +288,68 @@ def descend(p: LsqProblem, u_init, cfg: DescentConfig):
         reason=reason,
         steps=np.array(steps),
         kernel_ratios=np.array(ratios),
+    )
+
+
+_CONVERGED = ("energy_tol", "grad_tol", "kernel_stall")
+
+
+def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0,
+                observer=None):
+    """The descent loop of the PDE solvers, around one step rule.
+
+    The rule holds the method and its problem:
+
+    * ``rule.state`` is the current iterate;
+    * ``rule.measure(history)`` evaluates iterate ``len(history)`` and
+      returns its record: a dict with ``E``, ``grad_norm`` and the keys
+      named in ``rule.diagnostics``; ``history`` holds the records of
+      the earlier iterates;
+    * ``rule.choose(record)`` picks the step from the iterate, stores it
+      as ``record["step"]`` (and ``record["kernel_ratio"]`` if the rule
+      has one) and returns None, or returns the reason to stop instead;
+    * ``rule.advance(record)`` takes the chosen step;
+    * ``rule.kernel_ratios`` says whether the report carries the kernel
+      ratios (None if not).
+
+    The loop stops at the first iterate with E <= tol_energy, E <=
+    tol_energy_rel * E_0 or grad_norm <= tol_grad * grad_norm_0 (the
+    relative tests are off at zero), at a stop reason from the rule, or
+    after max_iter steps.  ``observer(record, state)``, if given, is called once per
+    iterate: after its step is chosen and before it is taken, or at the
+    stop.  The record then also carries ``iter``; ``step`` is absent
+    where no step is taken.  The observer must not modify either.
+
+    Returns a DescentReport whose extras hold each diagnostic as an
+    array, named by its plural (``div_norm`` -> ``div_norms``).
+    """
+    history, reason = [], "max_iter"
+    for k in range(max_iter + 1):
+        record = {"iter": k, **rule.measure(history)}
+        history.append(record)
+        e, gn = record["E"], record["grad_norm"]
+        e0, g0 = history[0]["E"], history[0]["grad_norm"]
+        if e <= tol_energy or (tol_energy_rel and e <= tol_energy_rel * e0):
+            reason = "energy_tol"
+        elif tol_grad and gn <= tol_grad * max(g0, 1e-300):
+            reason = "grad_tol"
+        elif k == max_iter:
+            reason = "max_iter"
+        else:
+            reason = rule.choose(record)
+        if observer is not None:
+            observer(record, rule.state)
+        if reason:
+            break
+        rule.advance(record)
+    ratios = [r["kernel_ratio"] for r in history if "kernel_ratio" in r]
+    return DescentReport(
+        iterates_count=len(history),
+        energies=np.array([r["E"] for r in history]),
+        grad_norms=np.array([r["grad_norm"] for r in history]),
+        converged=reason in _CONVERGED,
+        reason=reason,
+        steps=np.array([r["step"] for r in history[:-1]]),
+        kernel_ratios=np.array(ratios) if rule.kernel_ratios else None,
+        extras={f"{name}s": np.array([r[name] for r in history]) for name in rule.diagnostics},
     )

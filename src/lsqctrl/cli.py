@@ -2,10 +2,11 @@
 
 Config files are line-based ``section.key = value`` text ('#' starts a
 comment); every key can also be given on the command line as
-``--section.key=value``, which overrides the file.  Runs write
-``trace.csv`` (one row per iteration, schema fixed per run family),
-``summary.json`` and, depending on ``io.dump_every``, legacy-VTK and
-raw-binary field dumps into ``io.out_dir``.
+``--section.key=value``, which overrides the file.  Runs stream
+``trace.csv`` (one row per iterate, written as the run goes, schema fixed
+per run family), write ``summary.json`` and final field dumps, and with
+``io.dump_every`` also snapshots of every N-th iterate, into
+``io.out_dir``.
 
 Exit codes: 0 solved/stopped by a convergence criterion, 2 bad
 configuration (the offending key is named on stderr), 3 iteration
@@ -13,7 +14,9 @@ budget exhausted, 4 solver failure.
 """
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +107,13 @@ def _convert(key, raw):
 
 def _validate(cfg: RunConfig):
     v = cfg.values
+    for key, val in v.items():
+        for x in val if isinstance(val, tuple) else (val,):
+            if isinstance(x, float) and not math.isfinite(x):
+                if key != "problem.error_bound":
+                    raise ConfigError(key, "must be finite")
+                if x != math.inf:
+                    raise ConfigError(key, "must be finite or inf")
     for key in ("domain.Lx", "domain.Ly", "time.T", "physics.nu"):
         if not (v[key] > 0):
             raise ConfigError(key, "must be positive")
@@ -182,11 +192,28 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_trace(path, header, rows):
-    text = header + "\n" + "\n".join(",".join(_fmt(c) if i else str(int(c))
-                                              for i, c in enumerate(row))
-                                     for row in rows)
-    Path(path).write_text(text + "\n")
+@contextlib.contextmanager
+def _trace_observer(path, header, dump_every=0, dump=None):
+    """Open a trace file and yield a descent observer that streams it.
+
+    Each call writes and flushes one row: the record's values under the
+    header's column names, 0.0 for a column the record lacks (no step
+    taken, no kernel ratio).  For iterates k with k % dump_every == 0,
+    ``dump(f"iter{k:06d}", state)`` then snapshots the iterate.
+    """
+    columns = header.split(",")[1:]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.flush()
+
+        def observe(record, state):
+            k = record["iter"]
+            fh.write(",".join([str(k)] + [_fmt(record.get(c, 0.0)) for c in columns]) + "\n")
+            fh.flush()
+            if dump_every and k % dump_every == 0:
+                dump(f"iter{k:06d}", state)
+
+        yield observe
 
 
 def write_vtk_slice(path, grid, velocity=None, pressure=None, title="fields"):
@@ -283,26 +310,6 @@ def _exit_code(reason, converged):
     return 4
 
 
-def _unsteady_rows(report):
-    n = report.iterates_count
-    steps = report.steps
-    ratios = report.kernel_ratios
-    ex = report.extras
-    rows = []
-    for k in range(n):
-        rows.append((
-            k,
-            report.energies[k],
-            report.grad_norms[k],
-            steps[k] if k < len(steps) else 0.0,
-            ratios[k] if k < len(ratios) else 0.0,
-            ex["div_norms"][k],
-            ex["yT_norms"][k],
-            ex["f_norms"][k],
-        ))
-    return rows
-
-
 def _run_unsteady(cfg: RunConfig, mode):
     from .discretization import SpaceTimeGrid, SupportMask, st_inner
     from . import stokes_control as sc
@@ -347,14 +354,14 @@ def _run_unsteady(cfg: RunConfig, mode):
             inner_tol_grad=v["solver.inner_tol_grad"],
         )
         s, rep = sc.split_iteration(problem, scfg)
-        rows = [
-            (k, rep.outer_G[k], rep.outer_grad_norms[k],
-             rep.outer_steps[k] if k < len(rep.outer_steps) else 0.0,
-             0.0, rep.extras["div_inner"][k], 0.0,
-             float(np.sqrt(st_inner(s.f, s.f, grid))))
-            for k in range(len(rep.outer_G))
-        ]
-        _write_trace(out / "trace.csv", UNSTEADY_HEADER, rows)
+        f_norm = float(np.sqrt(st_inner(s.f, s.f, grid)))
+        with _trace_observer(out / "trace.csv", UNSTEADY_HEADER) as observe:
+            for k, G in enumerate(rep.outer_G):
+                record = {"iter": k, "E": G, "grad_norm": rep.outer_grad_norms[k],
+                          "div_norm": rep.extras["div_inner"][k], "f_norm": f_norm}
+                if k < len(rep.outer_steps):
+                    record["step"] = rep.outer_steps[k]
+                observe(record, s)
         _dump_fields(out, grid, s)
         summary = {
             "mode": "split", "rounds": len(rep.outer_G),
@@ -374,12 +381,9 @@ def _run_unsteady(cfg: RunConfig, mode):
         s_init = sc.lift_sA(problem)
         s_init.f = exact.f.copy()
 
-    dump_every = v["io.dump_every"]
-    if dump_every:
-        s, rep = _segmented_descend(problem, scfg, s_init, dump_every, out, grid)
-    else:
-        s, rep = sc.descend(problem, scfg, s_init=s_init)
-    _write_trace(out / "trace.csv", UNSTEADY_HEADER, _unsteady_rows(rep))
+    with _trace_observer(out / "trace.csv", UNSTEADY_HEADER, v["io.dump_every"],
+                         lambda tag, st: _dump_fields(out, grid, st, tag)) as observe:
+        s, rep = sc.descend(problem, scfg, s_init=s_init, observer=observe)
     _dump_fields(out, grid, s)
     summary = {
         "mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
@@ -397,51 +401,6 @@ def _run_unsteady(cfg: RunConfig, mode):
             code = max(code, 3)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return code
-
-
-def _segmented_descend(problem, scfg, s_init, dump_every, out, grid):
-    """Run descend in dump_every-sized segments, dumping fields between.
-
-    Relative tolerances are frozen against the very first segment so the
-    concatenated run stops exactly like an unsegmented one would.
-    """
-    from . import stokes_control as sc
-    from dataclasses import replace
-
-    total = scfg.max_iter
-    s = s_init
-    merged = None
-    done = 0
-    tag = 0
-    while True:
-        seg = replace(scfg, max_iter=min(dump_every, total - done))
-        s, rep = sc.descend(problem, seg, s_init=s)
-        if merged is None:
-            merged = rep
-            if scfg.tol_energy_rel:
-                merged_e0 = rep.energies[0]
-                scfg = replace(scfg, tol_energy=max(
-                    scfg.tol_energy, scfg.tol_energy_rel * merged_e0),
-                    tol_energy_rel=0.0)
-            if scfg.tol_grad:
-                scfg = replace(scfg, tol_grad=0.0, tol_energy=scfg.tol_energy)
-        else:
-            for name in ("energies", "grad_norms", "steps", "kernel_ratios"):
-                setattr(merged, name, np.concatenate(
-                    [getattr(merged, name), getattr(rep, name)[1:]
-                     if name in ("energies", "grad_norms") else getattr(rep, name)]))
-            for name in ("div_norms", "yT_norms", "f_norms"):
-                merged.extras[name] = np.concatenate(
-                    [merged.extras[name], rep.extras[name][1:]])
-            merged.extras["corrector"] = rep.extras["corrector"]
-            merged.converged, merged.reason = rep.converged, rep.reason
-            merged.iterates_count = len(merged.energies)
-        done += seg.max_iter
-        tag += 1
-        _dump_fields(out, grid, s, tag=f"iter{done:06d}")
-        if rep.converged or done >= total:
-            break
-    return s, merged
 
 
 def _run_steady(cfg: RunConfig):
@@ -470,17 +429,12 @@ def _run_steady(cfg: RunConfig):
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_grad=v["solver.tol_grad"], algorithm=algo,
     )
-    state, rep = sn.descend_steady(problem, scfg)
     out = Path(v["io.out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(emit_config(cfg))
-    rows = [
-        (k, rep.energies[k], rep.grad_norms[k],
-         rep.steps[k] if k < len(rep.steps) else 0.0,
-         rep.extras["residual_norms"][k], rep.extras["div_norms"][k])
-        for k in range(rep.iterates_count)
-    ]
-    _write_trace(out / "trace.csv", STEADY_HEADER, rows)
+    with _trace_observer(out / "trace.csv", STEADY_HEADER, v["io.dump_every"],
+                         lambda tag, st: _dump_steady(out, grid, st, tag)) as observe:
+        state, rep = sn.descend_steady(problem, scfg, observer=observe)
     _dump_steady(out, grid, state)
     summary = {
         "mode": "steady", "iterations": rep.iterates_count, "reason": rep.reason,
@@ -508,17 +462,12 @@ def _run_abstract_demo(cfg: RunConfig):
         tol_energy=v["solver.tol_energy"],
         tol_grad=v["solver.tol_grad"],
     )
-    rep = ad.descend(p, np.zeros(p.dim_H), dcfg)
-    ubar = ad.oracle_minimizer(p)
     out = Path(v["io.out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(emit_config(cfg))
-    rows = [
-        (k, rep.energies[k], rep.grad_norms[k],
-         rep.steps[k] if k < len(rep.steps) else 0.0)
-        for k in range(rep.iterates_count)
-    ]
-    _write_trace(out / "trace.csv", ABSTRACT_HEADER, rows)
+    with _trace_observer(out / "trace.csv", ABSTRACT_HEADER) as observe:
+        rep = ad.descend(p, np.zeros(p.dim_H), dcfg, observer=observe)
+    ubar = ad.oracle_minimizer(p)
     summary = {
         "seed": v["seed"], "dim_H": p.dim_H, "iterations": rep.iterates_count,
         "reason": rep.reason, "E_last": float(rep.energies[-1]),

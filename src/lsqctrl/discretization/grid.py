@@ -21,8 +21,6 @@ __all__ = [
     "SpatialGrid",
     "SpaceTimeGrid",
     "SupportMask",
-    "ScalarField",
-    "VectorField",
     "Triplet",
 ]
 
@@ -193,36 +191,6 @@ def _check_values(grid, values, components):
     if not np.isfinite(arr).all():
         raise ValueError("field contains non-finite values")
     return arr
-
-
-@dataclass
-class ScalarField:
-    """Scalar values on the interior nodes, one slice or all time levels."""
-
-    grid: SpaceTimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_values(self.grid, self.values, 0)
-
-    @property
-    def is_slice(self):
-        return self.values.ndim == 2
-
-
-@dataclass
-class VectorField:
-    """Two-component vector values on the interior nodes."""
-
-    grid: SpaceTimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_values(self.grid, self.values, 2)
-
-    @property
-    def is_slice(self):
-        return self.values.ndim == 3
 
 
 @dataclass

@@ -24,6 +24,7 @@ __all__ = [
     "dy",
     "grad",
     "div",
+    "div_part",
     "curl",
     "laplace",
     "grad_pressure",
@@ -32,10 +33,11 @@ __all__ = [
     "st_inner",
     "quadrature_l2",
     "trace_norms",
+    "h1_pairing",
     "h1_seminorm_sq",
+    "st_h1_pairing",
     "st_h1_seminorm_sq",
     "dt_sq_integral",
-    "dt_pairing",
     "remove_slice_means",
     "slice_means",
 ]
@@ -72,6 +74,14 @@ def div(v, grid):
     """Divergence of a vector field (component axis at -3)."""
     v = np.asarray(v)
     return dx(v[..., 0, :, :], grid) + dy(v[..., 1, :, :], grid)
+
+
+def div_part(y, pi, grid, epsilon=0.0):
+    """div y + epsilon*pi: the divergence term of the least-squares energies."""
+    q = div(y, grid)
+    if epsilon:
+        q = q + epsilon * pi
+    return q
 
 
 def curl(s, grid):
@@ -235,16 +245,46 @@ def trace_norms(y, grid):
     return n0, nT
 
 
-def h1_seminorm_sq(a, grid):
-    """Edge-difference |grad a|^2 integral of one slice.
+def _edge_diffs(a, grid):
+    """x- and y-edge differences of a over h, the half-edges to the
+    Dirichlet wall included: np.diff with zero padding on both ends,
+    without first copying a into a padded array."""
+    a = np.asarray(a)
+    ny, nx = a.shape[-2:]
+    ex = np.empty(a.shape[:-1] + (nx + 1,))
+    ex[..., 0] = a[..., 0]
+    np.subtract(a[..., 1:], a[..., :-1], out=ex[..., 1:-1])
+    np.subtract(0.0, a[..., -1], out=ex[..., -1])
+    ey = np.empty(a.shape[:-2] + (ny + 1, nx))
+    ey[..., 0, :] = a[..., 0, :]
+    np.subtract(a[..., 1:, :], a[..., :-1, :], out=ey[..., 1:-1, :])
+    np.subtract(0.0, a[..., -1, :], out=ey[..., -1, :])
+    ex /= grid.hx
+    ey /= grid.hy
+    return ex, ey
 
-    Equals a^T L a * hx*hy with L the 5-point stiffness; includes the
+
+def _edge_products(a, b, grid):
+    """Pointwise products of the edge differences of a and b; a field
+    paired with itself is differenced once."""
+    ax, ay = _edge_diffs(a, grid)
+    bx, by = (ax, ay) if b is a else _edge_diffs(b, grid)
+    return ax * bx, ay * by
+
+
+def h1_pairing(a, b, grid):
+    """Edge-form integral of grad a : grad b over one slice.
+
+    Equals a^T L b * hx*hy with L the 5-point stiffness; includes the
     half-edges to the Dirichlet boundary.
     """
-    a = np.asarray(a)
-    ex = np.diff(a, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    ey = np.diff(a, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    return grid.hx * grid.hy * float(np.sum(ex**2) + np.sum(ey**2))
+    px, py = _edge_products(a, b, grid)
+    return grid.hx * grid.hy * float(np.sum(px) + np.sum(py))
+
+
+def h1_seminorm_sq(a, grid):
+    """Edge-difference |grad a|^2 integral of one slice."""
+    return h1_pairing(a, a, grid)
 
 
 def st_h1_seminorm_sq(v, grid):
@@ -257,16 +297,10 @@ def st_h1_pairing(a, b, grid):
 
     Exactly Sum_j w_j a_j^T L b_j * hx*hy with L the 5-point stiffness.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    w = grid.time_weights()
-    eax = np.diff(a, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    ebx = np.diff(b, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    eay = np.diff(a, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    eby = np.diff(b, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    per_level = (eax * ebx).reshape(grid.nt + 1, -1).sum(axis=1)
-    per_level += (eay * eby).reshape(grid.nt + 1, -1).sum(axis=1)
-    return grid.hx * grid.hy * float(per_level @ w)
+    px, py = _edge_products(a, b, grid)
+    per_level = px.reshape(grid.nt + 1, -1).sum(axis=1)
+    per_level += py.reshape(grid.nt + 1, -1).sum(axis=1)
+    return grid.hx * grid.hy * float(per_level @ grid.time_weights())
 
 
 def dt_sq_integral(v, grid):
@@ -274,19 +308,6 @@ def dt_sq_integral(v, grid):
     v = np.asarray(v)
     d = np.diff(v, axis=0)
     return grid.hx * grid.hy * float(np.sum(d**2)) / grid.ht
-
-
-def dt_pairing(a, b, grid):
-    """Integral of a_t . b with a piecewise linear, b linear in time.
-
-    Exact for the product of the piecewise-constant a_t with piecewise
-    linear b; summation by parts against this form holds exactly.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    d = np.diff(a, axis=0)
-    avg = 0.5 * (b[1:] + b[:-1])
-    return grid.hx * grid.hy * float(np.sum(d * avg))
 
 
 def slice_means(pi):

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_descent import DescentReport
+from .abstract_descent import run_descent
 from .discretization import (
     SpatialGrid,
     div,
+    div_part,
     dx,
     dy,
     grad,
     grad_pressure,
     grad_pressure_transpose,
+    h1_pairing,
     h1_seminorm_sq,
     laplace,
     poisson_solve,
@@ -146,17 +148,10 @@ def corrector_steady(p: SteadyProblem, s: SteadyState):
     return v, {"v_h1": vnorm}
 
 
-def _div_part(p, s):
-    q = div(s.y, p.grid)
-    if p.epsilon:
-        q = q + p.epsilon * s.pi
-    return q
-
-
 def energy_steady(p: SteadyProblem, s: SteadyState, v=None):
     if v is None:
         v, _ = corrector_steady(p, s)
-    q = _div_part(p, s)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
     return 0.5 * (h1_seminorm_sq(v, p.grid) + space_inner(q, q, p.grid))
 
 
@@ -175,7 +170,7 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, return_norm=False)
     g = p.grid
     if v is None:
         v, _ = corrector_steady(p, s)
-    q = _div_part(p, s)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
     pibar = -grad_pressure_transpose(v, g)
     if p.epsilon:
         pibar = pibar + p.epsilon * q
@@ -202,97 +197,80 @@ def pressure_residual_indicator(p: SteadyProblem, s: SteadyState, v=None):
     return -(div(s.y, p.grid) + s.y[0] * v[0] + s.y[1] * v[1])
 
 
-def _pair_h1l2(ya, pia, yb, pib, grid):
-    """H_0^1 x L^2 pairing of two gradient-type pairs (edge form)."""
-    val = space_inner(pia, pib, grid)
-    eax = np.diff(ya, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    ebx = np.diff(yb, axis=-1, prepend=0.0, append=0.0) / grid.hx
-    eay = np.diff(ya, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    eby = np.diff(yb, axis=-2, prepend=0.0, append=0.0) / grid.hy
-    val += grid.hx * grid.hy * float(np.sum(eax * ebx) + np.sum(eay * eby))
-    return val
+class _ArmijoRule:
+    """Step rule of ``descend_steady`` for ``run_descent``: Armijo
+    backtracking along the metric gradient or its PR+ combination."""
+
+    diagnostics = ("residual_norm", "div_norm")
+    kernel_ratios = False
+
+    def __init__(self, p, cfg, s):
+        self.p, self.cfg, self.state = p, cfg, s
+        self.eta = cfg.step_init
+        self.prev = None  # (ybar, pibar, gn_sq) of the previous iterate
+        self.dir_y = self.dir_pi = None
+
+    def measure(self, history):
+        p, s, g = self.p, self.state, self.p.grid
+        v, _ = corrector_steady(p, s)
+        e = energy_steady(p, s, v)
+        self.ybar, self.pibar, self.gn_sq = gradient_steady(p, s, v, return_norm=True)
+        residual_norm = np.sqrt(max(h1_seminorm_sq(v, g), 0.0))
+        dv = div(s.y, g)
+        return {
+            "E": e,
+            "grad_norm": np.sqrt(self.gn_sq),
+            "residual_norm": residual_norm,
+            "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0)),
+        }
+
+    def choose(self, record):
+        p, cfg, s, g = self.p, self.cfg, self.state, self.p.grid
+        ybar, pibar, gn_sq = self.ybar, self.pibar, self.gn_sq
+        dd = gn_sq
+        if cfg.algorithm == "cg" and self.prev is not None:
+            py, ppi, pgn_sq = self.prev
+            # H_0^1 x L^2 pairings of the gradient with the previous one
+            # and with the combined direction
+            pair = space_inner(pibar, ppi, g) + h1_pairing(ybar, py, g)
+            beta = max(0.0, (gn_sq - pair) / pgn_sq)
+            cy = ybar + beta * self.dir_y
+            cpi = pibar + beta * self.dir_pi
+            dd_c = space_inner(pibar, cpi, g) + h1_pairing(ybar, cy, g)
+            if dd_c > 1e-12 * gn_sq:
+                self.dir_y, self.dir_pi, dd = cy, cpi, dd_c
+            else:
+                self.dir_y, self.dir_pi = ybar, pibar
+        else:
+            self.dir_y, self.dir_pi = ybar, pibar
+        self.prev = (ybar, pibar, gn_sq)
+
+        self.eta = min(self.eta * 2.0, 1e6)
+        while self.eta >= cfg.step_min:
+            trial = SteadyState(g, s.y - self.eta * self.dir_y, s.pi - self.eta * self.dir_pi)
+            if energy_steady(p, trial) <= record["E"] - cfg.armijo_c * self.eta * dd:
+                record["step"], self.trial = self.eta, trial
+                return None
+            self.eta *= 0.5
+        return "line_search_stall"
+
+    def advance(self, record):
+        self.state = self.trial
 
 
-def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None):
+def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):
     """Armijo-backtracked descent on the quartic energy.
 
     algorithm='steepest' follows the metric gradient; 'cg' recombines
     it with the previous direction (Polak-Ribiere+, restarted whenever
     the combination stops being a descent direction).  Either way each
     accepted step strictly decreases E; line-search stagnation (step
-    below cfg.step_min) is reported, not raised.
+    below cfg.step_min) is reported, not raised.  ``observer(record,
+    s)`` sees every iterate (see ``abstract_descent.run_descent``);
+    records carry ``residual_norm`` and ``div_norm``.
     """
     p.check_small_data()
-    g = p.grid
-    s = (s_init or SteadyState.zeros(g)).copy()
-    energies, gnorms, steps, resids, divs = [], [], [], [], []
-    converged, reason = False, "max_iter"
-    eta = cfg.step_init
-    e0 = g0 = None
-    prev = None  # (ybar, pibar, gn_sq) of the previous iterate
-    dir_y = dir_pi = None
-    for it in range(cfg.max_iter + 1):
-        v, _ = corrector_steady(p, s)
-        e = energy_steady(p, s, v)
-        ybar, pibar, gn_sq = gradient_steady(p, s, v, return_norm=True)
-        gn = np.sqrt(gn_sq)
-        energies.append(e)
-        gnorms.append(gn)
-        resids.append(np.sqrt(max(h1_seminorm_sq(v, g), 0.0)))
-        dv = div(s.y, g)
-        divs.append(np.sqrt(max(space_inner(dv, dv, g), 0.0)))
-        if e0 is None:
-            e0, g0 = e, gn
-        if e <= cfg.tol_energy:
-            converged, reason = True, "energy_tol"
-            break
-        if cfg.tol_grad and gn <= cfg.tol_grad * max(g0, 1e-300):
-            converged, reason = True, "grad_tol"
-            break
-        if it == cfg.max_iter:
-            break
-
-        dd = gn_sq
-        if cfg.algorithm == "cg" and prev is not None:
-            py, ppi, pgn_sq = prev
-            beta = max(
-                0.0,
-                (gn_sq - _pair_h1l2(ybar, pibar, py, ppi, g)) / pgn_sq,
-            )
-            cy = ybar + beta * dir_y
-            cpi = pibar + beta * dir_pi
-            dd_c = _pair_h1l2(ybar, pibar, cy, cpi, g)
-            if dd_c > 1e-12 * gn_sq:
-                dir_y, dir_pi, dd = cy, cpi, dd_c
-            else:
-                dir_y, dir_pi = ybar, pibar
-        else:
-            dir_y, dir_pi = ybar, pibar
-        prev = (ybar, pibar, gn_sq)
-
-        eta = min(eta * 2.0, 1e6)
-        accepted = False
-        while eta >= cfg.step_min:
-            trial = SteadyState(g, s.y - eta * dir_y, s.pi - eta * dir_pi)
-            e_trial = energy_steady(p, trial)
-            if e_trial <= e - cfg.armijo_c * eta * dd:
-                s = trial
-                steps.append(eta)
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            reason = "line_search_stall"
-            break
-    report = DescentReport(
-        iterates_count=len(energies),
-        energies=np.array(energies),
-        grad_norms=np.array(gnorms),
-        final_u=None,
-        converged=converged,
-        reason=reason,
-        steps=np.array(steps),
-        kernel_ratios=None,
-        extras={"residual_norms": np.array(resids), "div_norms": np.array(divs)},
-    )
-    return s, report
+    rule = _ArmijoRule(p, cfg, (s_init or SteadyState.zeros(p.grid)).copy())
+    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, tol_grad=cfg.tol_grad,
+                         observer=observer)
+    return rule.state, report

@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstract_descent import DescentReport
+from .abstract_descent import run_descent
 from .discretization import (
     SpaceTimeGrid,
     SupportMask,
     Triplet,
     a0_velocity_riesz,
     div,
+    div_part,
     dt_sq_integral,
     grad,
     grad_pressure,
@@ -213,13 +214,6 @@ def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
     return CorrectorField(v, np.sqrt(energy_sq))
 
 
-def _div_part(p, s: Triplet):
-    q = div(s.y, p.grid)
-    if p.epsilon:
-        q = q + p.epsilon * s.pi
-    return q
-
-
 def lift_sA(p: ControlProblem) -> Triplet:
     """Admissible base point: y0 transported by a scalar time profile.
 
@@ -239,7 +233,7 @@ def lift_sA(p: ControlProblem) -> Triplet:
 def energy(p: ControlProblem, s: Triplet, corr: CorrectorField | None = None):
     """E(s) >= 0; zero iff the corrector vanishes and div y + eps*pi = 0."""
     corr = corr or corrector(p, s)
-    q = _div_part(p, s)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
     return 0.5 * (
         dt_sq_integral(corr.v, p.grid)
         + st_h1_seminorm_sq(corr.v, p.grid)
@@ -265,8 +259,8 @@ def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
     corr = corr or corrector(p, s)
     bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
     val = float(np.sum(bd * corr.v))
-    q = _div_part(p, s)
-    qd = _div_part(p, d)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    qd = div_part(d.y, d.pi, p.grid, p.epsilon)
     return val + st_inner(q, qd, p.grid)
 
 
@@ -276,11 +270,7 @@ def apply_T(p: ControlProblem, d: Triplet):
     bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
     v = spacetime_solve_weak(p.grid, bd)
     energy_sq = max(float(np.sum(v * bd)), 0.0)
-    return CorrectorField(v, np.sqrt(energy_sq)), _div_part(p, d)
-
-
-def _image_norm_sq(p, corr: CorrectorField, qd):
-    return corr.weak_residual_norm**2 + st_inner(qd, qd, p.grid)
+    return CorrectorField(v, np.sqrt(energy_sq)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
 def gradient_a0(p: ControlProblem, s: Triplet, corr=None, div_weight=1.0,
@@ -298,7 +288,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, div_weight=1.0,
     v = corr.v
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
-    q = _div_part(p, s) if div_weight else np.zeros_like(s.pi)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon) if div_weight else np.zeros_like(s.pi)
 
     g = Triplet.zeros(grid)
     if not freeze_pressure:
@@ -344,8 +334,93 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
 # steepest descent
 # ---------------------------------------------------------------------------
 
+class _MetricGradientRule:
+    """Step rule of ``descend`` for ``run_descent``: exact quadratic steps
+    along the metric gradient or its Fletcher-Reeves combination."""
+
+    diagnostics = ("div_norm", "yT_norm", "f_norm")
+    kernel_ratios = True
+
+    def __init__(self, p, cfg, s, div_weight, freeze_pressure):
+        self.p, self.cfg, self.state = p, cfg, s
+        self.div_weight, self.freeze_pressure = div_weight, freeze_pressure
+        self.corr = corrector(p, s)
+        self.q = div_part(s.y, s.pi, p.grid, p.epsilon) * div_weight
+        self.pdir = self.gn_sq_prev = self.pn_sq_prev = None
+        self.restarted = False
+
+    def corrector_energy_sq(self):
+        v, grid = self.corr.v, self.p.grid
+        return dt_sq_integral(v, grid) + st_h1_seminorm_sq(v, grid)
+
+    def measure(self, history):
+        p, cfg, s, grid = self.p, self.cfg, self.state, self.p.grid
+        it = len(history)
+        if cfg.refresh_every and it and it % cfg.refresh_every == 0:
+            s.pi = remove_slice_means(s.pi)
+            self.corr = corrector(p, s)
+            self.q = div_part(s.y, s.pi, grid, p.epsilon) * self.div_weight
+        e = 0.5 * (self.corrector_energy_sq() + st_inner(self.q, self.q, grid))
+        if not history and not np.isfinite(e):
+            raise DescentDivergence(f"non-finite initial energy: {e}")
+        if history and not (e <= history[-1]["E"] * (1 + 1e-12)
+                            + 1e-14 * max(history[0]["E"], 1e-300)):
+            if cfg.algorithm == "cg" and not self.restarted:
+                # conjugacy lost to roundoff: fall back to a pure
+                # gradient step before declaring divergence
+                self.pdir, self.restarted = None, True
+            else:
+                raise DescentDivergence(
+                    f"energy increased at iteration {it}: {history[-1]['E']} -> {e}"
+                )
+        self.g, self.gn_sq = gradient_a0(
+            p, s, self.corr, div_weight=self.div_weight,
+            freeze_pressure=self.freeze_pressure, return_norm=True,
+        )
+        dv = div(s.y, grid)
+        return {
+            "E": e,
+            "grad_norm": np.sqrt(self.gn_sq),
+            "div_norm": np.sqrt(st_inner(dv, dv, grid)),
+            "yT_norm": trace_norms(s.y, grid)[1],
+            "f_norm": np.sqrt(st_inner(s.f, s.f, grid)),
+        }
+
+    def choose(self, record):
+        p, grid, gn_sq = self.p, self.p.grid, self.gn_sq
+        if self.cfg.algorithm == "cg" and self.pdir is not None and self.gn_sq_prev:
+            beta = gn_sq / self.gn_sq_prev
+            d = self.g.copy()
+            d.axpy(beta, self.pdir)
+            # exact-search CG keeps <g_k, p_{k-1}>_A0 = 0, so the
+            # directional derivative stays gn_sq and the direction norm
+            # recurses cheaply
+            pn_sq = gn_sq + beta**2 * self.pn_sq_prev
+        else:
+            d, pn_sq = self.g, gn_sq
+        self.gn_sq_prev, self.pn_sq_prev = gn_sq, pn_sq
+
+        bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
+        self.Vd = spacetime_solve_weak(grid, bd)
+        self.qd = div_part(d.y, d.pi, grid, p.epsilon) * self.div_weight
+        td_sq = max(float(np.sum(self.Vd * bd)), 0.0) + st_inner(self.qd, self.qd, grid)
+        ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
+        if (self.cfg.tol_kernel and ratio <= self.cfg.tol_kernel) or td_sq <= 1e-28 * gn_sq:
+            return "kernel_stall"
+        record["step"] = gn_sq / td_sq
+        self.dir = d
+        return None
+
+    def advance(self, record):
+        eta = record["step"]
+        self.state.axpy(-eta, self.dir)
+        self.corr.v -= eta * self.Vd
+        self.q -= eta * self.qd
+        self.pdir = self.dir if self.cfg.algorithm == "cg" else None
+
+
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
-            _div_weight=1.0, _freeze_pressure=False):
+            _div_weight=1.0, _freeze_pressure=False, observer=None):
     """Minimizing sequence s_k = s_A + u_k driven by the metric gradient.
 
     algorithm='steepest' updates u_{k+1} = u_k - eta_k g_k with the
@@ -355,120 +430,17 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     fewer corrector solves while keeping the energy non-increasing and
     the trace/support constraints exact.  Terminates on the absolute or
     relative energy target, the relative gradient target, the
-    kernel-ratio criterion, or max_iter.
+    kernel-ratio criterion, or max_iter.  ``observer(record, s)`` sees
+    every iterate (see ``abstract_descent.run_descent``); records carry
+    ``kernel_ratio``, ``div_norm``, ``yT_norm`` and ``f_norm``.
     """
-    grid = p.grid
-    s = (s_init or lift_sA(p)).copy()
-    corr = corrector(p, s)
-    q = _div_part(p, s) * _div_weight
-
-    energies, gnorms, steps, ratios = [], [], [], []
-    div_norms, yT_norms, f_norms = [], [], []
-    converged, reason = False, "max_iter"
-    e0 = g0 = None
-    pdir = None
-    gn_sq_prev = pn_sq_prev = None
-    restarted = False
-
-    def current_energy():
-        return 0.5 * (
-            dt_sq_integral(corr.v, grid)
-            + st_h1_seminorm_sq(corr.v, grid)
-            + st_inner(q, q, grid)
-        )
-
-    for it in range(cfg.max_iter + 1):
-        if cfg.refresh_every and it and it % cfg.refresh_every == 0:
-            s.pi = remove_slice_means(s.pi)
-            corr = corrector(p, s)
-            q = _div_part(p, s) * _div_weight
-        e = current_energy()
-        if not energies and not np.isfinite(e):
-            raise DescentDivergence(f"non-finite initial energy: {e}")
-        if energies and not (e <= energies[-1] * (1 + 1e-12) + 1e-14 * max(e0, 1e-300)):
-            if cfg.algorithm == "cg" and not restarted:
-                # conjugacy lost to roundoff: fall back to a pure
-                # gradient step before declaring divergence
-                pdir, restarted = None, True
-            else:
-                raise DescentDivergence(
-                    f"energy increased at iteration {it}: {energies[-1]} -> {e}"
-                )
-        g, gn_sq = gradient_a0(
-            p, s, corr, div_weight=_div_weight,
-            freeze_pressure=_freeze_pressure, return_norm=True,
-        )
-        gn = np.sqrt(gn_sq)
-        energies.append(e)
-        gnorms.append(gn)
-        dv = div(s.y, grid)
-        div_norms.append(np.sqrt(st_inner(dv, dv, grid)))
-        yT_norms.append(trace_norms(s.y, grid)[1])
-        f_norms.append(np.sqrt(st_inner(s.f, s.f, grid)))
-        if e0 is None:
-            e0, g0 = e, gn
-
-        if e <= cfg.tol_energy or (cfg.tol_energy_rel and e <= cfg.tol_energy_rel * e0):
-            converged, reason = True, "energy_tol"
-            break
-        if cfg.tol_grad and gn <= cfg.tol_grad * g0:
-            converged, reason = True, "grad_tol"
-            break
-        if it == cfg.max_iter:
-            break
-
-        if cfg.algorithm == "cg" and pdir is not None and gn_sq_prev:
-            beta = gn_sq / gn_sq_prev
-            step_dir = g.copy()
-            step_dir.axpy(beta, pdir)
-            # exact-search CG keeps <g_k, p_{k-1}>_A0 = 0, so the
-            # directional derivative and direction norm recurse cheaply
-            dd = gn_sq
-            pn_sq = gn_sq + beta**2 * pn_sq_prev
-        else:
-            step_dir = g
-            dd = gn_sq
-            pn_sq = gn_sq
-        gn_sq_prev, pn_sq_prev = gn_sq, pn_sq
-
-        bg = -_residual_vector(p, step_dir.y, step_dir.pi, step_dir.f,
-                               include_control=p.mode == "null_control")
-        Vg = spacetime_solve_weak(grid, bg)
-        qg = _div_part(p, step_dir) * _div_weight
-        tg_sq = max(float(np.sum(Vg * bg)), 0.0) + st_inner(qg, qg, grid)
-        ratio = np.sqrt(tg_sq / pn_sq) if pn_sq > 0 else 0.0
-        ratios.append(ratio)
-        if (cfg.tol_kernel and ratio <= cfg.tol_kernel) or tg_sq <= 1e-28 * gn_sq:
-            converged, reason = True, "kernel_stall"
-            break
-
-        eta = dd / tg_sq
-        steps.append(eta)
-        s.axpy(-eta, step_dir)
-        corr.v -= eta * Vg
-        q -= eta * qg
-        pdir = step_dir if cfg.algorithm == "cg" else None
-    corr.weak_residual_norm = np.sqrt(
-        max(dt_sq_integral(corr.v, grid) + st_h1_seminorm_sq(corr.v, grid), 0.0)
-    )
-
-    report = DescentReport(
-        iterates_count=len(energies),
-        energies=np.array(energies),
-        grad_norms=np.array(gnorms),
-        final_u=None,
-        converged=converged,
-        reason=reason,
-        steps=np.array(steps),
-        kernel_ratios=np.array(ratios),
-        extras={
-            "div_norms": np.array(div_norms),
-            "yT_norms": np.array(yT_norms),
-            "f_norms": np.array(f_norms),
-            "corrector": corr,
-        },
-    )
-    return s, report
+    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy(), _div_weight,
+                               _freeze_pressure)
+    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
+                         cfg.tol_grad, observer)
+    rule.corr.weak_residual_norm = np.sqrt(max(rule.corrector_energy_sq(), 0.0))
+    report.extras["corrector"] = rule.corr
+    return rule.state, report
 
 
 # ---------------------------------------------------------------------------

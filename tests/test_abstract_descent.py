@@ -235,6 +235,22 @@ class TestDescend:
         w = np.linalg.eigvalsh(B.T @ Hess @ B)
         assert w.min() > 0
 
+    def test_noop_observer_leaves_report_bit_identical(self):
+        p = random_problem(3)
+        cfg = DescentConfig(max_iter=40, tol_grad=1e-12)
+        rep0 = descend(p, np.zeros(p.dim_H), cfg)
+        records = []
+        rep1 = descend(p, np.zeros(p.dim_H), cfg,
+                       observer=lambda rec, u: records.append((dict(rec), u.copy())))
+        assert (rep0.iterates_count, rep0.reason) == (rep1.iterates_count, rep1.reason)
+        for name in ("energies", "grad_norms", "steps", "kernel_ratios", "final_u"):
+            assert np.array_equal(getattr(rep0, name), getattr(rep1, name)), name
+        assert [r["iter"] for r, _ in records] == list(range(rep1.iterates_count))
+        assert np.array_equal([r["E"] for r, _ in records], rep1.energies)
+        # the observer sees iterate k before its step is taken
+        assert np.array_equal(records[0][1], np.zeros(p.dim_H))
+        assert np.array_equal(records[-1][1], rep1.final_u)
+
     def test_max_iter_reported_not_fatal(self):
         p = random_problem(8)
         rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=1))

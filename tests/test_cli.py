@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lsqctrl
+from lsqctrl import stokes_control as sc
 from lsqctrl.cli import (
     ConfigError,
     emit_config,
@@ -18,6 +19,12 @@ from lsqctrl.cli import (
     read_raw,
     write_raw,
 )
+
+
+# 8^3 CG null-control run of 40 iterations: with a field dump every 7
+# iterates it must run exactly as without
+CG8 = ["stokes-control", "--grid.nx=8", "--grid.ny=8", "--grid.nt=8",
+       "--solver.algorithm=cg", "--solver.max_iter=40", "--control.omega=0,0.34,0,1"]
 
 
 def invoke(args, cwd=None):
@@ -100,6 +107,14 @@ class TestParseConfig:
             parse_config("stokes-control", None, [flag])
         assert exc.value.key == key
 
+    def test_error_bound_may_be_infinite(self):
+        assert parse_config("stokes-direct", None,
+                            ["--problem.error_bound=inf"])["problem.error_bound"] == float("inf")
+        for flag in ("--problem.error_bound=nan", "--problem.error_bound=-inf"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config("stokes-direct", None, [flag])
+            assert exc.value.key == "problem.error_bound"
+
     def test_round_trip(self, tmp_path):
         cfg = parse_config("steady-nse", None,
                            ["--grid.nx=9", "--solver.epsilon=0.01",
@@ -145,10 +160,14 @@ class TestRuns:
         code = main(["steady-nse", f"--io.out_dir={tmp_path}",
                      "--grid.nx=6", "--grid.ny=6", "--problem.manufactured=true",
                      "--problem.amplitude=0.05", "--solver.algorithm=cg",
-                     "--solver.max_iter=400", "--solver.tol_grad=1e-6"])
+                     "--solver.max_iter=400", "--solver.tol_grad=1e-6",
+                     "--io.dump_every=10"])
         assert code == 0
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,E,grad_norm,step,residual_norm,div_norm"
+        snaps = sorted((tmp_path / "fields").glob("iter*_y.bin"))
+        assert [p.name for p in snaps] == [f"iter{k:06d}_y.bin"
+                                           for k in range(0, len(lines) - 1, 10)]
 
     def test_split_run(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
@@ -183,6 +202,50 @@ class TestRuns:
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 12  # header + 11 iterate rows
 
+    def test_dump_every_leaves_run_unchanged(self, tmp_path):
+        for every in (0, 7):
+            assert main(CG8 + [f"--io.dump_every={every}",
+                               f"--io.out_dir={tmp_path}/d{every}"]) == 3
+        for name in ("trace.csv", "fields/final_y.bin", "fields/final_pi.bin",
+                     "fields/final_f.bin"):
+            d0, d7 = (tmp_path / "d0" / name), (tmp_path / "d7" / name)
+            assert d0.read_bytes() == d7.read_bytes()
+        lines = (tmp_path / "d7" / "trace.csv").read_text().splitlines()
+        assert len(lines) == 42  # header + iterates 0..40
+
+    def test_dump_snapshots_are_the_iterates(self, tmp_path):
+        main(CG8 + ["--io.dump_every=7", f"--io.out_dir={tmp_path}/dumped"])
+        fields = tmp_path / "dumped" / "fields"
+        iterates = range(0, 41, 7)
+        assert sorted(p.name for p in fields.glob("iter*_y.bin")) == [
+            f"iter{k:06d}_y.bin" for k in iterates]
+        for k in iterates:
+            # iterate k of the run is the final state of the same run cut at k
+            cut = tmp_path / f"cut{k}"
+            main(CG8 + [f"--solver.max_iter={k}", f"--io.out_dir={cut}"])
+            expected = (cut / "fields" / "final_y.bin").read_bytes()
+            assert (fields / f"iter{k:06d}_y.bin").read_bytes() == expected
+
+    def test_trace_streamed_up_to_observer_failure(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        original = sc.descend
+
+        def failing_at_5(*args, observer, **kwargs):
+            def observe(record, state):
+                if record["iter"] == 5:
+                    raise Stop
+                observer(record, state)
+            return original(*args, observer=observe, **kwargs)
+
+        monkeypatch.setattr(sc, "descend", failing_at_5)
+        with pytest.raises(Stop):
+            main(CG8 + [f"--io.out_dir={tmp_path}"])
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,E,grad_norm,step,kernel_ratio,div_norm,yT_norm,f_norm"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
     def test_vtk_structure(self, tmp_path):
         main(["stokes-control", f"--io.out_dir={tmp_path}", "--problem.y0=zero",
               "--grid.nx=4", "--grid.ny=4", "--grid.nt=4"])
@@ -205,11 +268,27 @@ class TestProcessLevel:
         assert r.returncode == 2
         assert "control.omega" in r.stderr
 
-    @pytest.mark.parametrize("flag", ["--physics.nu=nan", "--solver.tol_grad=nan"])
+    @pytest.mark.parametrize("flag", [
+        "--physics.nu=nan", "--solver.tol_grad=nan", "--time.T=inf", "--domain.Lx=inf",
+        "--problem.amplitude=nan", "--problem.amplitude=inf", "--physics.nu=inf",
+        "--solver.epsilon=inf", "--control.omega=0,nan,0,1",
+    ])
     def test_nan_value_exits_2_with_key_name(self, tmp_path, flag):
         r = invoke(["stokes-control", flag, f"--io.out_dir={tmp_path}"])
         assert r.returncode == 2
         assert flag[2:].split("=")[0] in r.stderr
+
+    def test_steady_inf_amplitude_exits_2_with_key_name(self, tmp_path):
+        r = invoke(["steady-nse", "--problem.amplitude=inf", f"--io.out_dir={tmp_path}"])
+        assert r.returncode == 2
+        assert "problem.amplitude" in r.stderr
+
+    def test_runs_cli_module_once(self, tmp_path):
+        # lsqctrl/__init__ must not import cli, or python -m executes it twice
+        r = invoke(["stokes-control", "--problem.y0=zero", "--grid.nx=4", "--grid.ny=4",
+                    "--grid.nt=4", f"--io.out_dir={tmp_path}"])
+        assert r.returncode == 0
+        assert "RuntimeWarning" not in r.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
         r = invoke(["stokes-control", "--config", str(tmp_path / "nope.cfg")])

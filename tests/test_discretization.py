@@ -13,6 +13,8 @@ from lsqctrl.discretization import (
     grad,
     grad_pressure,
     grad_pressure_transpose,
+    h1_pairing,
+    h1_seminorm_sq,
     inner_a0,
     laplace,
     level_slice,
@@ -23,6 +25,8 @@ from lsqctrl.discretization import (
     space_inner,
     spacetime_elliptic_solve,
     spacetime_solve_weak,
+    st_h1_pairing,
+    st_h1_seminorm_sq,
     st_inner,
     time_basis,
     time_stiffness,
@@ -126,11 +130,36 @@ class TestStencils:
 
     def test_grid_mismatch_rejected(self):
         g1 = SpaceTimeGrid(4, 4, 2)
-        s = np.zeros((5, 5))
-        from lsqctrl.discretization.grid import ScalarField
-
+        s = Triplet.zeros(g1)
         with pytest.raises(ValueError):
-            ScalarField(g1, s)
+            Triplet(g1, s.y, np.zeros((5, 5)), s.f)
+
+    def test_h1_pairings_match_padded_diff_formulas(self):
+        # the edge differences are built without a padded copy, and a
+        # field paired with itself is differenced once: same bits as the
+        # np.diff(..., prepend=0, append=0) formulas
+        g = SpaceTimeGrid(7, 5, 4)
+        a, b = np.random.default_rng(4).standard_normal((2, g.nt + 1, 2, g.ny, g.nx))
+
+        def edges(x):
+            return (np.diff(x, axis=-1, prepend=0.0, append=0.0) / g.hx,
+                    np.diff(x, axis=-2, prepend=0.0, append=0.0) / g.hy)
+
+        def st_pair(x, z):
+            (xx, xy), (zx, zy) = edges(x), edges(z)
+            per_level = (xx * zx).reshape(g.nt + 1, -1).sum(axis=1)
+            per_level += (xy * zy).reshape(g.nt + 1, -1).sum(axis=1)
+            return g.hx * g.hy * float(per_level @ g.time_weights())
+
+        def pair(x, z):
+            (xx, xy), (zx, zy) = edges(x), edges(z)
+            return g.hx * g.hy * float(np.sum(xx * zx) + np.sum(xy * zy))
+
+        assert st_h1_pairing(a, b, g) == st_pair(a, b)
+        assert st_h1_seminorm_sq(a, g) == st_pair(a, a)
+        assert h1_pairing(a[1], b[1], g) == pair(a[1], b[1])
+        ex, ey = edges(a[1])
+        assert h1_seminorm_sq(a[1], g) == g.hx * g.hy * float(np.sum(ex**2) + np.sum(ey**2))
 
     def test_symmetry_commutation(self):
         g = SpaceTimeGrid(9, 9, 2)

@@ -318,6 +318,26 @@ class TestDescendSteady:
         E = rep.energies
         assert ((np.diff(E) < 0) | (rep.grad_norms[:-1] <= 1e-6 * rep.grad_norms[0])).all()
 
+    def test_noop_observer_leaves_report_bit_identical(self):
+        g = SpatialGrid(8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = small_data_problem(g, amp=1.0)
+            cfg = SteadyConfig(max_iter=60, algorithm="cg")
+            s0, rep0 = descend_steady(p, cfg)
+            records = []
+            s1, rep1 = descend_steady(p, cfg,
+                                      observer=lambda rec, s: records.append(dict(rec)))
+        assert (rep0.iterates_count, rep0.reason) == (rep1.iterates_count, rep1.reason)
+        assert rep0.kernel_ratios is None and rep1.kernel_ratios is None
+        for name in ("energies", "grad_norms", "steps"):
+            assert np.array_equal(getattr(rep0, name), getattr(rep1, name)), name
+        for name in ("residual_norms", "div_norms"):
+            assert np.array_equal(rep0.extras[name], rep1.extras[name]), name
+        assert np.array_equal(s0.y, s1.y) and np.array_equal(s0.pi, s1.pi)
+        assert [r["iter"] for r in records] == list(range(rep1.iterates_count))
+        assert np.array_equal([r["step"] for r in records if "step" in r], rep1.steps)
+
     def test_small_data_warning_threshold(self):
         g = SpatialGrid(8, 8)
         _, _, f = manufactured_steady(default_steady_case(), g, nu=1.0)

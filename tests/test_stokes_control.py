@@ -57,6 +57,17 @@ def random_direction(p, rng, with_control=None):
     return d
 
 
+def assert_same_report(a, b):
+    """Two descent reports agree bit for bit."""
+    assert (a.iterates_count, a.reason, a.converged) == (b.iterates_count, b.reason, b.converged)
+    for name in ("energies", "grad_norms", "steps", "kernel_ratios"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("div_norms", "yT_norms", "f_norms"):
+        assert np.array_equal(a.extras[name], b.extras[name]), name
+    assert np.array_equal(a.extras["corrector"].v, b.extras["corrector"].v)
+    assert a.extras["corrector"].weak_residual_norm == b.extras["corrector"].weak_residual_norm
+
+
 def perturbed_state(p, rng, scale=0.3):
     s = sc.lift_sA(p)
     s.axpy(scale, random_direction(p, rng))
@@ -429,6 +440,32 @@ class TestDescend:
         _, gn_simpl = sc.gradient_a0(p_simpl, s, return_norm=True)
         _, rep0 = sc.descend(p_simpl, sc.SolveConfig(max_iter=0))
         assert np.sqrt(gn_simpl) <= 1e-6 * rep0.grad_norms[0]
+
+    def test_noop_observer_leaves_report_bit_identical(self):
+        # CG directions and a pressure-mean refresh at iterate 10: the
+        # state an observer must not disturb
+        p = small_problem()
+        cfg = sc.SolveConfig(max_iter=30, refresh_every=10, algorithm="cg")
+        s0, rep0 = sc.descend(p, cfg)
+        records = []
+        s1, rep1 = sc.descend(p, cfg, observer=lambda rec, s: records.append(dict(rec)))
+        assert_same_report(rep0, rep1)
+        for name in ("y", "pi", "f"):
+            assert np.array_equal(getattr(s0, name), getattr(s1, name))
+        assert [r["iter"] for r in records] == list(range(rep1.iterates_count))
+        assert np.array_equal([r["E"] for r in records], rep1.energies)
+        assert np.array_equal([r["step"] for r in records if "step" in r], rep1.steps)
+        assert np.array_equal([r["div_norm"] for r in records], rep1.extras["div_norms"])
+
+    def test_observer_sees_each_iterate_before_its_step(self):
+        p = small_problem()
+        cfg = sc.SolveConfig(max_iter=12, algorithm="cg")
+        seen = {}
+        sc.descend(p, cfg, observer=lambda rec, s: seen.setdefault(rec["iter"], s.copy()))
+        for k in (0, 5, 12):
+            s_k, _ = sc.descend(p, sc.SolveConfig(max_iter=k, algorithm="cg"))
+            for name in ("y", "pi", "f"):
+                assert np.array_equal(getattr(seen[k], name), getattr(s_k, name))
 
     def test_time_windowed_mask(self):
         g = SpaceTimeGrid(6, 6, 8)
