@@ -9,7 +9,8 @@ matrix-free PDE machinery.
 
 ``run_descent`` is the iteration loop the PDE solvers share: stop tests,
 per-iterate history, report and observer hook, around a per-method step
-rule.
+rule; ``armijo_search`` is the backtracking line search of the rules
+that have no exact step.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ __all__ = [
     "descend",
     "random_instance",
     "run_descent",
+    "armijo_search",
 ]
 
 _KERNEL_CUTOFF = 1e-10  # singular values below cutoff*sigma_max span Ker T
@@ -126,13 +128,13 @@ class DescentConfig:
     fixed_step: float = 1.0
 
     def __post_init__(self):
-        if self.max_iter <= 0:
+        if not (self.max_iter > 0):
             raise ValueError("max_iter must be positive")
-        if self.tol_energy < 0 or self.tol_grad < 0:
+        if not (self.tol_energy >= 0 and self.tol_grad >= 0):
             raise ValueError("tolerances must be nonnegative")
         if self.step_rule not in ("exact", "fixed"):
             raise ValueError("step_rule must be 'exact' or 'fixed'")
-        if self.step_rule == "fixed" and self.fixed_step <= 0:
+        if self.step_rule == "fixed" and not (self.fixed_step > 0):
             raise ValueError("fixed step must be positive")
 
 
@@ -353,3 +355,15 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
         kernel_ratios=np.array(ratios) if rule.kernel_ratios else None,
         extras={f"{name}s": np.array([r[name] for r in history]) for name in rule.diagnostics},
     )
+
+
+def armijo_search(trial_energy, e, slope, eta, armijo_c, step_min):
+    """Halve the step from ``eta`` until ``trial_energy(eta) <= e -
+    armijo_c * eta * slope`` (slope: the descent rate along the direction).
+    Returns ``(eta, trial energy)``, or None once eta < step_min."""
+    while eta >= step_min:
+        e_trial = trial_energy(eta)
+        if e_trial <= e - armijo_c * eta * slope:
+            return eta, e_trial
+        eta *= 0.5
+    return None

@@ -141,6 +141,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("solver.metric", "must be a0_exact or simplified")
     if v["solver.algorithm"] not in ("steepest", "cg", "split"):
         raise ConfigError("solver.algorithm", "must be steepest, cg or split")
+    if v["solver.algorithm"] == "split" and cfg.subcommand in ("stokes-direct", "steady-nse"):
+        raise ConfigError("solver.algorithm", "split applies to stokes-control only")
     if v["problem.y0"] not in ("bump", "zero"):
         raise ConfigError("problem.y0", "must be bump or zero")
     return cfg
@@ -301,6 +303,15 @@ def _bump_y0(grid, amplitude):
     )
 
 
+@contextlib.contextmanager
+def _blame(key):
+    """Report a ValueError raised in the block as a ConfigError naming key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def _exit_code(reason, converged):
     if converged or reason in ("energy_tol", "grad_tol", "kernel_stall",
                                "line_search_stall"):
@@ -335,46 +346,26 @@ def _run_unsteady(cfg: RunConfig, mode):
     else:
         y0 = np.zeros((2, grid.ny, grid.nx))
 
-    problem = sc.ControlProblem(
-        grid, v["physics.nu"], y0, mask, mode=mode,
-        epsilon=v["solver.epsilon"], metric=v["solver.metric"],
-    )
-    algo = v["solver.algorithm"]
+    with _blame("control.omega"):
+        mask.validate(grid)
+    with _blame("problem.amplitude"):  # the one input left that can make y0 non-finite
+        problem = sc.ControlProblem(
+            grid, v["physics.nu"], y0, mask, mode=mode,
+            epsilon=v["solver.epsilon"], metric=v["solver.metric"],
+        )
+    split = v["solver.algorithm"] == "split"
     out = Path(v["io.out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(emit_config(cfg))
 
-    if algo == "split":
-        if mode != "null_control":
-            raise ConfigError("solver.algorithm", "split applies to stokes-control only")
-        scfg = sc.SolveConfig(
-            max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
-            tol_grad=v["solver.tol_grad"],
-            inner_max_iter=v["solver.inner_max_iter"],
-            inner_tol_grad=v["solver.inner_tol_grad"],
-        )
-        s, rep = sc.split_iteration(problem, scfg)
-        f_norm = float(np.sqrt(st_inner(s.f, s.f, grid)))
-        with _trace_observer(out / "trace.csv", UNSTEADY_HEADER) as observe:
-            for k, G in enumerate(rep.outer_G):
-                record = {"iter": k, "E": G, "grad_norm": rep.outer_grad_norms[k],
-                          "div_norm": rep.extras["div_inner"][k], "f_norm": f_norm}
-                if k < len(rep.outer_steps):
-                    record["step"] = rep.outer_steps[k]
-                observe(record, s)
-        _dump_fields(out, grid, s)
-        summary = {
-            "mode": "split", "rounds": len(rep.outer_G),
-            "G_first": float(rep.outer_G[0]), "G_last": float(rep.outer_G[-1]),
-            "reason": rep.reason,
-        }
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        return _exit_code(rep.reason, rep.converged)
-
     scfg = sc.SolveConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_energy_rel=v["solver.tol_energy_rel"], tol_grad=v["solver.tol_grad"],
-        tol_kernel=v["solver.tol_kernel"], algorithm=algo,
+        tol_kernel=v["solver.tol_kernel"],
+        # the split scheme's inner descent is always steepest
+        algorithm="steepest" if split else v["solver.algorithm"],
+        inner_max_iter=v["solver.inner_max_iter"],
+        inner_tol_grad=v["solver.inner_tol_grad"],
     )
     s_init = None
     if exact is not None:
@@ -383,7 +374,10 @@ def _run_unsteady(cfg: RunConfig, mode):
 
     with _trace_observer(out / "trace.csv", UNSTEADY_HEADER, v["io.dump_every"],
                          lambda tag, st: _dump_fields(out, grid, st, tag)) as observe:
-        s, rep = sc.descend(problem, scfg, s_init=s_init, observer=observe)
+        if split:
+            s, rep = sc.split_iteration(problem, scfg, observer=observe)
+        else:
+            s, rep = sc.descend(problem, scfg, s_init=s_init, observer=observe)
     _dump_fields(out, grid, s)
     summary = {
         "mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
@@ -421,13 +415,11 @@ def _run_steady(cfg: RunConfig):
     else:
         forcing = np.zeros((2, grid.ny, grid.nx))
 
-    problem = sn.SteadyProblem(grid, v["physics.nu"], forcing, epsilon=v["solver.epsilon"])
-    algo = v["solver.algorithm"]
-    if algo == "split":
-        raise ConfigError("solver.algorithm", "split applies to stokes-control only")
+    with _blame("problem.amplitude"):  # the one input left that can make f non-finite
+        problem = sn.SteadyProblem(grid, v["physics.nu"], forcing, epsilon=v["solver.epsilon"])
     scfg = sn.SteadyConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
-        tol_grad=v["solver.tol_grad"], algorithm=algo,
+        tol_grad=v["solver.tol_grad"], algorithm=v["solver.algorithm"],
     )
     out = Path(v["io.out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -489,8 +481,6 @@ def run(cfg: RunConfig):
         if cfg.subcommand == "steady-nse":
             return _run_steady(cfg)
         return _run_abstract_demo(cfg)
-    except ConfigError:
-        raise
     except (DescentDivergence, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4

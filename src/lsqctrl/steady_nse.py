@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_descent import run_descent
+from .abstract_descent import armijo_search, run_descent
 from .discretization import (
     SpatialGrid,
     div,
@@ -118,6 +118,11 @@ class SteadyConfig:
     def __post_init__(self):
         if self.algorithm not in ("steepest", "cg"):
             raise ValueError("algorithm must be 'steepest' or 'cg'")
+        for name in ("max_iter", "tol_energy", "tol_grad"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be nonnegative")
+        if not (self.step_init > 0 and self.step_min > 0 and 0 < self.armijo_c < 1):
+            raise ValueError("step_init and step_min must be positive, armijo_c in (0, 1)")
 
 
 def convection(y, z, grid):
@@ -245,14 +250,16 @@ class _ArmijoRule:
             self.dir_y, self.dir_pi = ybar, pibar
         self.prev = (ybar, pibar, gn_sq)
 
-        self.eta = min(self.eta * 2.0, 1e6)
-        while self.eta >= cfg.step_min:
-            trial = SteadyState(g, s.y - self.eta * self.dir_y, s.pi - self.eta * self.dir_pi)
-            if energy_steady(p, trial) <= record["E"] - cfg.armijo_c * self.eta * dd:
-                record["step"], self.trial = self.eta, trial
-                return None
-            self.eta *= 0.5
-        return "line_search_stall"
+        def trial_energy(eta):
+            self.trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
+            return energy_steady(p, self.trial)
+
+        found = armijo_search(trial_energy, record["E"], dd, min(self.eta * 2.0, 1e6),
+                              cfg.armijo_c, cfg.step_min)
+        if found is None:
+            return "line_search_stall"
+        self.eta = record["step"] = found[0]
+        return None
 
     def advance(self, record):
         self.state = self.trial

@@ -24,11 +24,11 @@ to the functional.  The dense engine in ``abstract_descent`` retains
 the exact projector so projection semantics stay tested at small scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_descent import run_descent
+from .abstract_descent import armijo_search, run_descent
 from .discretization import (
     SpaceTimeGrid,
     SupportMask,
@@ -68,7 +68,6 @@ __all__ = [
     "split_iteration",
     "pressure_update_step",
     "pressure_stationary_point",
-    "SplitReport",
 ]
 
 MODES = ("null_control", "direct")
@@ -149,12 +148,11 @@ class SolveConfig:
     inner_tol_grad: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
         if self.algorithm not in ("steepest", "cg"):
             raise ValueError("algorithm must be 'steepest' or 'cg'")
-        for name in ("tol_energy", "tol_energy_rel", "tol_grad", "tol_kernel"):
-            if getattr(self, name) < 0:
+        for name in ("max_iter", "tol_energy", "tol_energy_rel", "tol_grad", "tol_kernel",
+                     "refresh_every", "inner_max_iter", "inner_tol_grad"):
+            if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -314,18 +312,25 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, div_weight=1.0,
     return g, max(norm_sq, 0.0)
 
 
+def _state_norms(s, grid):
+    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||."""
+    dv = div(s.y, grid)
+    return {"div_norm": np.sqrt(st_inner(dv, dv, grid)), "yT_norm": trace_norms(s.y, grid)[1],
+            "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
+
+
 def diagnostics(p: ControlProblem, s: Triplet, corr=None):
     """Constraint and residual norms of a candidate triplet."""
     grid = p.grid
     corr = corr or corrector(p, s)
-    dv = div(s.y, grid)
+    norms = _state_norms(s, grid)
     err0 = s.y[0] - p.y0
     return {
-        "div_norm": np.sqrt(st_inner(dv, dv, grid)),
+        "div_norm": norms["div_norm"],
         "trace0_error": np.sqrt(space_inner(err0, err0, grid)),
-        "traceT_norm": trace_norms(s.y, grid)[1],
+        "traceT_norm": norms["yT_norm"],
         "weak_residual": corr.weak_residual_norm,
-        "f_norm": np.sqrt(st_inner(s.f, s.f, grid)),
+        "f_norm": norms["f_norm"],
         "pressure_means": slice_means(s.pi),
     }
 
@@ -377,14 +382,7 @@ class _MetricGradientRule:
             p, s, self.corr, div_weight=self.div_weight,
             freeze_pressure=self.freeze_pressure, return_norm=True,
         )
-        dv = div(s.y, grid)
-        return {
-            "E": e,
-            "grad_norm": np.sqrt(self.gn_sq),
-            "div_norm": np.sqrt(st_inner(dv, dv, grid)),
-            "yT_norm": trace_norms(s.y, grid)[1],
-            "f_norm": np.sqrt(st_inner(s.f, s.f, grid)),
-        }
+        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
 
     def choose(self, record):
         p, grid, gn_sq = self.p, self.p.grid, self.gn_sq
@@ -447,18 +445,6 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
 # split scheme: heat-control inner solve, adjoint pressure update
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SplitReport:
-    outer_G: np.ndarray          # divergence cost before each pressure step
-    outer_G_after: np.ndarray    # after the accepted backtracked step
-    outer_grad_norms: np.ndarray
-    outer_steps: np.ndarray
-    inner_reports: list
-    converged: bool
-    reason: str
-    extras: dict = field(default_factory=dict)
-
-
 def _heat_forward(p: ControlProblem, pi, f):
     """Implicit-Euler solve of y_t - nu lap y = f 1_omega - grad pi, y(0)=y0."""
     grid = p.grid
@@ -504,107 +490,107 @@ def _pressure_cost_gradient(p: ControlProblem, y):
     return remove_slice_means(gbar)
 
 
-def pressure_update_step(p: ControlProblem, pi, f, eta_init=1.0,
-                         armijo_c=1e-4, step_min=1e-14):
+class _PressureRule:
+    """Step rule of the split scheme for ``run_descent``: Armijo steps on
+    the divergence cost G (the record's E) at frozen control, each from
+    twice the previous step.  With ``inner`` set, each iterate first runs
+    that frozen-pressure ``descend`` in (y, f)."""
+
+    diagnostics = ("div_norm", "yT_norm", "f_norm")
+    kernel_ratios = False
+
+    def __init__(self, p, s, eta_init, inner=None):
+        self.p, self.state, self.eta_init, self.inner = p, s, eta_init, inner
+        self.G_after = []
+
+    def measure(self, history):
+        p, grid = self.p, self.p.grid
+        if self.inner is not None:
+            self.state, _ = descend(p, self.inner, s_init=self.state, _div_weight=0.0,
+                                    _freeze_pressure=True)
+        s = self.state
+        y_ie = _heat_forward(p, s.pi, s.f)
+        G, _ = _div_cost(p, y_ie)
+        self.gbar = _pressure_cost_gradient(p, y_ie)
+        self.gn_sq = st_inner(self.gbar, self.gbar, grid)
+        return {"E": G, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
+
+    def choose(self, record):
+        p, s = self.p, self.state
+
+        def trial_cost(eta):
+            self.pi_next = remove_slice_means(s.pi - eta * self.gbar)
+            return _div_cost(p, _heat_forward(p, self.pi_next, s.f))[0]
+
+        found = armijo_search(trial_cost, record["E"], self.gn_sq, self.eta_init,
+                              armijo_c=1e-4, step_min=1e-14)
+        if found is None:
+            return "line_search_stall"
+        record["step"], G_after = found
+        self.eta_init = min(record["step"] * 2.0, 1e6)
+        self.G_after.append(G_after)
+        return None
+
+    def advance(self, record):
+        self.state.pi = self.pi_next
+
+
+def pressure_update_step(p: ControlProblem, pi, f, eta_init=1.0):
     """One backtracked gradient step of the divergence cost at frozen f.
 
     Returns (new_pi, info); info carries G before/after, the gradient
     norm and the accepted step (0 when the search stalled).  The
     accepted step never increases G.
     """
-    grid = p.grid
-    y_ie = _heat_forward(p, pi, f)
-    G, _ = _div_cost(p, y_ie)
-    gbar = _pressure_cost_gradient(p, y_ie)
-    gn_sq = st_inner(gbar, gbar, grid)
-    eta = eta_init
-    while eta >= step_min:
-        trial = remove_slice_means(pi - eta * gbar)
-        G_trial, _ = _div_cost(p, _heat_forward(p, trial, f))
-        if G_trial <= G - armijo_c * eta * gn_sq:
-            return trial, {"G": G, "G_after": G_trial, "grad_norm": np.sqrt(gn_sq),
-                           "step": eta}
-        eta *= 0.5
-    return pi, {"G": G, "G_after": G, "grad_norm": np.sqrt(gn_sq), "step": 0.0}
+    rule = _PressureRule(p, Triplet(p.grid, p.grid.vector_zeros(), pi, f), eta_init)
+    record = rule.measure([])
+    info = {"G": record["E"], "G_after": record["E"], "grad_norm": record["grad_norm"],
+            "step": 0.0}
+    if rule.choose(record):
+        return pi, info
+    return rule.pi_next, {**info, "G_after": rule.G_after[0], "step": record["step"]}
 
 
 def pressure_stationary_point(p: ControlProblem, f, pi_init=None, max_steps=500,
                               tol_grad=1e-8):
-    """Iterate pressure steps at frozen control until the cost gradient
-    vanishes (the divergence cost is quadratic in the pressure, so the
-    backtracked iteration converges to its unique mean-free minimizer)."""
-    pi = remove_slice_means(pi_init) if pi_init is not None else p.grid.scalar_zeros()
-    eta, g0 = 1.0, None
-    info = None
-    for _ in range(max_steps):
-        pi_new, info = pressure_update_step(p, pi, f, eta_init=eta)
-        if g0 is None:
-            g0 = max(info["grad_norm"], 1e-300)
-        if info["step"] == 0.0 or info["grad_norm"] <= tol_grad * g0:
-            return pi_new, info
-        eta = min(info["step"] * 2.0, 1e6)
-        pi = pi_new
-    return pi, info
+    """Pressure steps at frozen control until the cost gradient falls to
+    tol_grad times its first value (the divergence cost is quadratic in
+    the pressure, so the backtracked iteration converges to its unique
+    mean-free minimizer).  Returns (pi, DescentReport)."""
+    grid = p.grid
+    pi = remove_slice_means(pi_init) if pi_init is not None else grid.scalar_zeros()
+    rule = _PressureRule(p, Triplet(grid, grid.vector_zeros(), pi, f), eta_init=1.0)
+    report = run_descent(rule, max_steps, tol_grad=tol_grad)
+    return rule.state.pi, report
 
 
-def split_iteration(p: ControlProblem, cfg: SolveConfig):
-    """Alternating scheme for null control.
+def split_iteration(p: ControlProblem, cfg: SolveConfig, observer=None):
+    """Alternating scheme for null control, one round per iterate:
 
     (a) least-squares descent in (y, f) at frozen pressure (the same
         machinery with the pressure direction and divergence penalty
         off), driving the heat-control residual down;
     (b) one backtracked gradient step on the pressure for the
-        divergence cost of the frozen-control heat solution (exact
+        divergence cost G of the frozen-control heat solution (exact
         implicit-Euler adjoint), which never increases that cost.
 
     The inner phase keeps the plain gradient update: its kernel is
-    large and conjugate recombination drifts along it.
+    large and conjugate recombination drifts along it.  Returns (s,
+    DescentReport) with one iterate per round, as ``descend`` does, but
+    E is G before the round's pressure step (the targets apply to G and
+    its gradient), there is no kernel ratio, and ``extras["G_after"]``
+    holds G after each accepted pressure step.
     """
     if p.mode != "null_control":
         raise ValueError("split iteration applies to null-control problems")
-    grid = p.grid
-    inner_cfg = SolveConfig(
+    inner = SolveConfig(
         max_iter=cfg.inner_max_iter,
         tol_grad=cfg.inner_tol_grad,
         refresh_every=cfg.refresh_every,
         algorithm="steepest",
     )
-    s = lift_sA(p)
-    G_before, G_after, outer_gn, outer_steps, inner_reports = [], [], [], [], []
-    div_inner = []
-    converged, reason = False, "max_iter"
-    eta = 1.0
-    for it in range(cfg.max_iter + 1):
-        s, rep = descend(p, inner_cfg, s_init=s, _div_weight=0.0,
-                         _freeze_pressure=True)
-        inner_reports.append(rep)
-        dv = div(s.y, grid)
-        div_inner.append(np.sqrt(st_inner(dv, dv, grid)))
-        pi_new, info = pressure_update_step(p, s.pi, s.f, eta_init=min(eta * 2.0, 1e6))
-        G_before.append(info["G"])
-        G_after.append(info["G_after"])
-        outer_gn.append(info["grad_norm"])
-        if info["G"] <= cfg.tol_energy:
-            converged, reason = True, "energy_tol"
-            break
-        if cfg.tol_grad and info["grad_norm"] <= cfg.tol_grad * max(outer_gn[0], 1e-300):
-            converged, reason = True, "grad_tol"
-            break
-        if it == cfg.max_iter:
-            break
-        if info["step"] == 0.0:
-            reason = "line_search_stall"
-            break
-        eta = info["step"]
-        outer_steps.append(eta)
-        s.pi = pi_new
-    return s, SplitReport(
-        outer_G=np.array(G_before),
-        outer_G_after=np.array(G_after),
-        outer_grad_norms=np.array(outer_gn),
-        outer_steps=np.array(outer_steps),
-        inner_reports=inner_reports,
-        converged=converged,
-        reason=reason,
-        extras={"div_inner": np.array(div_inner)},
-    )
+    rule = _PressureRule(p, lift_sA(p), eta_init=2.0, inner=inner)
+    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
+                         cfg.tol_grad, observer)
+    report.extras["G_after"] = np.array(rule.G_after)
+    return rule.state, report

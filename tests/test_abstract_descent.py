@@ -14,6 +14,8 @@ from lsqctrl.abstract_descent import (
     kernel_projector,
     oracle_minimizer,
 )
+from lsqctrl.steady_nse import SteadyConfig
+from lsqctrl.stokes_control import SolveConfig
 
 
 def random_problem(seed, dim_x=None, dim_y=None, rank_deficient=False):
@@ -255,3 +257,34 @@ class TestDescend:
         p = random_problem(8)
         rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=1))
         assert not rep.converged and rep.reason == "max_iter"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DescentConfig(tol_grad=NAN),
+    lambda: DescentConfig(tol_energy=NAN),
+    lambda: DescentConfig(max_iter=NAN),
+    lambda: DescentConfig(step_rule="fixed", fixed_step=NAN),
+    lambda: SolveConfig(tol_grad=NAN),
+    lambda: SolveConfig(tol_energy_rel=NAN),
+    lambda: SolveConfig(max_iter=NAN),
+    lambda: SolveConfig(refresh_every=-3),
+    lambda: SolveConfig(inner_max_iter=-1),
+    lambda: SolveConfig(inner_tol_grad=NAN),
+    lambda: SteadyConfig(max_iter=-1),
+    lambda: SteadyConfig(tol_grad=NAN),
+    lambda: SteadyConfig(tol_energy=NAN),
+    lambda: SteadyConfig(step_init=0.0),
+    lambda: SteadyConfig(step_min=0.0),
+    lambda: SteadyConfig(armijo_c=-1),
+    lambda: SteadyConfig(armijo_c=NAN),
+], ids=["descent-tol_grad", "descent-tol_energy", "descent-max_iter", "descent-fixed_step",
+        "solve-tol_grad", "solve-tol_energy_rel", "solve-max_iter", "solve-refresh_every",
+        "solve-inner_max_iter", "solve-inner_tol_grad", "steady-max_iter", "steady-tol_grad",
+        "steady-tol_energy", "steady-step_init", "steady-step_min", "steady-armijo_c",
+        "steady-armijo_c-nan"])
+def test_config_rejects_negative_and_nan_fields(make):
+    with pytest.raises(ValueError):
+        make()

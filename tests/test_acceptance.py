@@ -378,9 +378,10 @@ def test_criterion_8_split_iteration_consistency():
 
     s, rep = sc.split_iteration(p, sc.SolveConfig(
         max_iter=6, tol_energy=1e-12, inner_max_iter=80, inner_tol_grad=1e-3))
-    assert (rep.outer_G_after <= rep.outer_G + 1e-15).all()
+    G_after = rep.extras["G_after"]
+    assert (G_after <= rep.energies[:len(G_after)] + 1e-15).all()
     report(8, "split-iteration consistency",
-           f"worst FD rel {worst:.2e}, {len(rep.outer_G)} outer rounds monotone")
+           f"worst FD rel {worst:.2e}, {len(rep.energies)} outer rounds monotone")
 
 
 def test_criterion_9_cli_determinism_and_validation(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 import lsqctrl
 from lsqctrl import stokes_control as sc
+from lsqctrl.discretization import st_inner
 from lsqctrl.cli import (
     ConfigError,
     emit_config,
@@ -25,6 +26,12 @@ from lsqctrl.cli import (
 # iterates it must run exactly as without
 CG8 = ["stokes-control", "--grid.nx=8", "--grid.ny=8", "--grid.nt=8",
        "--solver.algorithm=cg", "--solver.max_iter=40", "--control.omega=0,0.34,0,1"]
+
+# 5^3 split run of 4 rounds (3 pressure steps) whose control changes every round
+SPLIT5 = ["stokes-control", "--grid.nx=5", "--grid.ny=5", "--grid.nt=5",
+          "--solver.algorithm=split", "--solver.max_iter=3",
+          "--solver.inner_max_iter=40", "--solver.inner_tol_grad=1e-2",
+          "--control.omega=0,0.34,0,1"]
 
 
 def invoke(args, cwd=None):
@@ -178,6 +185,43 @@ class TestRuns:
         assert code in (0, 3)
         assert (tmp_path / "trace.csv").exists()
 
+    def test_split_trace_rows_describe_their_round(self, tmp_path, monkeypatch):
+        seen = []
+        original = sc.split_iteration
+
+        def watched(*args, observer, **kwargs):
+            def observe(record, state):
+                seen.append(np.sqrt(st_inner(state.f, state.f, state.grid)))
+                observer(record, state)
+            return original(*args, observer=observe, **kwargs)
+
+        monkeypatch.setattr(sc, "split_iteration", watched)
+        assert main(SPLIT5 + [f"--io.out_dir={tmp_path}"]) == 3
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,E,grad_norm,step,kernel_ratio,div_norm,yT_norm,f_norm"
+        assert [float(line.split(",")[7]) for line in lines[1:]] == seen
+        assert len(set(seen)) == 4
+
+    def test_split_dump_every_snapshots_each_round(self, tmp_path):
+        for every in (0, 1):
+            assert main(SPLIT5 + [f"--io.dump_every={every}",
+                                  f"--io.out_dir={tmp_path}/d{every}"]) == 3
+        fields = tmp_path / "d1" / "fields"
+        for tag in ("y", "pi", "f"):
+            assert sorted(p.name for p in fields.glob(f"iter*_{tag}.bin")) == [
+                f"iter{k:06d}_{tag}.bin" for k in range(4)]
+        assert (fields / "iter000003_f.bin").read_bytes() == (fields / "final_f.bin").read_bytes()
+        d0, d1 = (tmp_path / "d0" / "trace.csv"), (tmp_path / "d1" / "trace.csv")
+        assert d0.read_bytes() == d1.read_bytes()
+
+    def test_split_stops_on_relative_energy(self, tmp_path):
+        assert main(SPLIT5 + ["--solver.tol_energy_rel=0.7", f"--io.out_dir={tmp_path}"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["reason"] == "energy_tol"
+        assert summary["E_last"] <= 0.7 * summary["E_first"]
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == summary["iterations"] + 1 < 5
+
     def test_max_iter_exit_code(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
                      "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
@@ -268,15 +312,22 @@ class TestProcessLevel:
         assert r.returncode == 2
         assert "control.omega" in r.stderr
 
-    @pytest.mark.parametrize("flag", [
-        "--physics.nu=nan", "--solver.tol_grad=nan", "--time.T=inf", "--domain.Lx=inf",
-        "--problem.amplitude=nan", "--problem.amplitude=inf", "--physics.nu=inf",
-        "--solver.epsilon=inf", "--control.omega=0,nan,0,1",
-    ])
-    def test_nan_value_exits_2_with_key_name(self, tmp_path, flag):
-        r = invoke(["stokes-control", flag, f"--io.out_dir={tmp_path}"])
+    @pytest.mark.parametrize("argv", [
+        *(["stokes-control", flag] for flag in (
+            "--physics.nu=nan", "--solver.tol_grad=nan", "--time.T=inf", "--domain.Lx=inf",
+            "--problem.amplitude=nan", "--problem.amplitude=inf", "--physics.nu=inf",
+            "--solver.epsilon=inf", "--control.omega=0,nan,0,1")),
+        # values that pass the config checks but not problem construction
+        ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+         "--control.omega=0,0.01,0,0.01"],
+        ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+         "--problem.amplitude=1e308"],
+        ["steady-nse", "--problem.manufactured=true", "--problem.amplitude=1e308"],
+    ], ids=lambda argv: " ".join(a for a in argv if a != "stokes-control"))
+    def test_nan_value_exits_2_with_key_name(self, tmp_path, argv):
+        r = invoke(argv + [f"--io.out_dir={tmp_path}"])
         assert r.returncode == 2
-        assert flag[2:].split("=")[0] in r.stderr
+        assert f"config error: {argv[-1][2:].split('=')[0]}:" in r.stderr
 
     def test_steady_inf_amplitude_exits_2_with_key_name(self, tmp_path):
         r = invoke(["steady-nse", "--problem.amplitude=inf", f"--io.out_dir={tmp_path}"])

@@ -532,8 +532,8 @@ class TestSplitIteration:
         rng = np.random.default_rng(16)
         p = small_problem()
         f = p.mask_array() * rng.standard_normal((p.grid.nt + 1, 2, p.grid.ny, p.grid.nx))
-        pi_star, info = pressure_stationary_point(p, f, max_steps=2000, tol_grad=1e-8)
-        assert info["grad_norm"] <= 1e-6
+        pi_star, rep = pressure_stationary_point(p, f, max_steps=2000, tol_grad=1e-8)
+        assert rep.grad_norms[-1] <= 1e-6
         pi2, info2 = pressure_update_step(p, pi_star, f)
         assert np.abs(pi2 - pi_star).max() <= 1e-8
 
@@ -557,15 +557,37 @@ class TestSplitIteration:
                               SupportMask(0.0, 1 / 3, 0.0, 1.0))
         s, rep = sc.split_iteration(p, sc.SolveConfig(max_iter=10, tol_energy=1e-14,
                                                       inner_max_iter=50))
-        assert rep.converged and len(rep.outer_G) == 1 and rep.outer_G[0] == 0.0
+        assert rep.converged and len(rep.energies) == 1 and rep.energies[0] == 0.0
 
     def test_outer_steps_never_increase_G(self):
         p = small_problem()
         s, rep = sc.split_iteration(p, sc.SolveConfig(
             max_iter=6, tol_energy=1e-12, inner_max_iter=80, inner_tol_grad=1e-3))
-        assert (rep.outer_G_after <= rep.outer_G + 1e-15).all()
+        G_after = rep.extras["G_after"]
+        assert len(G_after) == len(rep.steps)
+        assert (G_after <= rep.energies[:len(G_after)] + 1e-15).all()
         assert np.array_equal(s.y[0], p.y0)
         assert np.abs(s.y[-1]).max() == 0.0
+
+    def test_noop_observer_leaves_report_bit_identical(self):
+        p = small_problem()
+        cfg = sc.SolveConfig(max_iter=4, inner_max_iter=30, inner_tol_grad=1e-3)
+        s0, rep0 = sc.split_iteration(p, cfg)
+        records = []
+        s1, rep1 = sc.split_iteration(
+            p, cfg, observer=lambda rec, s: records.append((dict(rec), s.copy())))
+        assert (rep0.iterates_count, rep0.reason) == (rep1.iterates_count, rep1.reason)
+        for name in ("energies", "grad_norms", "steps"):
+            assert np.array_equal(getattr(rep0, name), getattr(rep1, name)), name
+        for name in ("div_norms", "yT_norms", "f_norms", "G_after"):
+            assert np.array_equal(rep0.extras[name], rep1.extras[name]), name
+        for name in ("y", "pi", "f"):
+            assert np.array_equal(getattr(s0, name), getattr(s1, name))
+        assert [r["iter"] for r, _ in records] == list(range(rep1.iterates_count))
+        # each record describes the state the observer was shown
+        for rec, s in records:
+            assert rec["f_norm"] == np.sqrt(st_inner(s.f, s.f, p.grid))
+            assert rec["yT_norm"] == trace_norms(s.y, p.grid)[1]
 
     def test_direct_mode_rejected(self):
         p = small_problem(mode="direct")
