@@ -124,18 +124,11 @@ class DescentConfig:
     max_iter: int = 500
     tol_energy: float = 0.0
     tol_grad: float = 0.0
-    step_rule: str = "exact"  # "exact" or "fixed"
-    fixed_step: float = 1.0
 
     def __post_init__(self):
-        if not (self.max_iter > 0):
-            raise ValueError("max_iter must be positive")
-        if not (self.tol_energy >= 0 and self.tol_grad >= 0):
-            raise ValueError("tolerances must be nonnegative")
-        if self.step_rule not in ("exact", "fixed"):
-            raise ValueError("step_rule must be 'exact' or 'fixed'")
-        if self.step_rule == "fixed" and not (self.fixed_step > 0):
-            raise ValueError("fixed step must be positive")
+        for name in ("max_iter", "tol_energy", "tol_grad"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -145,7 +138,6 @@ class DescentReport:
     grad_norms: np.ndarray
     converged: bool
     reason: str  # energy_tol | grad_tol | max_iter | kernel_stall | line_search_stall
-    final_u: np.ndarray = None
     steps: np.ndarray = None
     kernel_ratios: np.ndarray = None
     extras: dict = field(default_factory=dict)
@@ -241,12 +233,13 @@ def oracle_minimizer(p: LsqProblem):
 
 
 def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
-    """Steepest descent u_{k+1} = u_k - eta_k g_k with exact or fixed step.
+    """Steepest descent u_{k+1} = u_k - eta_k g_k with the exact step.
 
-    With the exact step the energy is non-increasing to roundoff and, if
-    u_init lies in A-perp, so does every iterate.  This is the dense
-    reference, so its tolerances are absolute and a kernel stall is not
-    convergence.  ``observer(record, u)`` is called as in ``run_descent``.
+    The energy is non-increasing to roundoff and, if u_init lies in
+    A-perp, so does every iterate.  This is the dense reference, so its
+    tolerances are absolute and a kernel stall is not convergence.
+    ``observer(record, u)`` is called as in ``run_descent``.  Returns
+    (u, DescentReport), u the last iterate.
     """
     u = p._check_u(u_init).copy()
     energies, gnorms, steps, ratios = [], [], [], []
@@ -271,21 +264,18 @@ def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
             if tg2 <= (1e-14 * gn) ** 2:
                 # direction numerically inside Ker T: no energy to extract
                 reason = "kernel_stall"
-            elif cfg.step_rule == "exact":
-                record["step"] = p.Y.inner(p.image(u), Tg) / tg2
             else:
-                record["step"] = cfg.fixed_step
+                record["step"] = p.Y.inner(p.image(u), Tg) / tg2
         if observer is not None:
             observer(record, u)
         if "step" not in record:
             break
         u -= record["step"] * g
         steps.append(record["step"])
-    return DescentReport(
+    return u, DescentReport(
         iterates_count=len(energies),
         energies=np.array(energies),
         grad_norms=np.array(gnorms),
-        final_u=u,
         converged=converged,
         reason=reason,
         steps=np.array(steps),
@@ -357,13 +347,13 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
     )
 
 
-def armijo_search(trial_energy, e, slope, eta, armijo_c, step_min):
+def armijo_search(trial_energy, e, slope, eta):
     """Halve the step from ``eta`` until ``trial_energy(eta) <= e -
-    armijo_c * eta * slope`` (slope: the descent rate along the direction).
-    Returns ``(eta, trial energy)``, or None once eta < step_min."""
-    while eta >= step_min:
+    1e-4 * eta * slope`` (slope: the descent rate along the direction).
+    Returns ``(eta, trial energy)``, or None once eta < 1e-14."""
+    while eta >= 1e-14:
         e_trial = trial_energy(eta)
-        if e_trial <= e - armijo_c * eta * slope:
+        if e_trial <= e - 1e-4 * eta * slope:
             return eta, e_trial
         eta *= 0.5
     return None

@@ -10,7 +10,8 @@ per run family), write ``summary.json`` and final field dumps, and with
 
 Exit codes: 0 solved/stopped by a convergence criterion, 2 bad
 configuration (the offending key is named on stderr), 3 iteration
-budget exhausted, 4 solver failure.
+budget exhausted, 4 solver failure (a ValueError raised by the solve
+and a non-finite summary value included).
 """
 
 import argparse
@@ -70,7 +71,8 @@ REGISTRY = {
     "solver.max_iter": (int, 200, "iteration budget"),
     "solver.tol_energy": (float, 0.0, "absolute energy target"),
     "solver.tol_energy_rel": (float, 0.0, "energy target relative to start"),
-    "solver.tol_grad": (float, 0.0, "gradient target relative to start"),
+    "solver.tol_grad": (float, 0.0, "gradient target relative to start "
+                                    "(absolute for abstract-demo)"),
     "solver.tol_kernel": (float, 0.0, "kernel-ratio stopping threshold"),
     "solver.metric": (str, "a0_exact", "increment metric: a0_exact | simplified"),
     "solver.epsilon": (float, 0.0, "quasi-incompressibility weight"),
@@ -145,6 +147,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError("solver.algorithm", "split applies to stokes-control only")
     if v["problem.y0"] not in ("bump", "zero"):
         raise ConfigError("problem.y0", "must be bump or zero")
+    if (v["problem.manufactured"] and cfg.subcommand in ("stokes-direct", "steady-nse")
+            and (v["domain.Lx"], v["domain.Ly"]) != (1.0, 1.0)):
+        raise ConfigError("problem.manufactured", "analytic case needs the unit square")
     return cfg
 
 
@@ -264,7 +269,7 @@ def read_raw(path):
     return data.reshape(dims)
 
 
-def _dump_fields(out_dir, grid, s, tag="final"):
+def _dump_fields(out_dir, grid, s, tag):
     fdir = Path(out_dir) / "fields"
     fdir.mkdir(parents=True, exist_ok=True)
     for k in range(grid.nt + 1):
@@ -278,7 +283,7 @@ def _dump_fields(out_dir, grid, s, tag="final"):
     write_raw(fdir / f"{tag}_f.bin", s.f)
 
 
-def _dump_steady(out_dir, grid, state, tag="final"):
+def _dump_steady(out_dir, grid, state, tag):
     fdir = Path(out_dir) / "fields"
     fdir.mkdir(parents=True, exist_ok=True)
     write_vtk_slice(fdir / f"{tag}.vtk", grid, velocity=state.y,
@@ -312,16 +317,13 @@ def _blame(key):
         raise ConfigError(key, str(exc)) from None
 
 
-def _exit_code(reason, converged):
-    if converged or reason in ("energy_tol", "grad_tol", "kernel_stall",
-                               "line_search_stall"):
+def _exit_code(reason):
+    if reason in ("energy_tol", "grad_tol", "kernel_stall", "line_search_stall"):
         return 0
-    if reason == "max_iter":
-        return 3
-    return 4
+    return 3 if reason == "max_iter" else 4
 
 
-def _run_unsteady(cfg: RunConfig, mode):
+def _unsteady(cfg: RunConfig, mode):
     from .discretization import SpaceTimeGrid, SupportMask, st_inner
     from . import stokes_control as sc
     from .oracles import default_unsteady_case, manufactured_stokes
@@ -333,12 +335,9 @@ def _run_unsteady(cfg: RunConfig, mode):
     mask = SupportMask(*om[:4]) if len(om) == 4 else SupportMask(*om)
     exact = None
     if mode == "direct" and v["problem.manufactured"]:
-        if (v["domain.Lx"], v["domain.Ly"]) != (1.0, 1.0):
-            raise ConfigError("problem.manufactured", "analytic case needs the unit square")
         case = default_unsteady_case(T_final=v["time.T"])
         exact, _ = manufactured_stokes(case, grid, v["physics.nu"])
         exact.y *= v["problem.amplitude"]
-        exact.pi *= v["problem.amplitude"]
         exact.f *= v["problem.amplitude"]
         y0 = exact.y[0].copy()
     elif v["problem.y0"] == "bump":
@@ -354,10 +353,6 @@ def _run_unsteady(cfg: RunConfig, mode):
             epsilon=v["solver.epsilon"], metric=v["solver.metric"],
         )
     split = v["solver.algorithm"] == "split"
-    out = Path(v["io.out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(emit_config(cfg))
-
     scfg = sc.SolveConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_energy_rel=v["solver.tol_energy_rel"], tol_grad=v["solver.tol_grad"],
@@ -372,32 +367,26 @@ def _run_unsteady(cfg: RunConfig, mode):
         s_init = sc.lift_sA(problem)
         s_init.f = exact.f.copy()
 
-    with _trace_observer(out / "trace.csv", UNSTEADY_HEADER, v["io.dump_every"],
-                         lambda tag, st: _dump_fields(out, grid, st, tag)) as observe:
+    def solve(observer):
         if split:
-            s, rep = sc.split_iteration(problem, scfg, observer=observe)
-        else:
-            s, rep = sc.descend(problem, scfg, s_init=s_init, observer=observe)
-    _dump_fields(out, grid, s)
-    summary = {
-        "mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
-        "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-        "div_last": float(rep.extras["div_norms"][-1]),
-        "yT_last": float(rep.extras["yT_norms"][-1]),
-    }
-    code = _exit_code(rep.reason, rep.converged)
-    if exact is not None:
+            return sc.split_iteration(problem, scfg, observer=observer)
+        return sc.descend(problem, scfg, s_init=s_init, observer=observer)
+
+    def summary(s, rep):
+        return {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
+                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
+                "div_last": float(rep.extras["div_norms"][-1]),
+                "yT_last": float(rep.extras["yT_norms"][-1])}
+
+    def l2_error(s):
         dy = s.y - exact.y
-        err = float(np.sqrt(st_inner(dy, dy, grid)))
-        summary["l2_error"] = err
-        if err > v["problem.error_bound"]:
-            summary["error_bound_exceeded"] = True
-            code = max(code, 3)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return code
+        return float(np.sqrt(st_inner(dy, dy, grid)))
+
+    return (UNSTEADY_HEADER, solve, lambda tag, s: _dump_fields(v["io.out_dir"], grid, s, tag),
+            summary, l2_error if exact is not None else None)
 
 
-def _run_steady(cfg: RunConfig):
+def _steady(cfg: RunConfig):
     from .discretization import SpatialGrid, space_inner
     from . import steady_nse as sn
     from .oracles import default_steady_case, manufactured_steady
@@ -406,12 +395,8 @@ def _run_steady(cfg: RunConfig):
     grid = SpatialGrid(v["grid.nx"], v["grid.ny"], v["domain.Lx"], v["domain.Ly"])
     exact = None
     if v["problem.manufactured"]:
-        if (v["domain.Lx"], v["domain.Ly"]) != (1.0, 1.0):
-            raise ConfigError("problem.manufactured", "analytic case needs the unit square")
-        y_ex, pi_ex, f_ex = manufactured_steady(default_steady_case(), grid, v["physics.nu"])
-        amp = v["problem.amplitude"]
-        exact = (amp * y_ex, amp * pi_ex)
-        forcing = amp * f_ex
+        y_ex, _, f_ex = manufactured_steady(default_steady_case(), grid, v["physics.nu"])
+        exact, forcing = v["problem.amplitude"] * y_ex, v["problem.amplitude"] * f_ex
     else:
         forcing = np.zeros((2, grid.ny, grid.nx))
 
@@ -421,69 +406,88 @@ def _run_steady(cfg: RunConfig):
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_grad=v["solver.tol_grad"], algorithm=v["solver.algorithm"],
     )
-    out = Path(v["io.out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(emit_config(cfg))
-    with _trace_observer(out / "trace.csv", STEADY_HEADER, v["io.dump_every"],
-                         lambda tag, st: _dump_steady(out, grid, st, tag)) as observe:
-        state, rep = sn.descend_steady(problem, scfg, observer=observe)
-    _dump_steady(out, grid, state)
-    summary = {
-        "mode": "steady", "iterations": rep.iterates_count, "reason": rep.reason,
-        "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-    }
-    code = _exit_code(rep.reason, rep.converged)
-    if exact is not None:
-        dy = state.y - exact[0]
-        err = float(np.sqrt(space_inner(dy, dy, grid)))
-        summary["l2_error"] = err
-        if err > v["problem.error_bound"]:
-            summary["error_bound_exceeded"] = True
-            code = max(code, 3)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return code
+
+    def solve(observer):
+        return sn.descend_steady(problem, scfg, observer=observer)
+
+    def summary(state, rep):
+        return {"mode": "steady", "iterations": rep.iterates_count, "reason": rep.reason,
+                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1])}
+
+    def l2_error(state):
+        dy = state.y - exact
+        return float(np.sqrt(space_inner(dy, dy, grid)))
+
+    return (STEADY_HEADER, solve, lambda tag, s: _dump_steady(v["io.out_dir"], grid, s, tag),
+            summary, l2_error if exact is not None else None)
 
 
-def _run_abstract_demo(cfg: RunConfig):
+def _abstract_demo(cfg: RunConfig):
     from . import abstract_descent as ad
 
     v = cfg.values
     p = ad.random_instance(v["seed"])
-    dcfg = ad.DescentConfig(
-        max_iter=v["solver.max_iter"],
-        tol_energy=v["solver.tol_energy"],
-        tol_grad=v["solver.tol_grad"],
-    )
-    out = Path(v["io.out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(emit_config(cfg))
-    with _trace_observer(out / "trace.csv", ABSTRACT_HEADER) as observe:
-        rep = ad.descend(p, np.zeros(p.dim_H), dcfg, observer=observe)
-    ubar = ad.oracle_minimizer(p)
-    summary = {
-        "seed": v["seed"], "dim_H": p.dim_H, "iterations": rep.iterates_count,
-        "reason": rep.reason, "E_last": float(rep.energies[-1]),
-        "distance_to_oracle": float(p.norm_H(rep.final_u - ubar)),
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return _exit_code(rep.reason, rep.converged)
+    dcfg = ad.DescentConfig(max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
+                            tol_grad=v["solver.tol_grad"])
+
+    def solve(observer):
+        return ad.descend(p, np.zeros(p.dim_H), dcfg, observer=observer)
+
+    def summary(u, rep):
+        return {"seed": v["seed"], "dim_H": p.dim_H, "iterations": rep.iterates_count,
+                "reason": rep.reason, "E_last": float(rep.energies[-1]),
+                "distance_to_oracle": float(p.norm_H(u - ad.oracle_minimizer(p)))}
+
+    return ABSTRACT_HEADER, solve, None, summary, None
+
+
+_BUILDERS = {
+    "stokes-control": lambda cfg: _unsteady(cfg, "null_control"),
+    "stokes-direct": lambda cfg: _unsteady(cfg, "direct"),
+    "steady-nse": _steady,
+    "abstract-demo": _abstract_demo,
+}
 
 
 def run(cfg: RunConfig):
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run; returns the process exit code.
+
+    The subcommand's builder builds the problem (a ConfigError, before
+    anything is written) and returns the trace header, ``solve(observer)
+    -> (state, report)``, ``dump(tag, state)`` or None, the leading
+    summary fields ``summary(state, report)`` and the manufactured
+    ``l2_error(state)`` or None.  A solver failure (a ValueError of the
+    solve too) or a non-finite summary value exits 4.
+    """
     from .stokes_control import DescentDivergence
 
+    header, solve, dump, summary_of, l2_error = _BUILDERS[cfg.subcommand](cfg)
+    v = cfg.values
+    out = Path(v["io.out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(emit_config(cfg))
     try:
-        if cfg.subcommand == "stokes-control":
-            return _run_unsteady(cfg, "null_control")
-        if cfg.subcommand == "stokes-direct":
-            return _run_unsteady(cfg, "direct")
-        if cfg.subcommand == "steady-nse":
-            return _run_steady(cfg)
-        return _run_abstract_demo(cfg)
-    except (DescentDivergence, np.linalg.LinAlgError, FloatingPointError) as exc:
+        with _trace_observer(out / "trace.csv", header, v["io.dump_every"] if dump else 0,
+                             dump) as observe:
+            state, rep = solve(observe)
+    except (DescentDivergence, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
+    if dump:
+        dump("final", state)
+    summary = summary_of(state, rep)
+    code = _exit_code(rep.reason)
+    if l2_error is not None:
+        summary["l2_error"] = err = l2_error(state)
+        if err > v["problem.error_bound"]:
+            summary["error_bound_exceeded"] = True
+            code = max(code, 3)
+    bad = [key for key, x in summary.items() if isinstance(x, float) and not math.isfinite(x)]
+    if bad:
+        print(f"solver failure: non-finite summary value: {', '.join(bad)}", file=sys.stderr)
+        return 4
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    return code
 
 
 def main(argv=None):

@@ -160,8 +160,8 @@ class SupportMask:
             raise ValueError("time window needs both t0 and t1")
         if self.t0 is not None and not (0.0 <= self.t0 < self.t1 <= grid.T_final):
             raise ValueError("time window must be inside [0, T]")
-        if not self.spatial_indicator(grid).any():
-            raise ValueError("support contains no grid node")
+        if not self.indicator(grid).any():
+            raise ValueError("support contains no space-time grid node")
 
     def spatial_indicator(self, grid: SpaceTimeGrid):
         """(ny, nx) 0/1 array over interior nodes."""

@@ -271,27 +271,29 @@ def apply_T(p: ControlProblem, d: Triplet):
     return CorrectorField(v, np.sqrt(energy_sq)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, div_weight=1.0,
-                freeze_pressure=False, return_norm=False):
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, frozen_pressure=False,
+                return_norm=False):
     """Riesz representative of E'(s) in the increment metric.
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support
     (global sign SIGMA, resolved by the finite-difference oracle).  The
     velocity component solves the metric problem with the H^-1 term
-    when metric='a0_exact'.
+    when metric='a0_exact'.  With frozen_pressure (the split scheme's
+    inner phase) the pressure is data: there is no pressure component
+    and no divergence term.
     """
     grid = p.grid
     corr = corr or corrector(p, s)
     v = corr.v
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
-    q = div_part(s.y, s.pi, p.grid, p.epsilon) if div_weight else np.zeros_like(s.pi)
 
     g = Triplet.zeros(grid)
-    if not freeze_pressure:
+    if not frozen_pressure:
+        q = div_part(s.y, s.pi, p.grid, p.epsilon)
         pibar = SIGMA * (-grad_pressure_transpose(v, grid))
-        if p.epsilon and div_weight:
+        if p.epsilon:
             pibar = pibar + p.epsilon * q
         g.pi = remove_slice_means(pibar)
     if p.mode == "null_control":
@@ -299,7 +301,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, div_weight=1.0,
 
     rvec = -_dt_adjoint_vector(v, grid)
     rvec += p.nu * area * w * laplace(v, grid, compact=True)
-    if div_weight:
+    if not frozen_pressure:
         rvec -= area * w * grad(q, grid)
     sl = level_slice(grid, p.fixed_traces)
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric)
@@ -346,13 +348,19 @@ class _MetricGradientRule:
     diagnostics = ("div_norm", "yT_norm", "f_norm")
     kernel_ratios = True
 
-    def __init__(self, p, cfg, s, div_weight, freeze_pressure):
+    def __init__(self, p, cfg, s, frozen_pressure):
         self.p, self.cfg, self.state = p, cfg, s
-        self.div_weight, self.freeze_pressure = div_weight, freeze_pressure
+        self.frozen_pressure = frozen_pressure
         self.corr = corrector(p, s)
-        self.q = div_part(s.y, s.pi, p.grid, p.epsilon) * div_weight
+        self.q = self.div_term(s)
         self.pdir = self.gn_sq_prev = self.pn_sq_prev = None
         self.restarted = False
+
+    def div_term(self, s):
+        """div y + eps*pi of s, or zero when the pressure is frozen."""
+        if self.frozen_pressure:
+            return self.p.grid.scalar_zeros()
+        return div_part(s.y, s.pi, self.p.grid, self.p.epsilon)
 
     def corrector_energy_sq(self):
         v, grid = self.corr.v, self.p.grid
@@ -364,7 +372,7 @@ class _MetricGradientRule:
         if cfg.refresh_every and it and it % cfg.refresh_every == 0:
             s.pi = remove_slice_means(s.pi)
             self.corr = corrector(p, s)
-            self.q = div_part(s.y, s.pi, grid, p.epsilon) * self.div_weight
+            self.q = self.div_term(s)
         e = 0.5 * (self.corrector_energy_sq() + st_inner(self.q, self.q, grid))
         if not history and not np.isfinite(e):
             raise DescentDivergence(f"non-finite initial energy: {e}")
@@ -378,10 +386,8 @@ class _MetricGradientRule:
                 raise DescentDivergence(
                     f"energy increased at iteration {it}: {history[-1]['E']} -> {e}"
                 )
-        self.g, self.gn_sq = gradient_a0(
-            p, s, self.corr, div_weight=self.div_weight,
-            freeze_pressure=self.freeze_pressure, return_norm=True,
-        )
+        self.g, self.gn_sq = gradient_a0(p, s, self.corr, frozen_pressure=self.frozen_pressure,
+                                         return_norm=True)
         return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
 
     def choose(self, record):
@@ -400,7 +406,7 @@ class _MetricGradientRule:
 
         bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
         self.Vd = spacetime_solve_weak(grid, bd)
-        self.qd = div_part(d.y, d.pi, grid, p.epsilon) * self.div_weight
+        self.qd = self.div_term(d)
         td_sq = max(float(np.sum(self.Vd * bd)), 0.0) + st_inner(self.qd, self.qd, grid)
         ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
         if (self.cfg.tol_kernel and ratio <= self.cfg.tol_kernel) or td_sq <= 1e-28 * gn_sq:
@@ -418,7 +424,7 @@ class _MetricGradientRule:
 
 
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
-            _div_weight=1.0, _freeze_pressure=False, observer=None):
+            _frozen_pressure=False, observer=None):
     """Minimizing sequence s_k = s_A + u_k driven by the metric gradient.
 
     algorithm='steepest' updates u_{k+1} = u_k - eta_k g_k with the
@@ -432,8 +438,7 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     every iterate (see ``abstract_descent.run_descent``); records carry
     ``kernel_ratio``, ``div_norm``, ``yT_norm`` and ``f_norm``.
     """
-    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy(), _div_weight,
-                               _freeze_pressure)
+    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy(), _frozen_pressure)
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
     rule.corr.weak_residual_norm = np.sqrt(max(rule.corrector_energy_sq(), 0.0))
@@ -506,8 +511,7 @@ class _PressureRule:
     def measure(self, history):
         p, grid = self.p, self.p.grid
         if self.inner is not None:
-            self.state, _ = descend(p, self.inner, s_init=self.state, _div_weight=0.0,
-                                    _freeze_pressure=True)
+            self.state, _ = descend(p, self.inner, s_init=self.state, _frozen_pressure=True)
         s = self.state
         y_ie = _heat_forward(p, s.pi, s.f)
         G, _ = _div_cost(p, y_ie)
@@ -522,8 +526,7 @@ class _PressureRule:
             self.pi_next = remove_slice_means(s.pi - eta * self.gbar)
             return _div_cost(p, _heat_forward(p, self.pi_next, s.f))[0]
 
-        found = armijo_search(trial_cost, record["E"], self.gn_sq, self.eta_init,
-                              armijo_c=1e-4, step_min=1e-14)
+        found = armijo_search(trial_cost, record["E"], self.gn_sq, self.eta_init)
         if found is None:
             return "line_search_stall"
         record["step"], G_after = found

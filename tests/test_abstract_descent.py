@@ -157,7 +157,7 @@ class TestDescend:
     def test_start_at_minimizer_stops_immediately(self):
         p = random_problem(9)
         ubar = oracle_minimizer(p)
-        rep = descend(p, ubar, DescentConfig(max_iter=50, tol_grad=1e-9))
+        _, rep = descend(p, ubar, DescentConfig(max_iter=50, tol_grad=1e-9))
         assert rep.converged and rep.iterates_count == 1
 
     def test_identity_map_single_step(self):
@@ -165,17 +165,17 @@ class TestDescend:
         X = InnerProductSpace.euclidean(6)
         u0 = rng.standard_normal(6)
         p = LsqProblem(X, X, np.eye(6), np.eye(6), u0)
-        rep = descend(p, np.zeros(6), DescentConfig(max_iter=5, tol_energy=1e-28))
+        u, rep = descend(p, np.zeros(6), DescentConfig(max_iter=5, tol_energy=1e-28))
         assert rep.converged and rep.iterates_count <= 2
-        assert np.allclose(rep.final_u, -u0, atol=1e-13)
+        assert np.allclose(u, -u0, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_limit_matches_oracle(self, seed):
         p = random_problem(seed, rank_deficient=bool(seed % 2))
         ubar = oracle_minimizer(p)
-        rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=500, tol_grad=1e-13))
+        u, rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=500, tol_grad=1e-13))
         scale = max(1.0, p.norm_H(ubar))
-        assert p.norm_H(rep.final_u - ubar) <= 1e-8 * scale
+        assert p.norm_H(u - ubar) <= 1e-8 * scale
 
     @pytest.mark.parametrize("seed", range(20))
     def test_monotone_energy_and_distance(self, seed):
@@ -199,7 +199,7 @@ class TestDescend:
             assert dist <= dist_prev * (1 + 1e-10) + 1e-12
             e_prev, dist = e, dist
             dist_prev = dist
-        rep = descend(p, np.zeros(p.dim_H), cfg)
+        _, rep = descend(p, np.zeros(p.dim_H), cfg)
         diffs = np.diff(rep.energies)
         assert (diffs <= 1e-12 * np.abs(rep.energies[:-1]) + 1e-15).all()
 
@@ -240,22 +240,23 @@ class TestDescend:
     def test_noop_observer_leaves_report_bit_identical(self):
         p = random_problem(3)
         cfg = DescentConfig(max_iter=40, tol_grad=1e-12)
-        rep0 = descend(p, np.zeros(p.dim_H), cfg)
+        u0, rep0 = descend(p, np.zeros(p.dim_H), cfg)
         records = []
-        rep1 = descend(p, np.zeros(p.dim_H), cfg,
-                       observer=lambda rec, u: records.append((dict(rec), u.copy())))
+        u1, rep1 = descend(p, np.zeros(p.dim_H), cfg,
+                           observer=lambda rec, u: records.append((dict(rec), u.copy())))
         assert (rep0.iterates_count, rep0.reason) == (rep1.iterates_count, rep1.reason)
-        for name in ("energies", "grad_norms", "steps", "kernel_ratios", "final_u"):
+        for name in ("energies", "grad_norms", "steps", "kernel_ratios"):
             assert np.array_equal(getattr(rep0, name), getattr(rep1, name)), name
+        assert np.array_equal(u0, u1)
         assert [r["iter"] for r, _ in records] == list(range(rep1.iterates_count))
         assert np.array_equal([r["E"] for r, _ in records], rep1.energies)
         # the observer sees iterate k before its step is taken
         assert np.array_equal(records[0][1], np.zeros(p.dim_H))
-        assert np.array_equal(records[-1][1], rep1.final_u)
+        assert np.array_equal(records[-1][1], u1)
 
     def test_max_iter_reported_not_fatal(self):
         p = random_problem(8)
-        rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=1))
+        _, rep = descend(p, np.zeros(p.dim_H), DescentConfig(max_iter=1))
         assert not rep.converged and rep.reason == "max_iter"
 
 
@@ -266,7 +267,6 @@ NAN = float("nan")
     lambda: DescentConfig(tol_grad=NAN),
     lambda: DescentConfig(tol_energy=NAN),
     lambda: DescentConfig(max_iter=NAN),
-    lambda: DescentConfig(step_rule="fixed", fixed_step=NAN),
     lambda: SolveConfig(tol_grad=NAN),
     lambda: SolveConfig(tol_energy_rel=NAN),
     lambda: SolveConfig(max_iter=NAN),
@@ -276,15 +276,10 @@ NAN = float("nan")
     lambda: SteadyConfig(max_iter=-1),
     lambda: SteadyConfig(tol_grad=NAN),
     lambda: SteadyConfig(tol_energy=NAN),
-    lambda: SteadyConfig(step_init=0.0),
-    lambda: SteadyConfig(step_min=0.0),
-    lambda: SteadyConfig(armijo_c=-1),
-    lambda: SteadyConfig(armijo_c=NAN),
-], ids=["descent-tol_grad", "descent-tol_energy", "descent-max_iter", "descent-fixed_step",
+], ids=["descent-tol_grad", "descent-tol_energy", "descent-max_iter",
         "solve-tol_grad", "solve-tol_energy_rel", "solve-max_iter", "solve-refresh_every",
         "solve-inner_max_iter", "solve-inner_tol_grad", "steady-max_iter", "steady-tol_grad",
-        "steady-tol_energy", "steady-step_init", "steady-step_min", "steady-armijo_c",
-        "steady-armijo_c-nan"])
+        "steady-tol_energy"])
 def test_config_rejects_negative_and_nan_fields(make):
     with pytest.raises(ValueError):
         make()

@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsqctrl
+from lsqctrl import abstract_descent as ad
+from lsqctrl import steady_nse as sn
 from lsqctrl import stokes_control as sc
 from lsqctrl.discretization import st_inner
 from lsqctrl.cli import (
+    SUBCOMMANDS,
     ConfigError,
     emit_config,
     main,
@@ -320,14 +325,18 @@ class TestProcessLevel:
         # values that pass the config checks but not problem construction
         ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
          "--control.omega=0,0.01,0,0.01"],
+        # a time window between two time nodes
+        ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+         "--control.omega=0,1,0,1,0.3,0.32"],
         ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
          "--problem.amplitude=1e308"],
         ["steady-nse", "--problem.manufactured=true", "--problem.amplitude=1e308"],
     ], ids=lambda argv: " ".join(a for a in argv if a != "stokes-control"))
     def test_nan_value_exits_2_with_key_name(self, tmp_path, argv):
-        r = invoke(argv + [f"--io.out_dir={tmp_path}"])
+        r = invoke(argv + [f"--io.out_dir={tmp_path}/out"])
         assert r.returncode == 2
         assert f"config error: {argv[-1][2:].split('=')[0]}:" in r.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_steady_inf_amplitude_exits_2_with_key_name(self, tmp_path):
         r = invoke(["steady-nse", "--problem.amplitude=inf", f"--io.out_dir={tmp_path}"])
@@ -370,3 +379,83 @@ class TestProcessLevel:
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == ["numpy None None"]
         assert "LSQCTRL_THREADS" in r.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+# config values that must exit 2; a drawn run breaks at most one key
+BROKEN = {
+    "physics.nu": [0.0, -1.0, np.nan, np.inf],
+    "time.T": [0.0, np.nan, np.inf],
+    "problem.amplitude": [np.nan, np.inf, -np.inf],
+    "control.omega": ["0,1.5,0,1", "0,1,0,1,0.5,2", "0.5,0,0,1", "0,0.01,0,0.01",
+                      "0,1,0,1,0.3,0.32"],
+}
+
+
+class TestExitCodeContract:
+    def test_overflowing_steady_data_is_a_solver_failure(self, tmp_path, capsys):
+        # the data pass the checks, then the convection term overflows in the solve
+        code = main(["steady-nse", "--grid.nx=4", "--grid.ny=4", "--problem.manufactured=true",
+                     "--problem.amplitude=1e300", "--solver.max_iter=20",
+                     f"--io.out_dir={tmp_path}"])
+        assert code == 4
+        assert "solver failure: " in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4"], sc, "descend"),
+        (["stokes-direct", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4"], sc, "descend"),
+        (["steady-nse", "--grid.nx=4", "--grid.ny=4"], sn, "descend_steady"),
+        (["abstract-demo"], ad, "descend"),
+    ], ids=["stokes-control", "stokes-direct", "steady-nse", "abstract-demo"])
+    def test_non_finite_summary_exits_4(self, tmp_path, monkeypatch, capsys, argv, module,
+                                        name):
+        original = getattr(module, name)
+
+        def nan_last(*args, **kwargs):
+            state, rep = original(*args, **kwargs)
+            rep.energies[-1] = np.nan
+            return state, rep
+
+        monkeypatch.setattr(module, name, nan_last)
+        code = main(argv + ["--solver.max_iter=3", f"--io.out_dir={tmp_path}"])
+        assert code == 4
+        assert "E_last" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        sub=st.sampled_from(SUBCOMMANDS),
+        sizes=st.tuples(*[st.integers(2, 5)] * 3),
+        values=st.fixed_dictionaries({
+            "physics.nu": st.floats(1e-3, 10.0),
+            "time.T": st.floats(1e-3, 10.0),
+            # 1e160 and 1e300 pass the config checks and overflow in the run
+            "problem.amplitude": st.one_of(st.floats(-10.0, 10.0),
+                                           st.sampled_from([1e160, 1e300])),
+            "control.omega": st.sampled_from(["0,1,0,1", "0,0.34,0,1", "0,1,0,0.5,0.2,0.8"]),
+            "solver.max_iter": st.integers(0, 5),
+            "solver.algorithm": st.sampled_from(["steepest", "cg", "split"]),
+            "problem.manufactured": st.sampled_from(["true", "false"]),
+        }),
+        broken=st.one_of(st.none(), st.sampled_from(sorted(BROKEN)).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(BROKEN[key])))),
+    )
+    def test_exit_code_and_strict_summary(self, sub, sizes, values, broken):
+        if broken:
+            values[broken[0]] = broken[1]
+        flags = [f"--grid.n{axis}={n}" for axis, n in zip("xyt", sizes)]
+        flags += [f"--{key}={val if isinstance(val, str) else repr(val)}"
+                  for key, val in values.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = main([sub, *flags, "--solver.inner_max_iter=20", f"--io.out_dir={out}"])
+            assert code in (0, 2, 3, 4)
+            if code == 2:
+                assert not out.exists()
+            summary = out / "summary.json"
+            if summary.exists():
+                json.loads(summary.read_text(), parse_constant=_reject_constant)
