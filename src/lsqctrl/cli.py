@@ -145,6 +145,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("solver.algorithm", "must be steepest, cg or split")
     if v["solver.algorithm"] == "split" and cfg.subcommand in ("stokes-direct", "steady-nse"):
         raise ConfigError("solver.algorithm", "split applies to stokes-control only")
+    if v["solver.algorithm"] != "steepest" and cfg.subcommand == "abstract-demo":
+        raise ConfigError("solver.algorithm", "abstract-demo runs steepest descent only")
     if v["problem.y0"] not in ("bump", "zero"):
         raise ConfigError("problem.y0", "must be bump or zero")
     if (v["problem.manufactured"] and cfg.subcommand in ("stokes-direct", "steady-nse")
@@ -404,7 +406,8 @@ def _steady(cfg: RunConfig):
         problem = sn.SteadyProblem(grid, v["physics.nu"], forcing, epsilon=v["solver.epsilon"])
     scfg = sn.SteadyConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
-        tol_grad=v["solver.tol_grad"], algorithm=v["solver.algorithm"],
+        tol_energy_rel=v["solver.tol_energy_rel"], tol_grad=v["solver.tol_grad"],
+        algorithm=v["solver.algorithm"],
     )
 
     def solve(observer):

@@ -1,15 +1,17 @@
 """Exact solvers for the structured-grid elliptic problems.
 
 Everything here exploits the uniform tensor grid: the 5-point Dirichlet
-Laplacian diagonalizes in the DST-I sine basis, and the temporal part of
-the space-time operator (piecewise-linear time derivative with natural
-boundary conditions) diagonalizes in a closed-form cosine/sine basis in
-time (DCT-I, DST-I or DST-III, by trace constraint), applied as one
-matrix product over the time levels.  Each solve is therefore a fixed
-sequence of orthogonal transforms plus a diagonal division by cached
-per-mode denominators: deterministic, bitwise reproducible at a fixed
-thread count, and accurate to machine precision, which keeps the
-residual contracts of the callers trivially satisfied.
+Laplacian diagonalizes in the DST-I sine basis, applied as two products
+with cached closed-form orthonormal sine matrices (one per spatial
+axis), and the temporal part of the space-time operator (piecewise-linear
+time derivative with natural boundary conditions) diagonalizes in a
+closed-form cosine/sine basis in time (DCT-I, DST-I or DST-III, by trace
+constraint), applied as one matrix product over the time levels.  Each
+solve is therefore a fixed sequence of orthogonal matrix products plus a
+diagonal division by cached per-mode denominators: deterministic,
+bitwise reproducible at a fixed thread count, and accurate to machine
+precision, which keeps the residual contracts of the callers trivially
+satisfied.
 
 Operator conventions (hx*hy folded into the dual vectors):
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn
 
 from .grid import SpaceTimeGrid
 from .stencils import laplace
@@ -43,12 +44,25 @@ __all__ = [
     "spacetime_solve_weak",
 ]
 
-_WORKERS = 1
+
+@lru_cache(maxsize=64)
+def _sine_matrix(n: int):
+    """Read-only (n, n) orthonormal DST-I matrix.
+
+    S[j, k] = sqrt(2/(n+1)) sin(pi (j+1)(k+1) / (n+1)), with the phase
+    (j+1)(k+1) reduced modulo 2(n+1) in integers, so the trigonometric
+    arguments stay in [0, 2 pi).  S is symmetric and S @ S = I.
+    """
+    k = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * (n + 1))))
+    S.flags.writeable = False
+    return S
 
 
 def sine_transform(a):
     """Orthonormal DST-I over the two trailing axes (self-inverse)."""
-    return dstn(a, type=1, norm="ortho", axes=(-2, -1), workers=_WORKERS)
+    ny, nx = np.shape(a)[-2:]
+    return _sine_matrix(ny) @ (a @ _sine_matrix(nx))
 
 
 @lru_cache(maxsize=64)

@@ -5,16 +5,24 @@ explicit matrices built entrywise/kron-wise, symbolic differentiation,
 pseudoinverse and Newton solves -- sharing nothing with the production
 stencil and transform code beyond the grid container, so agreement
 between the two paths is meaningful evidence.
+
+sympy is imported on first use, by the manufactured-solution functions,
+so that importing the package (and the CLI) loads numpy only.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
 from .abstract_descent import InnerProductSpace, LsqProblem
 from .discretization import SpaceTimeGrid, Triplet, level_slice
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 __all__ = [
     "ManufacturedCase",
@@ -35,7 +43,12 @@ __all__ = [
 # manufactured solutions
 # ---------------------------------------------------------------------------
 
-_X, _Y, _T = sp.symbols("x y t")
+@lru_cache(maxsize=None)
+def _sympy():
+    """The sympy module and the coordinate symbols x, y, t."""
+    import sympy
+
+    return (sympy, *sympy.symbols("x y t"))
 
 
 @dataclass(frozen=True)
@@ -52,23 +65,26 @@ class ManufacturedCase:
     T_final: float = 1.0
 
     def velocity_exprs(self):
-        return sp.diff(self.psi, _Y), -sp.diff(self.psi, _X)
+        sp, x, y, _ = _sympy()
+        return sp.diff(self.psi, y), -sp.diff(self.psi, x)
 
     def forcing_exprs_unsteady(self, nu):
         """f = y_t - nu lap y + grad pi, component expressions."""
+        sp, x, y, t = _sympy()
         y1, y2 = self.velocity_exprs()
-        lap = lambda e: sp.diff(e, _X, 2) + sp.diff(e, _Y, 2)
-        f1 = sp.diff(y1, _T) - nu * lap(y1) + sp.diff(self.pressure, _X)
-        f2 = sp.diff(y2, _T) - nu * lap(y2) + sp.diff(self.pressure, _Y)
+        lap = lambda e: sp.diff(e, x, 2) + sp.diff(e, y, 2)
+        f1 = sp.diff(y1, t) - nu * lap(y1) + sp.diff(self.pressure, x)
+        f2 = sp.diff(y2, t) - nu * lap(y2) + sp.diff(self.pressure, y)
         return f1, f2
 
     def forcing_exprs_steady(self, nu):
         """f = -nu lap y + (y . grad) y + grad pi."""
+        sp, x, y, _ = _sympy()
         y1, y2 = self.velocity_exprs()
-        lap = lambda e: sp.diff(e, _X, 2) + sp.diff(e, _Y, 2)
-        conv = lambda e: y1 * sp.diff(e, _X) + y2 * sp.diff(e, _Y)
-        f1 = -nu * lap(y1) + conv(y1) + sp.diff(self.pressure, _X)
-        f2 = -nu * lap(y2) + conv(y2) + sp.diff(self.pressure, _Y)
+        lap = lambda e: sp.diff(e, x, 2) + sp.diff(e, y, 2)
+        conv = lambda e: y1 * sp.diff(e, x) + y2 * sp.diff(e, y)
+        f1 = -nu * lap(y1) + conv(y1) + sp.diff(self.pressure, x)
+        f2 = -nu * lap(y2) + conv(y2) + sp.diff(self.pressure, y)
         return f1, f2
 
 
@@ -79,23 +95,26 @@ def default_unsteady_case(T_final=1.0, modulated=True):
     would make the sampled velocity exactly divergence free on the
     discrete grid (refinement studies need a representative O(h^2)).
     """
-    base = sp.sin(sp.pi * _X) ** 2 * sp.sin(sp.pi * _Y) ** 2
+    sp, x, y, t = _sympy()
+    base = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
     if modulated:
-        base = base * (1 + _X / 2 - 3 * _Y / 10)
-    psi = base * sp.cos(sp.pi * _T / T_final)
-    pressure = sp.sin(sp.pi * _X) * sp.cos(sp.pi * _Y)  # zero mean on the square
+        base = base * (1 + x / 2 - 3 * y / 10)
+    psi = base * sp.cos(sp.pi * t / T_final)
+    pressure = sp.sin(sp.pi * x) * sp.cos(sp.pi * y)  # zero mean on the square
     return ManufacturedCase(psi, pressure, T_final)
 
 
 def default_steady_case(modulated=True):
-    base = sp.sin(sp.pi * _X) ** 2 * sp.sin(sp.pi * _Y) ** 2
+    sp, x, y, _ = _sympy()
+    base = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
     if modulated:
-        base = base * (1 + _X / 2)
-    return ManufacturedCase(base, sp.sin(sp.pi * _X) * sp.cos(sp.pi * _Y))
+        base = base * (1 + x / 2)
+    return ManufacturedCase(base, sp.sin(sp.pi * x) * sp.cos(sp.pi * y))
 
 
 def _lambdify(exprs, with_time):
-    args = (_X, _Y, _T) if with_time else (_X, _Y)
+    sp, x, y, t = _sympy()
+    args = (x, y, t) if with_time else (x, y)
     return [sp.lambdify(args, e, modules="numpy") for e in exprs]
 
 
@@ -111,11 +130,12 @@ def _sample_spacetime(fns, grid):
 def _residual_scale(case: ManufacturedCase, nu):
     """Crude derivative bound so the sampled triplet's discrete residual
     can be certified as O(hx^2 + hy^2 + ht^2)."""
+    sp, x, y, t = _sympy()
     y1, y2 = case.velocity_exprs()
     probes = []
     for e in (y1, y2):
-        probes += [sp.diff(e, _X, 4), sp.diff(e, _Y, 4), sp.diff(e, _T, 3)]
-    probes += [sp.diff(case.pressure, _X, 3), sp.diff(case.pressure, _Y, 3)]
+        probes += [sp.diff(e, x, 4), sp.diff(e, y, 4), sp.diff(e, t, 3)]
+    probes += [sp.diff(case.pressure, x, 3), sp.diff(case.pressure, y, 3)]
     fns = _lambdify(probes, with_time=True)
     xs = np.linspace(0.04, 0.96, 11)
     ts = np.linspace(0.0, case.T_final, 7)
@@ -148,7 +168,7 @@ def manufactured_steady(case: ManufacturedCase, grid: SpaceTimeGrid, nu):
     X, Yc = grid.meshgrid()
 
     def sample(e):
-        fn = sp.lambdify((_X, _Y), e, modules="numpy")
+        fn, = _lambdify((e,), with_time=False)
         return np.broadcast_to(fn(X, Yc), (grid.ny, grid.nx)).astype(float)
 
     y = np.stack([sample(y1), sample(y2)])

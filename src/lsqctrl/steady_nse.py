@@ -108,13 +108,14 @@ class SteadyState:
 class SteadyConfig:
     max_iter: int = 500
     tol_energy: float = 0.0
+    tol_energy_rel: float = 0.0  # relative to the first energy
     tol_grad: float = 0.0        # relative to the first gradient norm
     algorithm: str = "steepest"  # "steepest" or "cg" (Polak-Ribiere +)
 
     def __post_init__(self):
         if self.algorithm not in ("steepest", "cg"):
             raise ValueError("algorithm must be 'steepest' or 'cg'")
-        for name in ("max_iter", "tol_energy", "tol_grad"):
+        for name in ("max_iter", "tol_energy", "tol_energy_rel", "tol_grad"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -271,6 +272,6 @@ def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=No
     """
     p.check_small_data()
     rule = _ArmijoRule(p, cfg, (s_init or SteadyState.zeros(p.grid)).copy())
-    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, tol_grad=cfg.tol_grad,
-                         observer=observer)
+    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
+                         cfg.tol_grad, observer=observer)
     return rule.state, report

@@ -227,6 +227,16 @@ class TestRuns:
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(lines) == summary["iterations"] + 1 < 5
 
+    def test_steady_stops_on_relative_energy(self, tmp_path):
+        code = main(["steady-nse", f"--io.out_dir={tmp_path}", "--grid.nx=6", "--grid.ny=6",
+                     "--problem.manufactured=true", "--solver.tol_energy_rel=0.5",
+                     "--solver.max_iter=200"])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["reason"] == "energy_tol"
+        assert summary["iterations"] == 2  # iterates 0 and 1
+        assert summary["E_last"] <= 0.5 * summary["E_first"]
+
     def test_max_iter_exit_code(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
                      "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
@@ -331,6 +341,9 @@ class TestProcessLevel:
         ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
          "--problem.amplitude=1e308"],
         ["steady-nse", "--problem.manufactured=true", "--problem.amplitude=1e308"],
+        # the dense engine has only the exact steepest step
+        ["abstract-demo", "--solver.algorithm=cg"],
+        ["abstract-demo", "--solver.algorithm=split"],
     ], ids=lambda argv: " ".join(a for a in argv if a != "stokes-control"))
     def test_nan_value_exits_2_with_key_name(self, tmp_path, argv):
         r = invoke(argv + [f"--io.out_dir={tmp_path}/out"])
@@ -349,6 +362,26 @@ class TestProcessLevel:
                     "--grid.nt=4", f"--io.out_dir={tmp_path}"])
         assert r.returncode == 0
         assert "RuntimeWarning" not in r.stderr
+
+    def test_import_loads_numpy_only(self, tmp_path):
+        # sympy is imported on first use, by a manufactured run
+        probe = (
+            "import sys\n"
+            "import lsqctrl.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))\n"
+            "code = lsqctrl.cli.main(['stokes-direct', '--problem.manufactured=true',\n"
+            "    '--grid.nx=4', '--grid.ny=4', '--grid.nt=4', '--solver.max_iter=3',\n"
+            f"    '--io.out_dir={tmp_path}'])\n"
+            "print(code, 'sympy' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(lsqctrl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["[]", "3 True False"]
+        assert "l2_error" in json.loads((tmp_path / "summary.json").read_text())
 
     def test_missing_config_file_exits_2(self, tmp_path):
         r = invoke(["stokes-control", "--config", str(tmp_path / "nope.cfg")])

@@ -22,6 +22,7 @@ from lsqctrl.discretization import (
     quadrature_l2,
     remove_slice_means,
     sine_eigenvalues,
+    sine_transform,
     space_inner,
     spacetime_elliptic_solve,
     spacetime_solve_weak,
@@ -32,7 +33,7 @@ from lsqctrl.discretization import (
     time_stiffness,
     trace_norms,
 )
-from lsqctrl.discretization.elliptic import mode_denominators
+from lsqctrl.discretization.elliptic import _sine_matrix, mode_denominators
 
 
 def stream_bump(grid):
@@ -234,6 +235,53 @@ class TestPoisson:
         lhs = poisson_solve(g, 2.0 * r1 - 3.0 * r2)
         rhs = 2.0 * poisson_solve(g, r1) - 3.0 * poisson_solve(g, r2)
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+def pocketfft_dst(a):
+    """Reference orthonormal DST-I over the two trailing axes."""
+    from scipy.fft import dstn
+
+    return dstn(a, type=1, norm="ortho", axes=(-2, -1))
+
+
+class TestSineTransform:
+    # both sides are O(sqrt(n)) roundoff; 1e-14 relative leaves a 10x margin
+    # over the worst case measured for n <= 64
+    TOL = 1e-14
+
+    def assert_matches_dst(self, a):
+        ref = pocketfft_dst(a)
+        got = sine_transform(a)
+        assert got.shape == a.shape
+        assert np.abs(got - ref).max() <= self.TOL * np.abs(ref).max()
+
+    def test_matches_pocketfft_for_every_size(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 65):
+            self.assert_matches_dst(rng.standard_normal((2, n, n)))
+
+    @pytest.mark.parametrize("batch", [(), (2,), (5, 2), (3, 1, 2)],
+                             ids=["scalar", "vector", "spacetime", "nested"])
+    @pytest.mark.parametrize("ny, nx", [(5, 9), (9, 5), (1, 4), (16, 15)])
+    def test_rectangular_and_batched(self, batch, ny, nx):
+        a = np.random.default_rng(22).standard_normal((*batch, ny, nx))
+        self.assert_matches_dst(a)
+        assert np.abs(sine_transform(sine_transform(a)) - a).max() <= self.TOL
+
+    def test_non_contiguous_input(self):
+        base = np.random.default_rng(23).standard_normal((4, 2, 14, 22))
+        for a in (base[::2, :, ::2, 1::2], base.swapaxes(-1, -2), base[..., 3:, :-4]):
+            assert not a.flags.c_contiguous
+            self.assert_matches_dst(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 64])
+    def test_matrix_symmetric_involution_cached_read_only(self, n):
+        S = _sine_matrix(n)
+        assert S.shape == (n, n)
+        assert np.array_equal(S, S.T)
+        assert np.abs(S @ S - np.eye(n)).max() <= 1e-14
+        assert not S.flags.writeable
+        assert _sine_matrix(n) is S
 
 
 class TestSpacetimeSolve:
