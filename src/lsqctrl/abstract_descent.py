@@ -9,8 +9,8 @@ matrix-free PDE machinery.
 
 ``run_descent`` is the iteration loop the PDE solvers share: stop tests,
 per-iterate history, report and observer hook, around a per-method step
-rule; ``armijo_search`` is the backtracking line search of the rules
-that have no exact step.
+rule; ``armijo_search`` is the backtracking line search of the one rule
+with no exact step, the split scheme's pressure update.
 """
 
 from dataclasses import dataclass, field

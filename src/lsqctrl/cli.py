@@ -415,7 +415,10 @@ def _steady(cfg: RunConfig):
 
     def summary(state, rep):
         return {"mode": "steady", "iterations": rep.iterates_count, "reason": rep.reason,
-                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1])}
+                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
+                "grad_norm_last": float(rep.grad_norms[-1]),
+                "residual_norm_last": float(rep.extras["residual_norms"][-1]),
+                "div_norm_last": float(rep.extras["div_norms"][-1])}
 
     def l2_error(state):
         dy = state.y - exact

@@ -8,7 +8,10 @@ where the corrector v in H_0^1 lifts the momentum residual
 -nu lap y + div(y (x) y) + grad pi - f.  E is quartic in y (through the
 convection term) but still an error functional: its stationary points
 are exactly the discrete steady solutions when the corrector vanishes.
-Descent uses the H_0^1 x L^2 Riesz gradient with Armijo backtracking.
+Descent follows the H_0^1 x L^2 Riesz gradient (or its PR+ combination)
+with the exact step: along a line the corrector is a quadratic
+polynomial in the step size, so E is a quartic whose minimizer is a root
+of a cubic.
 """
 
 import warnings
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_descent import armijo_search, run_descent
+from .abstract_descent import run_descent
 from .discretization import (
     SpatialGrid,
     div,
@@ -197,37 +200,82 @@ def pressure_residual_indicator(p: SteadyProblem, s: SteadyState, v=None):
     return -(div(s.y, p.grid) + s.y[0] * v[0] + s.y[1] * v[1])
 
 
-class _ArmijoRule:
-    """Step rule of ``descend_steady`` for ``run_descent``: Armijo
-    backtracking along the metric gradient or its PR+ combination."""
+def _line_quartic(p: SteadyProblem, s: SteadyState, v, dir_y, dir_pi):
+    """E along (y - eta dir_y, pi - eta dir_pi) as a quartic in eta.
+
+    The momentum residual is quadratic in y, so there the corrector is
+    v(eta) = v + eta v1 - eta^2 v2 (v the corrector at s): v1 lifts the
+    residual linearized in the direction and v2 the convection of
+    dir_y, both from one Poisson solve.  The divergence part is
+    q0 - eta q1.  Returns the coefficients c0..c4 of E(eta) = sum_k
+    c_k eta^k and (v1, v2); raises ValueError if one is not finite.
+    """
+    g = p.grid
+    lin = -p.nu * laplace(dir_y, g, compact=True)
+    lin += convection(s.y, dir_y, g) + convection(dir_y, s.y, g)
+    lin += grad_pressure(dir_pi, g)
+    v1, v2 = poisson_solve(g, np.stack([lin, convection(dir_y, dir_y, g)]))
+    q0 = div_part(s.y, s.pi, g, p.epsilon)
+    q1 = div_part(dir_y, dir_pi, g, p.epsilon)
+    coef = np.array([
+        0.5 * (h1_pairing(v, v, g) + space_inner(q0, q0, g)),
+        h1_pairing(v, v1, g) - space_inner(q0, q1, g),
+        0.5 * (h1_pairing(v1, v1, g) + space_inner(q1, q1, g)) - h1_pairing(v, v2, g),
+        -h1_pairing(v1, v2, g),
+        0.5 * h1_pairing(v2, v2, g),
+    ])
+    if not np.isfinite(coef).all():
+        raise ValueError("steady step: non-finite energy polynomial")
+    return coef, v1, v2
+
+
+def _quartic_argmin(coef):
+    """The positive root of the cubic E' with the lowest E(eta) = sum_k
+    coef[k] eta^k, or None if E' has no positive root.
+
+    Real parts of complex roots stay candidates, since a root close to
+    a double root may come out as a complex pair; none of them can
+    undercut the real root where E is lowest over eta > 0.
+    """
+    roots = np.roots((coef[1:] * np.arange(1, 5))[::-1]).real
+    roots = roots[roots > 0]
+    if roots.size == 0:
+        return None
+    return float(roots[np.argmin(np.polyval(coef[::-1], roots))])
+
+
+class _ExactStepRule:
+    """Step rule of ``descend_steady`` for ``run_descent``: the exact
+    step on the quartic energy along the metric gradient or its PR+
+    combination.  Each step carries the corrector and energy of its
+    trial to the next iterate, so only iterate 0 solves a corrector."""
 
     diagnostics = ("residual_norm", "div_norm")
     kernel_ratios = False
 
     def __init__(self, p, cfg, s):
         self.p, self.cfg, self.state = p, cfg, s
-        self.eta = 1.0  # the first trial step is twice this
+        self.v = self.e = None  # corrector and energy of self.state, once known
         self.prev = None  # (ybar, pibar, gn_sq) of the previous iterate
         self.dir_y = self.dir_pi = None
 
     def measure(self, history):
         p, s, g = self.p, self.state, self.p.grid
-        v, _ = corrector_steady(p, s)
-        e = energy_steady(p, s, v)
-        self.ybar, self.pibar, self.gn_sq = gradient_steady(p, s, v, return_norm=True)
-        residual_norm = np.sqrt(max(h1_seminorm_sq(v, g), 0.0))
+        if self.v is None:
+            self.v, _ = corrector_steady(p, s)
+            self.e = energy_steady(p, s, self.v)
+        self.ybar, self.pibar, self.gn_sq = gradient_steady(p, s, self.v, return_norm=True)
         dv = div(s.y, g)
         return {
-            "E": e,
+            "E": self.e,
             "grad_norm": np.sqrt(self.gn_sq),
-            "residual_norm": residual_norm,
+            "residual_norm": np.sqrt(max(h1_seminorm_sq(self.v, g), 0.0)),
             "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0)),
         }
 
     def choose(self, record):
         p, cfg, s, g = self.p, self.cfg, self.state, self.p.grid
         ybar, pibar, gn_sq = self.ybar, self.pibar, self.gn_sq
-        dd = gn_sq
         if cfg.algorithm == "cg" and self.prev is not None:
             py, ppi, pgn_sq = self.prev
             # H_0^1 x L^2 pairings of the gradient with the previous one
@@ -238,40 +286,45 @@ class _ArmijoRule:
             cpi = pibar + beta * self.dir_pi
             dd_c = space_inner(pibar, cpi, g) + h1_pairing(ybar, cy, g)
             if dd_c > 1e-12 * gn_sq:
-                self.dir_y, self.dir_pi, dd = cy, cpi, dd_c
+                self.dir_y, self.dir_pi = cy, cpi
             else:
                 self.dir_y, self.dir_pi = ybar, pibar
         else:
             self.dir_y, self.dir_pi = ybar, pibar
         self.prev = (ybar, pibar, gn_sq)
 
-        def trial_energy(eta):
-            self.trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
-            return energy_steady(p, self.trial)
-
-        found = armijo_search(trial_energy, record["E"], dd, min(self.eta * 2.0, 1e6))
-        if found is None:
+        coef, v1, v2 = _line_quartic(p, s, self.v, self.dir_y, self.dir_pi)
+        eta = _quartic_argmin(coef)
+        if eta is None:
             return "line_search_stall"
-        self.eta = record["step"] = found[0]
+        trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
+        v = self.v + eta * v1 - eta**2 * v2
+        e = energy_steady(p, trial, v)
+        if not e < record["E"]:  # the roundoff floor: the exact step no longer descends
+            return "line_search_stall"
+        self.trial = (trial, v, e)
+        record["step"] = eta
         return None
 
     def advance(self, record):
-        self.state = self.trial
+        self.state, self.v, self.e = self.trial
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):
-    """Armijo-backtracked descent on the quartic energy.
+    """Descent on the quartic energy with the exact step.
 
     algorithm='steepest' follows the metric gradient; 'cg' recombines
     it with the previous direction (Polak-Ribiere+, restarted whenever
-    the combination stops being a descent direction).  Either way each
-    accepted step strictly decreases E; line-search stagnation (step
-    below 1e-14) is reported, not raised.  ``observer(record,
+    the combination stops being a descent direction).  Either way the
+    step is the minimizer of E along the direction (the positive root of
+    the cubic E' with the lowest E), and it is taken only if it strictly
+    decreases E; once roundoff stops that, the run ends on
+    ``line_search_stall``, reported, not raised.  ``observer(record,
     s)`` sees every iterate (see ``abstract_descent.run_descent``);
     records carry ``residual_norm`` and ``div_norm``.
     """
     p.check_small_data()
-    rule = _ArmijoRule(p, cfg, (s_init or SteadyState.zeros(p.grid)).copy())
+    rule = _ExactStepRule(p, cfg, (s_init or SteadyState.zeros(p.grid)).copy())
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer=observer)
     return rule.state, report

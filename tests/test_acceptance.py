@@ -255,7 +255,7 @@ def test_criterion_5_refinement_orders():
 
     import warnings
 
-    errs_s = []
+    errs_s, steady_iters = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in (8, 16, 32):
@@ -265,6 +265,9 @@ def test_criterion_5_refinement_orders():
             st, rep = sn.descend_steady(ps, sn.SteadyConfig(max_iter=8000,
                                                             tol_grad=1e-11,
                                                             algorithm="cg"))
+            # at its gradient target or at the roundoff floor, never out of budget
+            assert rep.reason in ("grad_tol", "line_search_stall"), (n, rep.reason)
+            steady_iters.append(rep.iterates_count)
             dy = st.y - y_ex
             errs_s.append(np.sqrt(space_inner(dy, dy, gs)))
     orders_s = [float(np.log2(errs_s[i] / errs_s[i + 1])) for i in range(2)]
@@ -272,7 +275,8 @@ def test_criterion_5_refinement_orders():
     elapsed = time.monotonic() - t0
     report(5, "refinement orders",
            f"unsteady {orders_u[0]:.2f}/{orders_u[1]:.2f}, "
-           f"steady {orders_s[0]:.2f}/{orders_s[1]:.2f}, {elapsed:.0f}s")
+           f"steady {orders_s[0]:.2f}/{orders_s[1]:.2f} after "
+           f"{'/'.join(map(str, steady_iters))} iterates, {elapsed:.0f}s")
 
 
 def test_criterion_6_steady_oracle_equivalence():
@@ -285,6 +289,7 @@ def test_criterion_6_steady_oracle_equivalence():
         p = sn.SteadyProblem(g, 1.0, amp * f)
         s, rep = sn.descend_steady(p, sn.SteadyConfig(max_iter=8000, tol_grad=1e-13,
                                                       algorithm="cg"))
+        assert rep.reason in ("grad_tol", "line_search_stall"), (n, rep.reason)
         try:
             y_n, pi_n = newton_nse(p)
         except OracleUnavailable:
@@ -295,10 +300,11 @@ def test_criterion_6_steady_oracle_equivalence():
             continue
         h1 = np.sqrt(h1_seminorm_sq(s.y - y_n, g))
         l2 = np.sqrt(space_inner(s.pi - pi_n, s.pi - pi_n, g))
-        results.append(h1 + l2)
+        results.append((h1 + l2, rep.iterates_count, rep.reason))
         assert h1 + l2 <= 1e-6
     report(6, "steady Newton equivalence",
-           "H1xL2 differences " + ", ".join(f"{r:.2e}" for r in results))
+           "H1xL2 differences " + ", ".join(f"{r:.2e} ({k} iterates, {why})"
+                                            for r, k, why in results))
 
 
 def test_criterion_7_null_control_run():

@@ -181,6 +181,20 @@ class TestRuns:
         assert [p.name for p in snaps] == [f"iter{k:06d}_y.bin"
                                            for k in range(0, len(lines) - 1, 10)]
 
+    def test_steady_summary_carries_absolute_end_values(self, tmp_path):
+        assert main(["steady-nse", f"--io.out_dir={tmp_path}", "--grid.nx=6", "--grid.ny=6",
+                     "--problem.manufactured=true", "--solver.algorithm=cg",
+                     "--solver.max_iter=50"]) == 3
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        header, last = lines[0].split(","), [float(x) for x in lines[-1].split(",")]
+        # the trace's last row holds the same end values, printed with repr
+        for key, column in (("grad_norm_last", "grad_norm"),
+                            ("residual_norm_last", "residual_norm"),
+                            ("div_norm_last", "div_norm")):
+            assert summary[key] == last[header.index(column)] > 0.0, key
+
     def test_split_run(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
                      "--grid.nx=5", "--grid.ny=5", "--grid.nt=5",

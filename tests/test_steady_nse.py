@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lsqctrl import steady_nse
 from lsqctrl.discretization import (
     SpatialGrid,
     curl,
@@ -52,8 +53,6 @@ class TestProblem:
             SteadyProblem(g, float("nan"), np.zeros((2, 6, 6)))
 
     def test_corrector_makes_one_poisson_solve(self, monkeypatch):
-        from lsqctrl import steady_nse
-
         p = small_data_problem(SpatialGrid(8, 8))
         calls = []
         solve = steady_nse.poisson_solve
@@ -265,6 +264,124 @@ class TestGradientSteady:
         assert np.isfinite(ind).all()
 
 
+def random_line(p, direction, seed=7):
+    """A random state of p and a descent direction through it: the metric
+    gradient ('steepest'), the PR+ direction of the third CG iterate
+    ('cg') or a random one ('random').  Returns (state, corrector, dir_y, dir_pi)."""
+    g = p.grid
+    rng = np.random.default_rng(seed)
+    s = SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
+                    rng.standard_normal((g.ny, g.nx)))
+    if direction == "random":
+        v, _ = corrector_steady(p, s)
+        d_y = rng.standard_normal((2, g.ny, g.nx))
+        d_pi = rng.standard_normal((g.ny, g.nx))
+        d_pi -= d_pi.mean()
+        # pointed downhill: E'(0) = coef[1] < 0
+        sign = -np.sign(steady_nse._line_quartic(p, s, v, d_y, d_pi)[0][1])
+        return s, v, sign * d_y, sign * d_pi
+    rule = steady_nse._ExactStepRule(p, SteadyConfig(algorithm=direction), s)
+    for k in range(3):
+        record = rule.measure([])
+        assert rule.choose(record) is None
+        if k < 2:
+            rule.advance(record)
+    return rule.state, rule.v, rule.dir_y, rule.dir_pi
+
+
+def along(s, d_y, d_pi, eta):
+    return SteadyState(s.grid, s.y - eta * d_y, s.pi - eta * d_pi)
+
+
+class TestExactStep:
+    @pytest.fixture
+    def problem(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return small_data_problem(SpatialGrid(8, 8), amp=1.0)
+
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_polynomial_matches_energy(self, problem, direction):
+        s, v, d_y, d_pi = random_line(problem, direction)
+        coef, _, _ = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        eta_star = steady_nse._quartic_argmin(coef)
+        assert eta_star > 0
+        for eta in eta_star * np.array([0.0, 0.3, 1.0, 1.7, 3.2]):
+            e = energy_steady(problem, along(s, d_y, d_pi, eta))
+            assert np.polyval(coef[::-1], eta) == pytest.approx(e, rel=1e-10)
+
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_carried_corrector_matches_a_fresh_solve(self, problem, direction):
+        s, v, d_y, d_pi = random_line(problem, direction)
+        coef, v1, v2 = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        eta = steady_nse._quartic_argmin(coef)
+        carried = v + eta * v1 - eta**2 * v2
+        fresh, _ = corrector_steady(problem, along(s, d_y, d_pi, eta))
+        g = problem.grid
+        assert np.sqrt(h1_seminorm_sq(carried - fresh, g)) <= 1e-12 * np.sqrt(
+            h1_seminorm_sq(fresh, g))
+
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_step_beats_a_dense_scan(self, problem, direction):
+        s, v, d_y, d_pi = random_line(problem, direction)
+        coef, _, _ = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        eta_star = steady_nse._quartic_argmin(coef)
+        scan = [energy_steady(problem, along(s, d_y, d_pi, eta))
+                for eta in np.linspace(0.0, 4.0 * eta_star, 401)]
+        e_star = energy_steady(problem, along(s, d_y, d_pi, eta_star))
+        assert e_star <= min(scan)
+        assert e_star < scan[0]
+
+    def test_rule_carries_the_trial_corrector(self, problem):
+        # the rule steps by the polynomial's minimizer, and the next
+        # iterate's record holds the carried energy
+        s, _, _, _ = random_line(problem, "random")
+        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        record = rule.measure([])
+        assert rule.choose(record) is None
+        coef, _, _ = steady_nse._line_quartic(problem, s, rule.v, rule.dir_y, rule.dir_pi)
+        assert record["step"] == steady_nse._quartic_argmin(coef)
+        trial, v, e = rule.trial
+        rule.advance(record)
+        assert rule.measure([record])["E"] == e == energy_steady(problem, trial, v) < record["E"]
+
+    def test_one_corrector_solve_per_run(self, problem, monkeypatch):
+        counts = {"corrector_steady": 0, "poisson_solve": 0}
+        for name in counts:
+            original = getattr(steady_nse, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(steady_nse, name, counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s, rep = descend_steady(problem, SteadyConfig(max_iter=20, algorithm="cg"))
+        assert rep.iterates_count == 21
+        assert counts["corrector_steady"] == 1
+        # the corrector, the small-data estimate, one gradient per iterate
+        # and one batched solve per step
+        assert counts["poisson_solve"] == 2 + rep.iterates_count + len(rep.steps)
+
+    def test_non_finite_polynomial_is_a_value_error(self, problem):
+        # the Poisson data stay finite; the pairings of the corrector overflow
+        s, v, d_y, d_pi = random_line(problem, "random")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="steady step: non-finite energy polynomial"):
+                steady_nse._line_quartic(problem, s, v, 1e80 * d_y, d_pi)
+
+    def test_argmin_picks_the_lower_of_two_minima(self):
+        # E = (eta - 1)^2 (eta - 3)^2 - eta/10: minima near 1 and 3, lower near 3
+        coef = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 3.0, 3.0])
+        coef[1] -= 0.1
+        eta = steady_nse._quartic_argmin(coef)
+        assert eta == pytest.approx(3.0, abs=0.05)
+
+    def test_argmin_without_a_positive_root(self):
+        assert steady_nse._quartic_argmin(np.array([1.0, 1.0, 1.0, 0.0, 0.0])) is None
+
+
 class TestDescendSteady:
     def test_zero_forcing_converges_immediately(self):
         g = SpatialGrid(6, 6)
@@ -309,14 +426,18 @@ class TestDescendSteady:
         assert rep.energies[-1] < rep.energies[0]
         assert abs(s.pi.mean()) <= 1e-12
 
-    def test_strict_decrease_whenever_gradient_large(self):
-        g = SpatialGrid(8, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = small_data_problem(g, amp=1.0)
-            s, rep = descend_steady(p, SteadyConfig(max_iter=300, tol_grad=1e-6))
-        E = rep.energies
-        assert ((np.diff(E) < 0) | (rep.grad_norms[:-1] <= 1e-6 * rep.grad_norms[0])).all()
+    def test_strict_decrease_down_to_the_roundoff_floor(self):
+        # no gradient target: each run ends where the exact step stops
+        # descending, and every step before that lowers E
+        g = SpatialGrid(6, 6)
+        for algorithm in ("steepest", "cg"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                p = small_data_problem(g, amp=1.0)
+                s, rep = descend_steady(p, SteadyConfig(max_iter=20000, algorithm=algorithm))
+            assert rep.reason == "line_search_stall", algorithm
+            assert rep.grad_norms[-1] <= 1e-8 * rep.grad_norms[0], algorithm
+            assert (np.diff(rep.energies) < 0).all(), algorithm
 
     def test_noop_observer_leaves_report_bit_identical(self):
         g = SpatialGrid(8, 8)
