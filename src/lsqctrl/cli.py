@@ -375,10 +375,14 @@ def _unsteady(cfg: RunConfig, mode):
         return sc.descend(problem, scfg, s_init=s_init, observer=observer)
 
     def summary(s, rep):
-        return {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
-                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-                "div_last": float(rep.extras["div_norms"][-1]),
-                "yT_last": float(rep.extras["yT_norms"][-1])}
+        out = {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
+               "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
+               "grad_norm_last": float(rep.grad_norms[-1]),
+               "div_last": float(rep.extras["div_norms"][-1]),
+               "yT_last": float(rep.extras["yT_norms"][-1])}
+        if not split:  # the split scheme solves no corrector of the full energy
+            out["residual_norm_last"] = float(rep.extras["corrector"].weak_residual_norm)
+        return out
 
     def l2_error(s):
         dy = s.y - exact.y

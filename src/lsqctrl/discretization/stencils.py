@@ -46,7 +46,7 @@ __all__ = [
 def dx(a, grid):
     """Centered x-derivative with homogeneous Dirichlet padding."""
     a = np.asarray(a)
-    out = np.zeros_like(a)
+    out = np.empty_like(a)
     out[..., :, 1:-1] = a[..., :, 2:] - a[..., :, :-2]
     out[..., :, 0] = a[..., :, 1]
     out[..., :, -1] = -a[..., :, -2]
@@ -57,7 +57,7 @@ def dx(a, grid):
 def dy(a, grid):
     """Centered y-derivative with homogeneous Dirichlet padding."""
     a = np.asarray(a)
-    out = np.zeros_like(a)
+    out = np.empty_like(a)
     out[..., 1:-1, :] = a[..., 2:, :] - a[..., :-2, :]
     out[..., 0, :] = a[..., 1, :]
     out[..., -1, :] = -a[..., -2, :]

@@ -12,6 +12,18 @@ Descent follows the H_0^1 x L^2 Riesz gradient (or its PR+ combination)
 with the exact step: along a line the corrector is a quadratic
 polynomial in the step size, so E is a quartic whose minimizer is a root
 of a cubic.
+
+The H_0^1 norm of v is that of the 5-point stiffness L which
+``poisson_solve`` (P) inverts exactly, so for every v = P(r)
+
+    h1_pairing(a, P(r)) = space_inner(a, r):
+
+a pairing with a solved field is read off its right-hand side.  The
+descent therefore carries each corrector with its right-hand side, and
+the quartic's coefficients come from one 3x3 Gram product of the
+line's fields [v, v1, v2] with their right-hand sides, never from edge
+differences.  The edge-form pairings stay the oracle: ``energy_steady``
+without ``rhs``, and the tests.
 """
 
 import warnings
@@ -29,7 +41,6 @@ from .discretization import (
     grad,
     grad_pressure,
     grad_pressure_transpose,
-    h1_pairing,
     h1_seminorm_sq,
     laplace,
     poisson_solve,
@@ -143,32 +154,44 @@ def _momentum_residual(p: SteadyProblem, s: SteadyState):
 def corrector_steady(p: SteadyProblem, s: SteadyState):
     """Corrector v (zero on the walls) of the momentum residual.
 
-    Returns (v, info) where info carries the H_0^1 norm of v.
+    Returns (v, info): info["rhs"] is the right-hand side of the solve,
+    minus the momentum residual (v = P(rhs)), and info["v_h1"] the
+    H_0^1 norm of v, read off it as sqrt(space_inner(v, rhs)).
     """
-    res = _momentum_residual(p, s)
-    v = poisson_solve(p.grid, -res)
-    vnorm = np.sqrt(max(h1_seminorm_sq(v, p.grid), 0.0))
-    return v, {"v_h1": vnorm}
+    rhs = -_momentum_residual(p, s)
+    v = poisson_solve(p.grid, rhs)
+    vnorm = np.sqrt(max(space_inner(v, rhs, p.grid), 0.0))
+    return v, {"v_h1": vnorm, "rhs": rhs}
 
 
-def energy_steady(p: SteadyProblem, s: SteadyState, v=None):
+def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None):
+    """E at s, from its corrector v if given (else solved).
+
+    With v = P(rhs) and rhs given, the H_0^1 part is space_inner(v, rhs),
+    which equals h1_pairing(v, v) up to roundoff; without rhs it is the
+    edge form h1_seminorm_sq(v), the oracle.
+    """
     if v is None:
         v, _ = corrector_steady(p, s)
+    h1 = h1_seminorm_sq(v, p.grid) if rhs is None else space_inner(v, rhs, p.grid)
     q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    return 0.5 * (h1_seminorm_sq(v, p.grid) + space_inner(q, q, p.grid))
+    return 0.5 * (h1 + space_inner(q, q, p.grid))
 
 
 def _grad_tensor(v, grid):
     """(dv_i/dx_j) entries with centered stencils: rows i, cols j."""
-    return ((dx(v[0], grid), dy(v[0], grid)), (dx(v[1], grid), dy(v[1], grid)))
+    vx, vy = dx(v, grid), dy(v, grid)
+    return ((vx[0], vy[0]), (vx[1], vy[1]))
 
 
-def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, return_norm=False):
+def gradient_steady(p: SteadyProblem, s: SteadyState, v=None):
     """Riesz gradient of E in H_0^1 x L^2(U).
 
     Pressure component: adjoint divergence of the corrector (+ eps
     coupling), mean removed.  Velocity component: one Poisson solve of
-    the assembled first-variation functional.
+    the assembled first-variation functional, ybar = P(r).  Returns
+    (ybar, pibar, info): info["rhs"] is r, so that h1_pairing(a, ybar) =
+    space_inner(a, r), and info["norm_sq"] the squared metric norm.
     """
     g = p.grid
     if v is None:
@@ -186,10 +209,8 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, return_norm=False)
     )
     r = -p.nu * (-laplace(v, g, compact=True)) + sv - grad(q, g)
     ybar = poisson_solve(g, r)
-    if not return_norm:
-        return ybar, pibar
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
-    return ybar, pibar, max(norm_sq, 0.0)
+    return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
 
 
 def pressure_residual_indicator(p: SteadyProblem, s: SteadyState, v=None):
@@ -200,33 +221,59 @@ def pressure_residual_indicator(p: SteadyProblem, s: SteadyState, v=None):
     return -(div(s.y, p.grid) + s.y[0] * v[0] + s.y[1] * v[1])
 
 
-def _line_quartic(p: SteadyProblem, s: SteadyState, v, dir_y, dir_pi):
+def _line_convection(y, d, grid):
+    """convection(y, d) + convection(d, y) and convection(d, d), from one
+    dx pass over their stacked x-fluxes and one dy pass over their
+    y-fluxes (each convection call makes two of each per component)."""
+    fx = np.concatenate([y * d[0] + d * y[0], d * d[0]])
+    fy = np.concatenate([y * d[1] + d * y[1], d * d[1]])
+    c = dx(fx, grid)
+    c += dy(fy, grid)
+    return c[:2], c[2:]
+
+
+def _gram(fields, rhss, grid):
+    """hx*hy * fields @ rhss^T over the flattened slices.  With
+    fields[i] = P(rhss[i]) entry (i, j) is h1_pairing(fields[i], fields[j])."""
+    a = np.reshape(fields, (len(fields), -1))
+    b = np.reshape(rhss, (len(rhss), -1))
+    return grid.hx * grid.hy * (a @ b.T)
+
+
+def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi):
     """E along (y - eta dir_y, pi - eta dir_pi) as a quartic in eta.
 
-    The momentum residual is quadratic in y, so there the corrector is
-    v(eta) = v + eta v1 - eta^2 v2 (v the corrector at s): v1 lifts the
-    residual linearized in the direction and v2 the convection of
-    dir_y, both from one Poisson solve.  The divergence part is
-    q0 - eta q1.  Returns the coefficients c0..c4 of E(eta) = sum_k
-    c_k eta^k and (v1, v2); raises ValueError if one is not finite.
+    The momentum residual is quadratic in y, so there the corrector's
+    right-hand side is rhs + eta lin - eta^2 cdd (rhs that of the
+    corrector v at s): lin is the residual linearized in the direction
+    and cdd the convection of dir_y.  The corrector is v + eta v1 -
+    eta^2 v2 with [v1, v2] = P([lin, cdd]) from one Poisson solve, and
+    the divergence part is q0 - eta q1.  The H_0^1 pairings of v, v1,
+    v2 are the entries of G = _gram([v, v1, v2], [rhs, lin, cdd]), since
+    h1_pairing(a, P(r)) = space_inner(a, r).  Returns the coefficients
+    c0..c4 of E(eta) = sum_k c_k eta^k, [v1, v2] and [lin, cdd]; raises
+    ValueError if a coefficient is not finite.
     """
     g = p.grid
+    cross, cdd = _line_convection(s.y, dir_y, g)
     lin = -p.nu * laplace(dir_y, g, compact=True)
-    lin += convection(s.y, dir_y, g) + convection(dir_y, s.y, g)
+    lin += cross
     lin += grad_pressure(dir_pi, g)
-    v1, v2 = poisson_solve(g, np.stack([lin, convection(dir_y, dir_y, g)]))
+    rhss = np.stack([lin, cdd])
+    fields = poisson_solve(g, rhss)
+    gram = _gram([v, *fields], [rhs, *rhss], g)
     q0 = div_part(s.y, s.pi, g, p.epsilon)
     q1 = div_part(dir_y, dir_pi, g, p.epsilon)
     coef = np.array([
-        0.5 * (h1_pairing(v, v, g) + space_inner(q0, q0, g)),
-        h1_pairing(v, v1, g) - space_inner(q0, q1, g),
-        0.5 * (h1_pairing(v1, v1, g) + space_inner(q1, q1, g)) - h1_pairing(v, v2, g),
-        -h1_pairing(v1, v2, g),
-        0.5 * h1_pairing(v2, v2, g),
+        0.5 * (gram[0, 0] + space_inner(q0, q0, g)),
+        gram[0, 1] - space_inner(q0, q1, g),
+        0.5 * (gram[1, 1] + space_inner(q1, q1, g)) - gram[0, 2],
+        -gram[1, 2],
+        0.5 * gram[2, 2],
     ])
     if not np.isfinite(coef).all():
         raise ValueError("steady step: non-finite energy polynomial")
-    return coef, v1, v2
+    return coef, fields, rhss
 
 
 def _quartic_argmin(coef):
@@ -247,44 +294,49 @@ def _quartic_argmin(coef):
 class _ExactStepRule:
     """Step rule of ``descend_steady`` for ``run_descent``: the exact
     step on the quartic energy along the metric gradient or its PR+
-    combination.  Each step carries the corrector and energy of its
-    trial to the next iterate, so only iterate 0 solves a corrector."""
+    combination.  Each step carries the corrector, its right-hand side
+    and the energy of its trial to the next iterate, so only iterate 0
+    solves a corrector, and every H_0^1 pairing is read off a
+    right-hand side."""
 
     diagnostics = ("residual_norm", "div_norm")
     kernel_ratios = False
 
     def __init__(self, p, cfg, s):
         self.p, self.cfg, self.state = p, cfg, s
-        self.v = self.e = None  # corrector and energy of self.state, once known
+        # corrector, its right-hand side and the energy of self.state, once known
+        self.v = self.rhs = self.e = None
         self.prev = None  # (ybar, pibar, gn_sq) of the previous iterate
         self.dir_y = self.dir_pi = None
 
     def measure(self, history):
         p, s, g = self.p, self.state, self.p.grid
         if self.v is None:
-            self.v, _ = corrector_steady(p, s)
-            self.e = energy_steady(p, s, self.v)
-        self.ybar, self.pibar, self.gn_sq = gradient_steady(p, s, self.v, return_norm=True)
+            self.v, info = corrector_steady(p, s)
+            self.rhs = info["rhs"]
+            self.e = energy_steady(p, s, self.v, self.rhs)
+        self.ybar, self.pibar, info = gradient_steady(p, s, self.v)
+        self.gn_sq, self.r = info["norm_sq"], info["rhs"]
         dv = div(s.y, g)
         return {
             "E": self.e,
             "grad_norm": np.sqrt(self.gn_sq),
-            "residual_norm": np.sqrt(max(h1_seminorm_sq(self.v, g), 0.0)),
+            "residual_norm": np.sqrt(max(space_inner(self.v, self.rhs, g), 0.0)),
             "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0)),
         }
 
     def choose(self, record):
         p, cfg, s, g = self.p, self.cfg, self.state, self.p.grid
-        ybar, pibar, gn_sq = self.ybar, self.pibar, self.gn_sq
+        ybar, pibar, gn_sq, r = self.ybar, self.pibar, self.gn_sq, self.r
         if cfg.algorithm == "cg" and self.prev is not None:
             py, ppi, pgn_sq = self.prev
-            # H_0^1 x L^2 pairings of the gradient with the previous one
-            # and with the combined direction
-            pair = space_inner(pibar, ppi, g) + h1_pairing(ybar, py, g)
+            # H_0^1 x L^2 pairings of the gradient (ybar = P(r)) with the
+            # previous one and with the combined direction
+            pair = space_inner(pibar, ppi, g) + space_inner(py, r, g)
             beta = max(0.0, (gn_sq - pair) / pgn_sq)
             cy = ybar + beta * self.dir_y
             cpi = pibar + beta * self.dir_pi
-            dd_c = space_inner(pibar, cpi, g) + h1_pairing(ybar, cy, g)
+            dd_c = space_inner(pibar, cpi, g) + space_inner(cy, r, g)
             if dd_c > 1e-12 * gn_sq:
                 self.dir_y, self.dir_pi = cy, cpi
             else:
@@ -293,21 +345,23 @@ class _ExactStepRule:
             self.dir_y, self.dir_pi = ybar, pibar
         self.prev = (ybar, pibar, gn_sq)
 
-        coef, v1, v2 = _line_quartic(p, s, self.v, self.dir_y, self.dir_pi)
+        coef, (v1, v2), (lin, cdd) = _line_quartic(p, s, self.v, self.rhs,
+                                                   self.dir_y, self.dir_pi)
         eta = _quartic_argmin(coef)
         if eta is None:
             return "line_search_stall"
         trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
         v = self.v + eta * v1 - eta**2 * v2
-        e = energy_steady(p, trial, v)
+        rhs = self.rhs + eta * lin - eta**2 * cdd
+        e = energy_steady(p, trial, v, rhs)
         if not e < record["E"]:  # the roundoff floor: the exact step no longer descends
             return "line_search_stall"
-        self.trial = (trial, v, e)
+        self.trial = (trial, v, rhs, e)
         record["step"] = eta
         return None
 
     def advance(self, record):
-        self.state, self.v, self.e = self.trial
+        self.state, self.v, self.rhs, self.e = self.trial
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):

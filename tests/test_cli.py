@@ -195,6 +195,32 @@ class TestRuns:
                             ("div_norm_last", "div_norm")):
             assert summary[key] == last[header.index(column)] > 0.0, key
 
+    def test_unsteady_summary_carries_absolute_end_values(self, tmp_path, monkeypatch):
+        reports = []
+        original = sc.descend
+
+        def kept(*args, **kwargs):
+            state, rep = original(*args, **kwargs)
+            reports.append(rep)
+            return state, rep
+
+        monkeypatch.setattr(sc, "descend", kept)
+        assert main(["stokes-direct", f"--io.out_dir={tmp_path}/direct", "--grid.nx=5",
+                     "--grid.ny=5", "--grid.nt=5", "--problem.manufactured=true",
+                     "--solver.algorithm=cg", "--solver.max_iter=20"]) == 3
+        assert main(SPLIT5 + [f"--io.out_dir={tmp_path}/split"]) == 3
+        for run in ("direct", "split"):
+            summary = json.loads((tmp_path / run / "summary.json").read_text(),
+                                 parse_constant=_reject_constant)
+            lines = (tmp_path / run / "trace.csv").read_text().splitlines()
+            header, last = lines[0].split(","), [float(x) for x in lines[-1].split(",")]
+            assert summary["grad_norm_last"] == last[header.index("grad_norm")] > 0.0, run
+            # the split scheme's inner descents run on the heat-control energy
+            assert ("residual_norm_last" in summary) == (run == "direct")
+        residual = reports[0].extras["corrector"].weak_residual_norm
+        summary = json.loads((tmp_path / "direct" / "summary.json").read_text())
+        assert summary["residual_norm_last"] == residual > 0.0
+
     def test_split_run(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
                      "--grid.nx=5", "--grid.ny=5", "--grid.nt=5",

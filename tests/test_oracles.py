@@ -193,7 +193,7 @@ class TestFdCheck:
         from lsqctrl.steady_nse import gradient_steady
         from lsqctrl.discretization import h1_seminorm_sq, space_inner
 
-        ybar, pibar, _ = gradient_steady(p, s, return_norm=True)
+        ybar, pibar, _ = gradient_steady(p, s)
         dY = rng.standard_normal((2, g.ny, g.nx))
         dPi = rng.standard_normal((g.ny, g.nx))
         dPi -= dPi.mean()

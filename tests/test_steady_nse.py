@@ -10,8 +10,10 @@ from lsqctrl.discretization import (
     SpatialGrid,
     curl,
     div,
+    h1_pairing,
     h1_seminorm_sq,
     space_inner,
+    stencils,
 )
 from lsqctrl.oracles import (
     default_steady_case,
@@ -191,7 +193,7 @@ class TestGradientSteady:
     def test_stationary_zero_state(self):
         g = SpatialGrid(6, 6)
         p = SteadyProblem(g, 1.0, np.zeros((2, g.ny, g.nx)))
-        ybar, pibar = gradient_steady(p, SteadyState.zeros(g))
+        ybar, pibar, _ = gradient_steady(p, SteadyState.zeros(g))
         assert np.abs(ybar).max() == 0.0 and np.abs(pibar).max() == 0.0
 
     def test_fd_ladder(self):
@@ -202,7 +204,7 @@ class TestGradientSteady:
         p = small_data_problem(g, amp=1.0)
         s = SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
                         rng.standard_normal((g.ny, g.nx)))
-        ybar, pibar, _ = gradient_steady(p, s, return_norm=True)
+        ybar, pibar, _ = gradient_steady(p, s)
         dY = rng.standard_normal((2, g.ny, g.nx))
         dPi = rng.standard_normal((g.ny, g.nx))
         dPi -= dPi.mean()
@@ -232,7 +234,7 @@ class TestGradientSteady:
         p = SteadyProblem(g, 1.0, f)
         s = SteadyState(g, y, piv)
         v, _ = corrector_steady(p, s)
-        ybar, pibar = gradient_steady(p, s, v)
+        ybar, pibar, _ = gradient_steady(p, s, v)
         L, Dx, Dy, Gx, Gy = _space_ops(g)
         n = g.n_space
         # dense first-variation vector in the y block
@@ -267,26 +269,27 @@ class TestGradientSteady:
 def random_line(p, direction, seed=7):
     """A random state of p and a descent direction through it: the metric
     gradient ('steepest'), the PR+ direction of the third CG iterate
-    ('cg') or a random one ('random').  Returns (state, corrector, dir_y, dir_pi)."""
+    ('cg') or a random one ('random').  Returns (state, corrector, its
+    right-hand side, dir_y, dir_pi)."""
     g = p.grid
     rng = np.random.default_rng(seed)
     s = SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
                     rng.standard_normal((g.ny, g.nx)))
     if direction == "random":
-        v, _ = corrector_steady(p, s)
+        v, info = corrector_steady(p, s)
         d_y = rng.standard_normal((2, g.ny, g.nx))
         d_pi = rng.standard_normal((g.ny, g.nx))
         d_pi -= d_pi.mean()
         # pointed downhill: E'(0) = coef[1] < 0
-        sign = -np.sign(steady_nse._line_quartic(p, s, v, d_y, d_pi)[0][1])
-        return s, v, sign * d_y, sign * d_pi
+        sign = -np.sign(steady_nse._line_quartic(p, s, v, info["rhs"], d_y, d_pi)[0][1])
+        return s, v, info["rhs"], sign * d_y, sign * d_pi
     rule = steady_nse._ExactStepRule(p, SteadyConfig(algorithm=direction), s)
     for k in range(3):
         record = rule.measure([])
         assert rule.choose(record) is None
         if k < 2:
             rule.advance(record)
-    return rule.state, rule.v, rule.dir_y, rule.dir_pi
+    return rule.state, rule.v, rule.rhs, rule.dir_y, rule.dir_pi
 
 
 def along(s, d_y, d_pi, eta):
@@ -302,8 +305,8 @@ class TestExactStep:
 
     @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
     def test_polynomial_matches_energy(self, problem, direction):
-        s, v, d_y, d_pi = random_line(problem, direction)
-        coef, _, _ = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        s, v, rhs, d_y, d_pi = random_line(problem, direction)
+        coef, _, _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
         eta_star = steady_nse._quartic_argmin(coef)
         assert eta_star > 0
         for eta in eta_star * np.array([0.0, 0.3, 1.0, 1.7, 3.2]):
@@ -312,8 +315,8 @@ class TestExactStep:
 
     @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
     def test_carried_corrector_matches_a_fresh_solve(self, problem, direction):
-        s, v, d_y, d_pi = random_line(problem, direction)
-        coef, v1, v2 = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        s, v, rhs, d_y, d_pi = random_line(problem, direction)
+        coef, (v1, v2), _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
         eta = steady_nse._quartic_argmin(coef)
         carried = v + eta * v1 - eta**2 * v2
         fresh, _ = corrector_steady(problem, along(s, d_y, d_pi, eta))
@@ -323,8 +326,8 @@ class TestExactStep:
 
     @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
     def test_step_beats_a_dense_scan(self, problem, direction):
-        s, v, d_y, d_pi = random_line(problem, direction)
-        coef, _, _ = steady_nse._line_quartic(problem, s, v, d_y, d_pi)
+        s, v, rhs, d_y, d_pi = random_line(problem, direction)
+        coef, _, _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
         eta_star = steady_nse._quartic_argmin(coef)
         scan = [energy_steady(problem, along(s, d_y, d_pi, eta))
                 for eta in np.linspace(0.0, 4.0 * eta_star, 401)]
@@ -332,18 +335,82 @@ class TestExactStep:
         assert e_star <= min(scan)
         assert e_star < scan[0]
 
-    def test_rule_carries_the_trial_corrector(self, problem):
-        # the rule steps by the polynomial's minimizer, and the next
-        # iterate's record holds the carried energy
-        s, _, _, _ = random_line(problem, "random")
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_gram_entries_are_the_h1_pairings(self, problem, direction):
+        # h1_pairing(a, P(r)) = space_inner(a, r): the Gram product of the
+        # line's fields with their right-hand sides holds their pairings
+        s, v, rhs, d_y, d_pi = random_line(problem, direction)
+        _, fields, rhss = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
+        g = problem.grid
+        V = [v, *fields]
+        G = steady_nse._gram(V, [rhs, *rhss], g)
+        for i in range(3):
+            for j in range(3):
+                assert G[i, j] == pytest.approx(h1_pairing(V[i], V[j], g), rel=1e-12), (i, j)
+
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_carried_rhs_matches_the_momentum_residual(self, problem, direction):
+        s, v, rhs, d_y, d_pi = random_line(problem, direction)
+        coef, _, (lin, cdd) = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
+        eta = steady_nse._quartic_argmin(coef)
+        carried = rhs + eta * lin - eta**2 * cdd
+        fresh = -steady_nse._momentum_residual(problem, along(s, d_y, d_pi, eta))
+        assert np.linalg.norm(carried - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
+    def test_fused_convection_matches_the_oracle(self, problem, direction):
+        s, _, _, d_y, _ = random_line(problem, direction)
+        g = problem.grid
+        cross, cdd = steady_nse._line_convection(s.y, d_y, g)
+        ref_cross = convection(s.y, d_y, g) + convection(d_y, s.y, g)
+        ref_cdd = convection(d_y, d_y, g)
+        for got, ref in ((cross, ref_cross), (cdd, ref_cdd)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_gradient_rhs_carries_the_pairings(self, problem):
+        s, v, rhs, _, _ = random_line(problem, "random")
+        g = problem.grid
+        ybar, _, info = gradient_steady(problem, s, v)
+        r = info["rhs"]
+        a = np.random.default_rng(3).standard_normal(ybar.shape)
+        assert space_inner(a, r, g) == pytest.approx(h1_pairing(a, ybar, g), rel=1e-12)
+        assert space_inner(v, rhs, g) == pytest.approx(h1_seminorm_sq(v, g), rel=1e-12)
+
+    def test_pr_plus_direction_matches_the_edge_form_pairings(self, problem):
+        s, _, _, _, _ = random_line(problem, "random")
+        g = problem.grid
         rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
         record = rule.measure([])
         assert rule.choose(record) is None
-        coef, _, _ = steady_nse._line_quartic(problem, s, rule.v, rule.dir_y, rule.dir_pi)
-        assert record["step"] == steady_nse._quartic_argmin(coef)
-        trial, v, e = rule.trial
         rule.advance(record)
-        assert rule.measure([record])["E"] == e == energy_steady(problem, trial, v) < record["E"]
+        py, ppi, pgn_sq = rule.ybar, rule.pibar, rule.gn_sq
+        d_y, d_pi = rule.dir_y, rule.dir_pi
+        record = rule.measure([record])
+        ybar, pibar = rule.ybar, rule.pibar
+        gn_sq = h1_seminorm_sq(ybar, g) + space_inner(pibar, pibar, g)
+        assert rule.gn_sq == pytest.approx(gn_sq, rel=1e-12)
+        beta = (gn_sq - h1_pairing(ybar, py, g) - space_inner(pibar, ppi, g)) / pgn_sq
+        assert beta > 0
+        assert rule.choose(record) is None
+        for got, ref in ((rule.dir_y, ybar + beta * d_y), (rule.dir_pi, pibar + beta * d_pi)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rule_carries_the_trial_corrector(self, problem):
+        # the rule steps by the polynomial's minimizer, and the next
+        # iterate's record holds the carried energy
+        s, _, _, _, _ = random_line(problem, "random")
+        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        record = rule.measure([])
+        assert rule.choose(record) is None
+        coef, _, _ = steady_nse._line_quartic(problem, s, rule.v, rule.rhs,
+                                              rule.dir_y, rule.dir_pi)
+        assert record["step"] == steady_nse._quartic_argmin(coef)
+        trial, v, rhs, e = rule.trial
+        fresh = -steady_nse._momentum_residual(problem, trial)
+        assert np.linalg.norm(rhs - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        rule.advance(record)
+        assert (rule.measure([record])["E"] == e == energy_steady(problem, trial, v, rhs)
+                < record["E"])
 
     def test_one_corrector_solve_per_run(self, problem, monkeypatch):
         counts = {"corrector_steady": 0, "poisson_solve": 0}
@@ -364,12 +431,30 @@ class TestExactStep:
         # and one batched solve per step
         assert counts["poisson_solve"] == 2 + rep.iterates_count + len(rep.steps)
 
+    def test_run_makes_no_edge_difference_pairing(self, problem, monkeypatch):
+        # every H_0^1 pairing of a run is read off a Poisson right-hand side
+        counts = {"h1_pairing": 0, "_edge_diffs": 0}
+        for name in counts:
+            original = getattr(stencils, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(stencils, name, counted)
+        for algorithm in ("steepest", "cg"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, rep = descend_steady(problem, SteadyConfig(max_iter=20, algorithm=algorithm))
+            assert rep.iterates_count == 21
+        assert counts == {"h1_pairing": 0, "_edge_diffs": 0}
+
     def test_non_finite_polynomial_is_a_value_error(self, problem):
         # the Poisson data stay finite; the pairings of the corrector overflow
-        s, v, d_y, d_pi = random_line(problem, "random")
+        s, v, rhs, d_y, d_pi = random_line(problem, "random")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="steady step: non-finite energy polynomial"):
-                steady_nse._line_quartic(problem, s, v, 1e80 * d_y, d_pi)
+                steady_nse._line_quartic(problem, s, v, rhs, 1e80 * d_y, d_pi)
 
     def test_argmin_picks_the_lower_of_two_minima(self):
         # E = (eta - 1)^2 (eta - 3)^2 - eta/10: minima near 1 and 3, lower near 3
