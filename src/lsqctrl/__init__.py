@@ -11,14 +11,14 @@ Modules
 -------
 abstract_descent
     Dense engine for quadratic error functionals over subspaces, with
-    exact kernel projectors and pseudoinverse minimizers as oracles.
+    exact kernel projectors and pseudoinverse minimizers as oracles, and
+    the descent loop that every solver runs on.
 discretization
     Structured-grid calculus, quadrature and exact sine/eigenbasis
     solvers for the Poisson, space-time elliptic and metric problems.
 stokes_control
-    The unsteady solver: corrector, energy, metric gradient, descent,
-    diagnostics, and the alternating heat-control/pressure-update
-    scheme.
+    The unsteady solver: corrector, energy, metric gradient, descent
+    and diagnostics.
 steady_nse
     The steady Navier-Stokes direct problem by the same approach.
 oracles

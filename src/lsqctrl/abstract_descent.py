@@ -7,10 +7,9 @@ is dense, so the kernel A = Ker T \\cap H, its orthogonal projectors and
 the exact minimizer are all computable and serve as oracles for the
 matrix-free PDE machinery.
 
-``run_descent`` is the iteration loop the PDE solvers share: stop tests,
+``run_descent`` is the package's one descent loop: stop tests,
 per-iterate history, report and observer hook, around a per-method step
-rule; ``armijo_search`` is the backtracking line search of the one rule
-with no exact step, the split scheme's pressure update.
+rule.  The dense ``descend`` and the PDE solvers each supply a rule.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ __all__ = [
     "descend",
     "random_instance",
     "run_descent",
-    "armijo_search",
 ]
 
 _KERNEL_CUTOFF = 1e-10  # singular values below cutoff*sigma_max span Ker T
@@ -232,6 +230,38 @@ def oracle_minimizer(p: LsqProblem):
     return gh_isqrt @ d
 
 
+class _ExactSteepestRule:
+    """Step rule of the dense ``descend`` for ``run_descent``: the exact
+    step along the gradient, with absolute tolerances."""
+
+    diagnostics = ()
+    kernel_ratios = True
+
+    def __init__(self, p, u, tol_grad):
+        self.p, self.state, self.tol_grad = p, u, tol_grad
+
+    def measure(self, history):
+        self.g = gradient(self.p, self.state)
+        self.gn = self.p.norm_H(self.g)
+        return {"E": energy(self.p, self.state), "grad_norm": self.gn}
+
+    def choose(self, record):
+        p, g, gn = self.p, self.g, self.gn
+        if gn <= self.tol_grad:
+            return "grad_tol"
+        Tg = p._TH @ g
+        tg2 = p.Y.inner(Tg, Tg)
+        record["kernel_ratio"] = np.sqrt(max(tg2, 0.0)) / gn if gn > 0 else 0.0
+        if tg2 <= (1e-14 * gn) ** 2:
+            # direction numerically inside Ker T: no energy to extract
+            return "kernel_stall"
+        record["step"] = p.Y.inner(p.image(self.state), Tg) / tg2
+        return None
+
+    def advance(self, record):
+        self.state -= record["step"] * self.g
+
+
 def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
     """Steepest descent u_{k+1} = u_k - eta_k g_k with the exact step.
 
@@ -241,46 +271,13 @@ def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
     ``observer(record, u)`` is called as in ``run_descent``.  Returns
     (u, DescentReport), u the last iterate.
     """
-    u = p._check_u(u_init).copy()
-    energies, gnorms, steps, ratios = [], [], [], []
-    converged = False
-    reason = "max_iter"
-    for k in range(cfg.max_iter + 1):
-        e = energy(p, u)
-        g = gradient(p, u)
-        gn = p.norm_H(g)
-        energies.append(e)
-        gnorms.append(gn)
-        record = {"iter": k, "E": e, "grad_norm": gn}
-        if e <= cfg.tol_energy:
-            converged, reason = True, "energy_tol"
-        elif gn <= cfg.tol_grad:
-            converged, reason = True, "grad_tol"
-        elif k < cfg.max_iter:
-            Tg = p._TH @ g
-            tg2 = p.Y.inner(Tg, Tg)
-            record["kernel_ratio"] = np.sqrt(max(tg2, 0.0)) / gn if gn > 0 else 0.0
-            ratios.append(record["kernel_ratio"])
-            if tg2 <= (1e-14 * gn) ** 2:
-                # direction numerically inside Ker T: no energy to extract
-                reason = "kernel_stall"
-            else:
-                record["step"] = p.Y.inner(p.image(u), Tg) / tg2
-        if observer is not None:
-            observer(record, u)
-        if "step" not in record:
-            break
-        u -= record["step"] * g
-        steps.append(record["step"])
-    return u, DescentReport(
-        iterates_count=len(energies),
-        energies=np.array(energies),
-        grad_norms=np.array(gnorms),
-        converged=converged,
-        reason=reason,
-        steps=np.array(steps),
-        kernel_ratios=np.array(ratios),
-    )
+    rule = _ExactSteepestRule(p, p._check_u(u_init).copy(), cfg.tol_grad)
+    report = run_descent(rule, cfg.max_iter, tol_energy=cfg.tol_energy, observer=observer)
+    # the gradient test comes before the budget, also at the last iterate
+    if report.reason == "max_iter" and report.grad_norms[-1] <= cfg.tol_grad:
+        report.reason = "grad_tol"
+    report.converged = report.reason in ("energy_tol", "grad_tol")
+    return rule.state, report
 
 
 _CONVERGED = ("energy_tol", "grad_tol", "kernel_stall")
@@ -288,7 +285,7 @@ _CONVERGED = ("energy_tol", "grad_tol", "kernel_stall")
 
 def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0,
                 observer=None):
-    """The descent loop of the PDE solvers, around one step rule.
+    """The descent loop, around one step rule.
 
     The rule holds the method and its problem:
 
@@ -345,15 +342,3 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
         kernel_ratios=np.array(ratios) if rule.kernel_ratios else None,
         extras={f"{name}s": np.array([r[name] for r in history]) for name in rule.diagnostics},
     )
-
-
-def armijo_search(trial_energy, e, slope, eta):
-    """Halve the step from ``eta`` until ``trial_energy(eta) <= e -
-    1e-4 * eta * slope`` (slope: the descent rate along the direction).
-    Returns ``(eta, trial energy)``, or None once eta < 1e-14."""
-    while eta >= 1e-14:
-        e_trial = trial_energy(eta)
-        if e_trial <= e - 1e-4 * eta * slope:
-            return eta, e_trial
-        eta *= 0.5
-    return None

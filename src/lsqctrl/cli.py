@@ -76,9 +76,7 @@ REGISTRY = {
     "solver.tol_kernel": (float, 0.0, "kernel-ratio stopping threshold"),
     "solver.metric": (str, "a0_exact", "increment metric: a0_exact | simplified"),
     "solver.epsilon": (float, 0.0, "quasi-incompressibility weight"),
-    "solver.algorithm": (str, "steepest", "steepest | cg | split"),
-    "solver.inner_max_iter": (int, 150, "split scheme: inner budget"),
-    "solver.inner_tol_grad": (float, 1e-3, "split scheme: inner gradient target"),
+    "solver.algorithm": (str, "steepest", "steepest | cg"),
     "io.out_dir": (str, "out", "output directory"),
     "io.dump_every": (int, 0, "field dump cadence in iterations (0: final only)"),
     "seed": (int, 0, "instance seed (abstract-demo)"),
@@ -123,14 +121,12 @@ def _validate(cfg: RunConfig):
         if v[key] < 2:
             raise ConfigError(key, "must be an integer >= 2")
     for key in ("solver.tol_energy", "solver.tol_energy_rel", "solver.tol_grad",
-                "solver.tol_kernel", "solver.epsilon", "solver.inner_tol_grad"):
+                "solver.tol_kernel", "solver.epsilon"):
         if not (v[key] >= 0):
             raise ConfigError(key, "must be nonnegative")
-    for key in ("solver.max_iter", "solver.inner_max_iter"):
+    for key in ("solver.max_iter", "io.dump_every"):
         if v[key] < 0:
             raise ConfigError(key, "must be nonnegative")
-    if v["io.dump_every"] < 0:
-        raise ConfigError("io.dump_every", "must be nonnegative")
     om = v["control.omega"]
     if len(om) not in (4, 6):
         raise ConfigError("control.omega", "needs 4 or 6 comma-separated numbers")
@@ -141,10 +137,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("control.omega", "time window must lie inside [0, T]")
     if v["solver.metric"] not in ("a0_exact", "simplified"):
         raise ConfigError("solver.metric", "must be a0_exact or simplified")
-    if v["solver.algorithm"] not in ("steepest", "cg", "split"):
-        raise ConfigError("solver.algorithm", "must be steepest, cg or split")
-    if v["solver.algorithm"] == "split" and cfg.subcommand in ("stokes-direct", "steady-nse"):
-        raise ConfigError("solver.algorithm", "split applies to stokes-control only")
+    if v["solver.algorithm"] not in ("steepest", "cg"):
+        raise ConfigError("solver.algorithm", "must be steepest or cg")
     if v["solver.algorithm"] != "steepest" and cfg.subcommand == "abstract-demo":
         raise ConfigError("solver.algorithm", "abstract-demo runs steepest descent only")
     if v["problem.y0"] not in ("bump", "zero"):
@@ -354,15 +348,10 @@ def _unsteady(cfg: RunConfig, mode):
             grid, v["physics.nu"], y0, mask, mode=mode,
             epsilon=v["solver.epsilon"], metric=v["solver.metric"],
         )
-    split = v["solver.algorithm"] == "split"
     scfg = sc.SolveConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_energy_rel=v["solver.tol_energy_rel"], tol_grad=v["solver.tol_grad"],
-        tol_kernel=v["solver.tol_kernel"],
-        # the split scheme's inner descent is always steepest
-        algorithm="steepest" if split else v["solver.algorithm"],
-        inner_max_iter=v["solver.inner_max_iter"],
-        inner_tol_grad=v["solver.inner_tol_grad"],
+        tol_kernel=v["solver.tol_kernel"], algorithm=v["solver.algorithm"],
     )
     s_init = None
     if exact is not None:
@@ -370,19 +359,15 @@ def _unsteady(cfg: RunConfig, mode):
         s_init.f = exact.f.copy()
 
     def solve(observer):
-        if split:
-            return sc.split_iteration(problem, scfg, observer=observer)
         return sc.descend(problem, scfg, s_init=s_init, observer=observer)
 
     def summary(s, rep):
-        out = {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
-               "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-               "grad_norm_last": float(rep.grad_norms[-1]),
-               "div_last": float(rep.extras["div_norms"][-1]),
-               "yT_last": float(rep.extras["yT_norms"][-1])}
-        if not split:  # the split scheme solves no corrector of the full energy
-            out["residual_norm_last"] = float(rep.extras["corrector"].weak_residual_norm)
-        return out
+        return {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
+                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
+                "grad_norm_last": float(rep.grad_norms[-1]),
+                "div_last": float(rep.extras["div_norms"][-1]),
+                "yT_last": float(rep.extras["yT_norms"][-1]),
+                "residual_norm_last": float(rep.extras["corrector"].weak_residual_norm)}
 
     def l2_error(s):
         dy = s.y - exact.y

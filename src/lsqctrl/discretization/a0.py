@@ -28,7 +28,7 @@ from .elliptic import (
 from .grid import Triplet
 from .stencils import st_h1_seminorm_sq, st_inner
 
-__all__ = ["METRICS", "inner_a0", "a0_velocity_riesz", "velocity_a0_inner"]
+__all__ = ["METRICS", "inner_a0", "a0_velocity_riesz"]
 
 METRICS = ("a0_exact", "simplified")
 
@@ -42,14 +42,19 @@ def _dt_slopes(y, grid):
     return np.diff(y, axis=0) / grid.ht
 
 
-def velocity_a0_inner(y1, y2, grid, metric="a0_exact"):
-    """A0 pairing of the velocity parts only."""
+def inner_a0(u1: Triplet, u2: Triplet, metric="a0_exact"):
+    """Full A0 inner product of two triplet directions on one grid.
+
+    Oracle of the tests: the descent never forms it, it solves
+    ``a0_velocity_riesz`` instead.
+    """
+    if u1.grid != u2.grid:
+        raise ValueError("triplets live on different grids")
     _check_metric(metric)
+    grid, y1, y2 = u1.grid, u1.y, u2.y
     val = st_inner(y1, y2, grid)
     # grad pairing through polarization of the edge form
-    plus = st_h1_seminorm_sq(np.asarray(y1) + np.asarray(y2), grid)
-    minus = st_h1_seminorm_sq(np.asarray(y1) - np.asarray(y2), grid)
-    val += 0.25 * (plus - minus)
+    val += 0.25 * (st_h1_seminorm_sq(y1 + y2, grid) - st_h1_seminorm_sq(y1 - y2, grid))
     d1 = _dt_slopes(y1, grid)
     d2 = _dt_slopes(y2, grid)
     if metric == "a0_exact":
@@ -57,15 +62,6 @@ def velocity_a0_inner(y1, y2, grid, metric="a0_exact"):
         val += grid.ht * grid.hx * grid.hy * float(np.sum(g1 * d2))
     else:
         val += grid.ht**3 * grid.hx * grid.hy * float(np.sum(d1 * d2))
-    return val
-
-
-def inner_a0(u1: Triplet, u2: Triplet, metric="a0_exact"):
-    """Full A0 inner product of two triplet directions on one grid."""
-    if u1.grid != u2.grid:
-        raise ValueError("triplets live on different grids")
-    grid = u1.grid
-    val = velocity_a0_inner(u1.y, u2.y, grid, metric)
     val += st_inner(u1.f, u2.f, grid)
     val += st_inner(u1.pi, u2.pi, grid)
     return val

@@ -34,7 +34,6 @@ __all__ = [
     "sine_eigenvalues",
     "sine_transform",
     "poisson_solve",
-    "shifted_poisson_solve",
     "time_stiffness",
     "TimeBasis",
     "time_basis",
@@ -42,6 +41,7 @@ __all__ = [
     "level_slice",
     "spacetime_elliptic_solve",
     "spacetime_solve_weak",
+    "spacetime_weak_residual",
 ]
 
 
@@ -91,15 +91,12 @@ def poisson_solve(grid, rhs):
     return sine_transform(sine_transform(rhs) / lam)
 
 
-def shifted_poisson_solve(grid, rhs, shift):
-    """Solve (shift*I - lap) g = rhs, shift >= 0."""
-    rhs = np.asarray(rhs, dtype=float)
-    lam = sine_eigenvalues(grid)
-    return sine_transform(sine_transform(rhs) / (lam + shift))
-
-
 def time_stiffness(grid):
-    """(nt+1)^2 matrix of int v_t w_t for piecewise-linear fields."""
+    """(nt+1)^2 matrix of int v_t w_t for piecewise-linear fields.
+
+    Dense reference for the tests and ``spacetime_weak_residual``; the
+    solves use the closed-form ``time_basis`` instead.
+    """
     n = grid.nt + 1
     K = np.zeros((n, n))
     main = np.full(n, 2.0)
@@ -223,7 +220,8 @@ def spacetime_elliptic_solve(grid, rhs):
 
     Lateral homogeneous Dirichlet, weak v_t = 0 at t in {0, T}.  The
     right-hand side is given pointwise on the nt+1 levels; it is tested
-    with the trapezoid weights to form the weak problem.
+    with the trapezoid weights to form the weak problem.  Reference
+    harness of the tests: the solvers assemble dual vectors themselves.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
@@ -234,7 +232,10 @@ def spacetime_elliptic_solve(grid, rhs):
 
 
 def spacetime_weak_residual(grid, v, bvec):
-    """Relative residual ||A v - b|| / ||b|| of the weak system."""
+    """Relative residual ||A v - b|| / ||b|| of the weak system.
+
+    Oracle of the tests: applies A by stencils, not by the eigenbasis.
+    """
     area = grid.hx * grid.hy
     K = time_stiffness(grid)
     w = grid.time_weights()

@@ -31,7 +31,6 @@ __all__ = [
     "grad_pressure_transpose",
     "space_inner",
     "st_inner",
-    "quadrature_l2",
     "trace_norms",
     "h1_pairing",
     "h1_seminorm_sq",
@@ -194,47 +193,6 @@ def st_inner(a, b, grid):
     b = np.asarray(b)
     prod = (a * b).reshape(grid.nt + 1, -1).sum(axis=1)
     return grid.hx * grid.hy * float(prod @ grid.time_weights())
-
-
-def _space_quad_weights(grid):
-    """Boundary-replicated trapezoid weights over the interior nodes.
-
-    The half-cells touching the Dirichlet wall are attributed to the
-    first interior node (weight 3/2), which integrates constants
-    exactly and keeps second order for smooth fields; for fields
-    vanishing on the wall it differs from the plain nodal sum by
-    O(h^3).
-    """
-    wx = np.full(grid.nx, grid.hx)
-    wx[0] = wx[-1] = 1.5 * grid.hx
-    wy = np.full(grid.ny, grid.hy)
-    wy[0] = wy[-1] = 1.5 * grid.hy
-    return wy[:, None] * wx[None, :]
-
-
-def quadrature_l2(grid, *fields):
-    """Integral of the pointwise product of the given fields.
-
-    One field integrates it; two fields form their L2 pairing (vector
-    fields are dotted through the component axis).  Slices integrate
-    over Omega, space-time arrays over Q_T; trapezoid in time,
-    boundary-replicated trapezoid in space.
-    """
-    if not fields:
-        raise ValueError("need at least one field")
-    prod = np.asarray(fields[0], dtype=float)
-    for f in fields[1:]:
-        prod = prod * np.asarray(f)
-    if prod.shape[-2:] != (grid.ny, grid.nx):
-        raise ValueError("trailing axes must be the spatial grid")
-    w = _space_quad_weights(grid)
-    prod = prod * w
-    # leading axis of length nt+1 marks a space-time field (nt >= 2, so
-    # a vector slice (2, ny, nx) cannot collide with it)
-    if prod.ndim >= 3 and prod.shape[0] == grid.nt + 1:
-        per_level = prod.reshape(grid.nt + 1, -1).sum(axis=1)
-        return float(per_level @ grid.time_weights())
-    return float(np.sum(prod))
 
 
 def trace_norms(y, grid):

@@ -56,7 +56,6 @@ __all__ = [
     "energy_steady",
     "gradient_steady",
     "descend_steady",
-    "pressure_residual_indicator",
 ]
 
 
@@ -211,14 +210,6 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None):
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
-
-
-def pressure_residual_indicator(p: SteadyProblem, s: SteadyState, v=None):
-    """Auxiliary pressure-like quantity -(div y + y . v): a boundedness
-    indicator for the corrector argument, reported only as a diagnostic."""
-    if v is None:
-        v, _ = corrector_steady(p, s)
-    return -(div(s.y, p.grid) + s.y[0] * v[0] + s.y[1] * v[1])
 
 
 def _line_convection(y, d, grid):

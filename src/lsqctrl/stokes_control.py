@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_descent import armijo_search, run_descent
+from .abstract_descent import run_descent
 from .discretization import (
     SpaceTimeGrid,
     SupportMask,
@@ -43,7 +43,6 @@ from .discretization import (
     laplace,
     level_slice,
     remove_slice_means,
-    shifted_poisson_solve,
     slice_means,
     space_inner,
     spacetime_solve_weak,
@@ -65,9 +64,6 @@ __all__ = [
     "apply_T",
     "descend",
     "diagnostics",
-    "split_iteration",
-    "pressure_update_step",
-    "pressure_stationary_point",
 ]
 
 MODES = ("null_control", "direct")
@@ -143,15 +139,12 @@ class SolveConfig:
     tol_kernel: float = 0.0          # threshold on ||T g||_Y / ||g||_A0
     refresh_every: int = 50
     algorithm: str = "steepest"      # "steepest" or "cg"
-    # split-scheme knobs
-    inner_max_iter: int = 150
-    inner_tol_grad: float = 1e-3
 
     def __post_init__(self):
         if self.algorithm not in ("steepest", "cg"):
             raise ValueError("algorithm must be 'steepest' or 'cg'")
         for name in ("max_iter", "tol_energy", "tol_energy_rel", "tol_grad", "tol_kernel",
-                     "refresh_every", "inner_max_iter", "inner_tol_grad"):
+                     "refresh_every"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -202,6 +195,12 @@ def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
 
 def _corrector_rhs(p, s: Triplet):
     return -_residual_vector(p, s.y, s.pi, s.f)
+
+
+def _direction_rhs(p, d: Triplet):
+    """Corrector right-hand side of a direction: its residual without the
+    data, and without the control where the control is frozen."""
+    return -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
 
 
 def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
@@ -255,7 +254,7 @@ def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
     """
     _check_direction(p, d)
     corr = corr or corrector(p, s)
-    bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
+    bd = _direction_rhs(p, d)
     val = float(np.sum(bd * corr.v))
     q = div_part(s.y, s.pi, p.grid, p.epsilon)
     qd = div_part(d.y, d.pi, p.grid, p.epsilon)
@@ -263,25 +262,25 @@ def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
 
 
 def apply_T(p: ControlProblem, d: Triplet):
-    """Image of a direction: its corrector paired with div Y + eps*Pi."""
+    """Image of a direction: its corrector paired with div Y + eps*Pi.
+
+    Oracle of the tests: the descent computes the same image inline.
+    """
     _check_direction(p, d)
-    bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
+    bd = _direction_rhs(p, d)
     v = spacetime_solve_weak(p.grid, bd)
     energy_sq = max(float(np.sum(v * bd)), 0.0)
     return CorrectorField(v, np.sqrt(energy_sq)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, frozen_pressure=False,
-                return_norm=False):
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False):
     """Riesz representative of E'(s) in the increment metric.
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support
     (global sign SIGMA, resolved by the finite-difference oracle).  The
     velocity component solves the metric problem with the H^-1 term
-    when metric='a0_exact'.  With frozen_pressure (the split scheme's
-    inner phase) the pressure is data: there is no pressure component
-    and no divergence term.
+    when metric='a0_exact'.
     """
     grid = p.grid
     corr = corr or corrector(p, s)
@@ -290,19 +289,17 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, frozen_pressure=False,
     w = grid.time_weights()[:, None, None, None]
 
     g = Triplet.zeros(grid)
-    if not frozen_pressure:
-        q = div_part(s.y, s.pi, p.grid, p.epsilon)
-        pibar = SIGMA * (-grad_pressure_transpose(v, grid))
-        if p.epsilon:
-            pibar = pibar + p.epsilon * q
-        g.pi = remove_slice_means(pibar)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    pibar = SIGMA * (-grad_pressure_transpose(v, grid))
+    if p.epsilon:
+        pibar = pibar + p.epsilon * q
+    g.pi = remove_slice_means(pibar)
     if p.mode == "null_control":
         g.f = SIGMA * (p.mask_array() * v)
 
     rvec = -_dt_adjoint_vector(v, grid)
     rvec += p.nu * area * w * laplace(v, grid, compact=True)
-    if not frozen_pressure:
-        rvec -= area * w * grad(q, grid)
+    rvec -= area * w * grad(q, grid)
     sl = level_slice(grid, p.fixed_traces)
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric)
     g.y[sl] = ybar
@@ -348,19 +345,12 @@ class _MetricGradientRule:
     diagnostics = ("div_norm", "yT_norm", "f_norm")
     kernel_ratios = True
 
-    def __init__(self, p, cfg, s, frozen_pressure):
+    def __init__(self, p, cfg, s):
         self.p, self.cfg, self.state = p, cfg, s
-        self.frozen_pressure = frozen_pressure
         self.corr = corrector(p, s)
-        self.q = self.div_term(s)
+        self.q = div_part(s.y, s.pi, p.grid, p.epsilon)
         self.pdir = self.gn_sq_prev = self.pn_sq_prev = None
         self.restarted = False
-
-    def div_term(self, s):
-        """div y + eps*pi of s, or zero when the pressure is frozen."""
-        if self.frozen_pressure:
-            return self.p.grid.scalar_zeros()
-        return div_part(s.y, s.pi, self.p.grid, self.p.epsilon)
 
     def corrector_energy_sq(self):
         v, grid = self.corr.v, self.p.grid
@@ -372,7 +362,7 @@ class _MetricGradientRule:
         if cfg.refresh_every and it and it % cfg.refresh_every == 0:
             s.pi = remove_slice_means(s.pi)
             self.corr = corrector(p, s)
-            self.q = self.div_term(s)
+            self.q = div_part(s.y, s.pi, grid, p.epsilon)
         e = 0.5 * (self.corrector_energy_sq() + st_inner(self.q, self.q, grid))
         if not history and not np.isfinite(e):
             raise DescentDivergence(f"non-finite initial energy: {e}")
@@ -386,8 +376,7 @@ class _MetricGradientRule:
                 raise DescentDivergence(
                     f"energy increased at iteration {it}: {history[-1]['E']} -> {e}"
                 )
-        self.g, self.gn_sq = gradient_a0(p, s, self.corr, frozen_pressure=self.frozen_pressure,
-                                         return_norm=True)
+        self.g, self.gn_sq = gradient_a0(p, s, self.corr, return_norm=True)
         return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
 
     def choose(self, record):
@@ -404,9 +393,9 @@ class _MetricGradientRule:
             d, pn_sq = self.g, gn_sq
         self.gn_sq_prev, self.pn_sq_prev = gn_sq, pn_sq
 
-        bd = -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
+        bd = _direction_rhs(p, d)
         self.Vd = spacetime_solve_weak(grid, bd)
-        self.qd = self.div_term(d)
+        self.qd = div_part(d.y, d.pi, grid, p.epsilon)
         td_sq = max(float(np.sum(self.Vd * bd)), 0.0) + st_inner(self.qd, self.qd, grid)
         ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
         if (self.cfg.tol_kernel and ratio <= self.cfg.tol_kernel) or td_sq <= 1e-28 * gn_sq:
@@ -424,7 +413,7 @@ class _MetricGradientRule:
 
 
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
-            _frozen_pressure=False, observer=None):
+            observer=None):
     """Minimizing sequence s_k = s_A + u_k driven by the metric gradient.
 
     algorithm='steepest' updates u_{k+1} = u_k - eta_k g_k with the
@@ -438,162 +427,9 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     every iterate (see ``abstract_descent.run_descent``); records carry
     ``kernel_ratio``, ``div_norm``, ``yT_norm`` and ``f_norm``.
     """
-    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy(), _frozen_pressure)
+    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy())
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
     rule.corr.weak_residual_norm = np.sqrt(max(rule.corrector_energy_sq(), 0.0))
     report.extras["corrector"] = rule.corr
-    return rule.state, report
-
-
-# ---------------------------------------------------------------------------
-# split scheme: heat-control inner solve, adjoint pressure update
-# ---------------------------------------------------------------------------
-
-def _heat_forward(p: ControlProblem, pi, f):
-    """Implicit-Euler solve of y_t - nu lap y = f 1_omega - grad pi, y(0)=y0."""
-    grid = p.grid
-    nu_ht = p.nu * grid.ht
-    mask = p.mask_array()
-    gp = grad_pressure(pi, grid)
-    y = grid.vector_zeros()
-    y[0] = p.y0
-    for k in range(grid.nt):
-        rhs = y[k] + grid.ht * (mask[k + 1] * f[k + 1] - gp[k + 1])
-        y[k + 1] = shifted_poisson_solve(grid, rhs / nu_ht, shift=1.0 / nu_ht)
-    return y
-
-
-def _div_cost(p, y):
-    dv = div(y, p.grid)
-    return 0.5 * st_inner(dv, dv, p.grid), dv
-
-
-def _pressure_cost_gradient(p: ControlProblem, y):
-    """L2(0,T;U)-Riesz gradient of G(pi) = 1/2 ||div y(pi)||^2.
-
-    Exact adjoint of the implicit-Euler forward map: one backward heat
-    solve (implicit Euler reversed, vanishing beyond t=T), then the
-    one-sided pressure stencil transposed.  Matches central differences
-    of G to roundoff because G is quadratic in pi.
-    """
-    grid = p.grid
-    area = grid.hx * grid.hy
-    w = grid.time_weights()
-    nu_ht = p.nu * grid.ht
-    dv = div(y, grid)
-    r = -area * w[:, None, None, None] * grad(dv, grid)
-    padj = np.zeros_like(y)
-    nxt = np.zeros_like(y[0])
-    for k in range(grid.nt, 0, -1):
-        padj[k] = shifted_poisson_solve(grid, (nxt + r[k]) / nu_ht, shift=1.0 / nu_ht)
-        nxt = padj[k]
-    gbar = np.zeros_like(dv)
-    gbar[1:] = -grid.ht * grad_pressure_transpose(padj[1:], grid) / (
-        area * w[1:, None, None]
-    )
-    return remove_slice_means(gbar)
-
-
-class _PressureRule:
-    """Step rule of the split scheme for ``run_descent``: Armijo steps on
-    the divergence cost G (the record's E) at frozen control, each from
-    twice the previous step.  With ``inner`` set, each iterate first runs
-    that frozen-pressure ``descend`` in (y, f)."""
-
-    diagnostics = ("div_norm", "yT_norm", "f_norm")
-    kernel_ratios = False
-
-    def __init__(self, p, s, eta_init, inner=None):
-        self.p, self.state, self.eta_init, self.inner = p, s, eta_init, inner
-        self.G_after = []
-
-    def measure(self, history):
-        p, grid = self.p, self.p.grid
-        if self.inner is not None:
-            self.state, _ = descend(p, self.inner, s_init=self.state, _frozen_pressure=True)
-        s = self.state
-        y_ie = _heat_forward(p, s.pi, s.f)
-        G, _ = _div_cost(p, y_ie)
-        self.gbar = _pressure_cost_gradient(p, y_ie)
-        self.gn_sq = st_inner(self.gbar, self.gbar, grid)
-        return {"E": G, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
-
-    def choose(self, record):
-        p, s = self.p, self.state
-
-        def trial_cost(eta):
-            self.pi_next = remove_slice_means(s.pi - eta * self.gbar)
-            return _div_cost(p, _heat_forward(p, self.pi_next, s.f))[0]
-
-        found = armijo_search(trial_cost, record["E"], self.gn_sq, self.eta_init)
-        if found is None:
-            return "line_search_stall"
-        record["step"], G_after = found
-        self.eta_init = min(record["step"] * 2.0, 1e6)
-        self.G_after.append(G_after)
-        return None
-
-    def advance(self, record):
-        self.state.pi = self.pi_next
-
-
-def pressure_update_step(p: ControlProblem, pi, f, eta_init=1.0):
-    """One backtracked gradient step of the divergence cost at frozen f.
-
-    Returns (new_pi, info); info carries G before/after, the gradient
-    norm and the accepted step (0 when the search stalled).  The
-    accepted step never increases G.
-    """
-    rule = _PressureRule(p, Triplet(p.grid, p.grid.vector_zeros(), pi, f), eta_init)
-    record = rule.measure([])
-    info = {"G": record["E"], "G_after": record["E"], "grad_norm": record["grad_norm"],
-            "step": 0.0}
-    if rule.choose(record):
-        return pi, info
-    return rule.pi_next, {**info, "G_after": rule.G_after[0], "step": record["step"]}
-
-
-def pressure_stationary_point(p: ControlProblem, f, pi_init=None, max_steps=500,
-                              tol_grad=1e-8):
-    """Pressure steps at frozen control until the cost gradient falls to
-    tol_grad times its first value (the divergence cost is quadratic in
-    the pressure, so the backtracked iteration converges to its unique
-    mean-free minimizer).  Returns (pi, DescentReport)."""
-    grid = p.grid
-    pi = remove_slice_means(pi_init) if pi_init is not None else grid.scalar_zeros()
-    rule = _PressureRule(p, Triplet(grid, grid.vector_zeros(), pi, f), eta_init=1.0)
-    report = run_descent(rule, max_steps, tol_grad=tol_grad)
-    return rule.state.pi, report
-
-
-def split_iteration(p: ControlProblem, cfg: SolveConfig, observer=None):
-    """Alternating scheme for null control, one round per iterate:
-
-    (a) least-squares descent in (y, f) at frozen pressure (the same
-        machinery with the pressure direction and divergence penalty
-        off), driving the heat-control residual down;
-    (b) one backtracked gradient step on the pressure for the
-        divergence cost G of the frozen-control heat solution (exact
-        implicit-Euler adjoint), which never increases that cost.
-
-    The inner phase keeps the plain gradient update: its kernel is
-    large and conjugate recombination drifts along it.  Returns (s,
-    DescentReport) with one iterate per round, as ``descend`` does, but
-    E is G before the round's pressure step (the targets apply to G and
-    its gradient), there is no kernel ratio, and ``extras["G_after"]``
-    holds G after each accepted pressure step.
-    """
-    if p.mode != "null_control":
-        raise ValueError("split iteration applies to null-control problems")
-    inner = SolveConfig(
-        max_iter=cfg.inner_max_iter,
-        tol_grad=cfg.inner_tol_grad,
-        refresh_every=cfg.refresh_every,
-        algorithm="steepest",
-    )
-    rule = _PressureRule(p, lift_sA(p), eta_init=2.0, inner=inner)
-    report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
-                         cfg.tol_grad, observer)
-    report.extras["G_after"] = np.array(rule.G_after)
     return rule.state, report

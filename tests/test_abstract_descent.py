@@ -271,8 +271,6 @@ NAN = float("nan")
     lambda: SolveConfig(tol_energy_rel=NAN),
     lambda: SolveConfig(max_iter=NAN),
     lambda: SolveConfig(refresh_every=-3),
-    lambda: SolveConfig(inner_max_iter=-1),
-    lambda: SolveConfig(inner_tol_grad=NAN),
     lambda: SteadyConfig(max_iter=-1),
     lambda: SteadyConfig(tol_grad=NAN),
     lambda: SteadyConfig(tol_energy=NAN),
@@ -280,7 +278,7 @@ NAN = float("nan")
     lambda: SteadyConfig(tol_energy_rel=-0.5),
 ], ids=["descent-tol_grad", "descent-tol_energy", "descent-max_iter",
         "solve-tol_grad", "solve-tol_energy_rel", "solve-max_iter", "solve-refresh_every",
-        "solve-inner_max_iter", "solve-inner_tol_grad", "steady-max_iter", "steady-tol_grad",
+        "steady-max_iter", "steady-tol_grad",
         "steady-tol_energy", "steady-tol_energy_rel-nan", "steady-tol_energy_rel"])
 def test_config_rejects_negative_and_nan_fields(make):
     with pytest.raises(ValueError):

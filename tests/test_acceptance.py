@@ -359,37 +359,6 @@ def test_criterion_7_null_control_run():
            f"structural bound {bound:.2f}), {elapsed:.0f}s")
 
 
-def test_criterion_8_split_iteration_consistency():
-    """Pressure-cost gradient matches central FD to 1e-5; the outer
-    pressure update never increases the cost under backtracking."""
-    from lsqctrl.stokes_control import (_div_cost, _heat_forward,
-                                        _pressure_cost_gradient)
-
-    rng = np.random.default_rng(3)
-    g = SpaceTimeGrid(6, 6, 6)
-    p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0))
-    worst = 0.0
-    for _ in range(3):
-        pi = remove_slice_means(rng.standard_normal((g.nt + 1, g.ny, g.nx)))
-        f = p.mask_array() * rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
-        y_ie = _heat_forward(p, pi, f)
-        gbar = _pressure_cost_gradient(p, y_ie)
-        dpi = remove_slice_means(rng.standard_normal(pi.shape))
-        ref = st_inner(gbar, dpi, g)
-        h = 1e-4
-        fd = (_div_cost(p, _heat_forward(p, pi + h * dpi, f))[0]
-              - _div_cost(p, _heat_forward(p, pi - h * dpi, f))[0]) / (2 * h)
-        worst = max(worst, abs(fd - ref) / max(abs(ref), 1e-300))
-        assert fd == pytest.approx(ref, rel=1e-5)
-
-    s, rep = sc.split_iteration(p, sc.SolveConfig(
-        max_iter=6, tol_energy=1e-12, inner_max_iter=80, inner_tol_grad=1e-3))
-    G_after = rep.extras["G_after"]
-    assert (G_after <= rep.energies[:len(G_after)] + 1e-15).all()
-    report(8, "split-iteration consistency",
-           f"worst FD rel {worst:.2e}, {len(rep.energies)} outer rounds monotone")
-
-
 def test_criterion_9_cli_determinism_and_validation(tmp_path):
     """Identical configs give bit-identical traces; documented malformed
     inputs are rejected with exit code 2."""

@@ -15,7 +15,6 @@ import lsqctrl
 from lsqctrl import abstract_descent as ad
 from lsqctrl import steady_nse as sn
 from lsqctrl import stokes_control as sc
-from lsqctrl.discretization import st_inner
 from lsqctrl.cli import (
     SUBCOMMANDS,
     ConfigError,
@@ -31,12 +30,6 @@ from lsqctrl.cli import (
 # iterates it must run exactly as without
 CG8 = ["stokes-control", "--grid.nx=8", "--grid.ny=8", "--grid.nt=8",
        "--solver.algorithm=cg", "--solver.max_iter=40", "--control.omega=0,0.34,0,1"]
-
-# 5^3 split run of 4 rounds (3 pressure steps) whose control changes every round
-SPLIT5 = ["stokes-control", "--grid.nx=5", "--grid.ny=5", "--grid.nt=5",
-          "--solver.algorithm=split", "--solver.max_iter=3",
-          "--solver.inner_max_iter=40", "--solver.inner_tol_grad=1e-2",
-          "--control.omega=0,0.34,0,1"]
 
 
 def invoke(args, cwd=None):
@@ -208,64 +201,17 @@ class TestRuns:
         assert main(["stokes-direct", f"--io.out_dir={tmp_path}/direct", "--grid.nx=5",
                      "--grid.ny=5", "--grid.nt=5", "--problem.manufactured=true",
                      "--solver.algorithm=cg", "--solver.max_iter=20"]) == 3
-        assert main(SPLIT5 + [f"--io.out_dir={tmp_path}/split"]) == 3
-        for run in ("direct", "split"):
+        assert main(["stokes-control", f"--io.out_dir={tmp_path}/control", "--grid.nx=5",
+                     "--grid.ny=5", "--grid.nt=5", "--control.omega=0,0.34,0,1",
+                     "--solver.algorithm=cg", "--solver.max_iter=20"]) == 3
+        for run, rep in zip(("direct", "control"), reports, strict=True):
             summary = json.loads((tmp_path / run / "summary.json").read_text(),
                                  parse_constant=_reject_constant)
             lines = (tmp_path / run / "trace.csv").read_text().splitlines()
             header, last = lines[0].split(","), [float(x) for x in lines[-1].split(",")]
             assert summary["grad_norm_last"] == last[header.index("grad_norm")] > 0.0, run
-            # the split scheme's inner descents run on the heat-control energy
-            assert ("residual_norm_last" in summary) == (run == "direct")
-        residual = reports[0].extras["corrector"].weak_residual_norm
-        summary = json.loads((tmp_path / "direct" / "summary.json").read_text())
-        assert summary["residual_norm_last"] == residual > 0.0
-
-    def test_split_run(self, tmp_path):
-        code = main(["stokes-control", f"--io.out_dir={tmp_path}",
-                     "--grid.nx=5", "--grid.ny=5", "--grid.nt=5",
-                     "--solver.algorithm=split", "--solver.max_iter=3",
-                     "--solver.inner_max_iter=40", "--solver.inner_tol_grad=1e-2",
-                     "--control.omega=0,0.34,0,1"])
-        assert code in (0, 3)
-        assert (tmp_path / "trace.csv").exists()
-
-    def test_split_trace_rows_describe_their_round(self, tmp_path, monkeypatch):
-        seen = []
-        original = sc.split_iteration
-
-        def watched(*args, observer, **kwargs):
-            def observe(record, state):
-                seen.append(np.sqrt(st_inner(state.f, state.f, state.grid)))
-                observer(record, state)
-            return original(*args, observer=observe, **kwargs)
-
-        monkeypatch.setattr(sc, "split_iteration", watched)
-        assert main(SPLIT5 + [f"--io.out_dir={tmp_path}"]) == 3
-        lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert lines[0] == "iter,E,grad_norm,step,kernel_ratio,div_norm,yT_norm,f_norm"
-        assert [float(line.split(",")[7]) for line in lines[1:]] == seen
-        assert len(set(seen)) == 4
-
-    def test_split_dump_every_snapshots_each_round(self, tmp_path):
-        for every in (0, 1):
-            assert main(SPLIT5 + [f"--io.dump_every={every}",
-                                  f"--io.out_dir={tmp_path}/d{every}"]) == 3
-        fields = tmp_path / "d1" / "fields"
-        for tag in ("y", "pi", "f"):
-            assert sorted(p.name for p in fields.glob(f"iter*_{tag}.bin")) == [
-                f"iter{k:06d}_{tag}.bin" for k in range(4)]
-        assert (fields / "iter000003_f.bin").read_bytes() == (fields / "final_f.bin").read_bytes()
-        d0, d1 = (tmp_path / "d0" / "trace.csv"), (tmp_path / "d1" / "trace.csv")
-        assert d0.read_bytes() == d1.read_bytes()
-
-    def test_split_stops_on_relative_energy(self, tmp_path):
-        assert main(SPLIT5 + ["--solver.tol_energy_rel=0.7", f"--io.out_dir={tmp_path}"]) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["reason"] == "energy_tol"
-        assert summary["E_last"] <= 0.7 * summary["E_first"]
-        lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert len(lines) == summary["iterations"] + 1 < 5
+            residual = rep.extras["corrector"].weak_residual_norm
+            assert summary["residual_norm_last"] == residual > 0.0, run
 
     def test_steady_stops_on_relative_energy(self, tmp_path):
         code = main(["steady-nse", f"--io.out_dir={tmp_path}", "--grid.nx=6", "--grid.ny=6",
@@ -384,6 +330,10 @@ class TestProcessLevel:
         # the dense engine has only the exact steepest step
         ["abstract-demo", "--solver.algorithm=cg"],
         ["abstract-demo", "--solver.algorithm=split"],
+        # the algorithm and the keys of the removed splitting scheme
+        ["stokes-control", "--solver.algorithm=split"],
+        ["stokes-control", "--solver.inner_max_iter=5"],
+        ["stokes-control", "--solver.inner_tol_grad=1e-3"],
     ], ids=lambda argv: " ".join(a for a in argv if a != "stokes-control"))
     def test_nan_value_exits_2_with_key_name(self, tmp_path, argv):
         r = invoke(argv + [f"--io.out_dir={tmp_path}/out"])
@@ -511,7 +461,7 @@ class TestExitCodeContract:
                                            st.sampled_from([1e160, 1e300])),
             "control.omega": st.sampled_from(["0,1,0,1", "0,0.34,0,1", "0,1,0,0.5,0.2,0.8"]),
             "solver.max_iter": st.integers(0, 5),
-            "solver.algorithm": st.sampled_from(["steepest", "cg", "split"]),
+            "solver.algorithm": st.sampled_from(["steepest", "cg"]),
             "problem.manufactured": st.sampled_from(["true", "false"]),
         }),
         broken=st.one_of(st.none(), st.sampled_from(sorted(BROKEN)).flatmap(
@@ -525,7 +475,7 @@ class TestExitCodeContract:
                   for key, val in values.items()]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
-            code = main([sub, *flags, "--solver.inner_max_iter=20", f"--io.out_dir={out}"])
+            code = main([sub, *flags, f"--io.out_dir={out}"])
             assert code in (0, 2, 3, 4)
             if code == 2:
                 assert not out.exists()

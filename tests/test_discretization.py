@@ -19,7 +19,6 @@ from lsqctrl.discretization import (
     laplace,
     level_slice,
     poisson_solve,
-    quadrature_l2,
     remove_slice_means,
     sine_eigenvalues,
     sine_transform,
@@ -194,6 +193,14 @@ class TestStencils:
         lhs = space_inner(grad_pressure(s, g), v, g)
         rhs = space_inner(s, grad_pressure_transpose(v, g), g)
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_trace_norms(self):
+        g = SpaceTimeGrid(6, 6, 4)
+        y = g.vector_zeros()
+        y[0, 0] = 1.0
+        n0, nT = trace_norms(y, g)
+        assert n0 == pytest.approx(np.sqrt(g.hx * g.hy * g.n_space))
+        assert nT == 0.0
 
 
 class TestPoisson:
@@ -388,48 +395,6 @@ class TestTimeBasis:
                 assert np.array_equal(got, ref)
                 assert not got.flags.writeable
                 assert mode_denominators(g, fixed, rule) is got
-
-
-class TestQuadrature:
-    def test_constant_one_over_unit_qt(self):
-        g = SpaceTimeGrid(9, 9, 6)
-        ones = np.ones((g.nt + 1, g.ny, g.nx))
-        assert quadrature_l2(g, ones) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sin2_integral_second_order(self):
-        errs = []
-        for n in (16, 32, 64):
-            g = SpaceTimeGrid(n, n, 2)
-            X, Y = g.meshgrid()
-            f = np.sin(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2
-            errs.append(abs(quadrature_l2(g, f) - 0.25))
-        assert errs[0] <= 1e-2
-        assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
-
-    def test_zero_field(self):
-        g = SpaceTimeGrid(4, 4, 2)
-        assert quadrature_l2(g, np.zeros((g.ny, g.nx))) == 0.0
-
-    def test_pairing_matches_energy_rule_for_wall_vanishing_fields(self):
-        # for fields decaying toward the wall the quadrature agrees with
-        # the plain nodal pairing used inside the functionals to O(h^3)
-        g = SpaceTimeGrid(24, 24, 3)
-        X, Y = g.meshgrid()
-        bump = (np.sin(np.pi * X) * np.sin(np.pi * Y)) ** 2
-        a = np.broadcast_to(bump, (g.nt + 1, g.ny, g.nx)).copy()
-        assert quadrature_l2(g, a, a) == pytest.approx(st_inner(a, a, g), rel=2e-3)
-        # symmetry and bilinearity of the pairing form
-        rng = np.random.default_rng(11)
-        b = rng.standard_normal(a.shape)
-        assert quadrature_l2(g, a, b) == pytest.approx(quadrature_l2(g, b, a), rel=1e-13)
-
-    def test_trace_norms(self):
-        g = SpaceTimeGrid(6, 6, 4)
-        y = g.vector_zeros()
-        y[0, 0] = 1.0
-        n0, nT = trace_norms(y, g)
-        assert n0 == pytest.approx(np.sqrt(g.hx * g.hy * g.n_space))
-        assert nT == 0.0
 
 
 def dense_a0_gram(g, metric="a0_exact"):

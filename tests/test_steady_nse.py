@@ -29,7 +29,6 @@ from lsqctrl.steady_nse import (
     descend_steady,
     energy_steady,
     gradient_steady,
-    pressure_residual_indicator,
 )
 
 
@@ -255,16 +254,6 @@ class TestGradientSteady:
         assert np.abs(ybar - ybar_dense).max() <= 1e-8 * max(np.abs(ybar_dense).max(), 1e-30)
         assert np.abs(pibar - pibar_dense).max() <= 1e-8 * max(np.abs(pibar_dense).max(), 1e-30)
 
-    def test_pressure_residual_indicator_shape(self):
-        g = SpatialGrid(6, 6)
-        p = small_data_problem(g)
-        rng = np.random.default_rng(6)
-        s = SteadyState(g, 0.1 * rng.standard_normal((2, g.ny, g.nx)),
-                        rng.standard_normal((g.ny, g.nx)))
-        ind = pressure_residual_indicator(p, s)
-        assert ind.shape == (g.ny, g.nx)
-        assert np.isfinite(ind).all()
-
 
 def random_line(p, direction, seed=7):
     """A random state of p and a descent direction through it: the metric
@@ -394,6 +383,34 @@ class TestExactStep:
         assert rule.choose(record) is None
         for got, ref in ((rule.dir_y, ybar + beta * d_y), (rule.dir_pi, pibar + beta * d_pi)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("restart", [True, False])
+    def test_pr_plus_restart_reads_the_h1_pairing(self, problem, restart):
+        # The previous direction D = a r + b ybar (r: the gradient's
+        # right-hand side, ybar = P(r)) is built so that its H_0^1 and L2
+        # pairings with ybar disagree on whether ybar + D descends; the
+        # rule must restart to the gradient exactly when the H_0^1 x L^2
+        # pairing says it does not.
+        s, _, _, _, _ = random_line(problem, "random")
+        g = problem.grid
+        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        record = rule.measure([])
+        ybar, pibar, gn_sq, r = rule.ybar, rule.pibar, rule.gn_sq, rule.r
+        # a zero previous gradient of norm gn_sq makes beta exactly 1
+        rule.prev = (np.zeros_like(ybar), np.zeros_like(pibar), gn_sq)
+        l2_sq = space_inner(pibar, pibar, g) + space_inner(ybar, ybar, g)
+        pairings = np.array([[h1_pairing(r, ybar, g), h1_pairing(ybar, ybar, g)],
+                             [space_inner(r, ybar, g), space_inner(ybar, ybar, g)]])
+        # targets for (h1_pairing(D, ybar), space_inner(D, ybar))
+        target = [-2.0 * gn_sq, 0.0] if restart else [0.0, -2.0 * l2_sq]
+        a, b = np.linalg.solve(pairings, target)
+        rule.dir_y, rule.dir_pi = a * r + b * ybar, np.zeros_like(pibar)
+        assert h1_pairing(ybar + rule.dir_y, ybar, g) + space_inner(pibar, pibar, g) == (
+            pytest.approx(gn_sq if not restart else -gn_sq, rel=1e-8))
+        expected = ybar if restart else ybar + rule.dir_y
+        rule.choose(record)
+        assert np.array_equal(rule.dir_y, expected)
+        assert np.array_equal(rule.dir_pi, pibar)
 
     def test_rule_carries_the_trial_corrector(self, problem):
         # the rule steps by the polynomial's minimizer, and the next

@@ -1,4 +1,4 @@
-"""Unsteady solver: corrector, energy, gradients, descent, split scheme."""
+"""Unsteady solver: corrector, energy, gradients, descent."""
 
 import json
 from pathlib import Path
@@ -504,95 +504,6 @@ class TestDiagnostics:
                                   mode="direct")
             vals.append(sc.diagnostics(p, trip)["weak_residual"])
         assert vals[0] / vals[1] >= 3.4
-
-
-class TestSplitIteration:
-    def test_pressure_gradient_matches_fd(self):
-        from lsqctrl.stokes_control import (_div_cost, _heat_forward,
-                                            _pressure_cost_gradient)
-
-        rng = np.random.default_rng(15)
-        p = small_problem()
-        g = p.grid
-        pi = remove_slice_means(rng.standard_normal((g.nt + 1, g.ny, g.nx)))
-        f = p.mask_array() * rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
-        y_ie = _heat_forward(p, pi, f)
-        gbar = _pressure_cost_gradient(p, y_ie)
-        dpi = remove_slice_means(rng.standard_normal(pi.shape))
-        ref = st_inner(gbar, dpi, g)
-        eps = 1e-4
-        Gp = _div_cost(p, _heat_forward(p, pi + eps * dpi, f))[0]
-        Gm = _div_cost(p, _heat_forward(p, pi - eps * dpi, f))[0]
-        fd = (Gp - Gm) / (2 * eps)
-        assert fd == pytest.approx(ref, rel=1e-5)
-
-    def test_stationary_pressure_no_movement(self):
-        from lsqctrl.stokes_control import pressure_stationary_point, pressure_update_step
-
-        rng = np.random.default_rng(16)
-        p = small_problem()
-        f = p.mask_array() * rng.standard_normal((p.grid.nt + 1, 2, p.grid.ny, p.grid.nx))
-        pi_star, rep = pressure_stationary_point(p, f, max_steps=2000, tol_grad=1e-8)
-        assert rep.grad_norms[-1] <= 1e-6
-        pi2, info2 = pressure_update_step(p, pi_star, f)
-        assert np.abs(pi2 - pi_star).max() <= 1e-8
-
-    def test_joint_pressure_near_stationary(self):
-        # pressure from the converged joint descent nearly annihilates
-        # the split cost gradient (relative to a zero pressure)
-        from lsqctrl.stokes_control import _heat_forward, _pressure_cost_gradient
-
-        p = small_problem()
-        s, _ = sc.descend(p, sc.SolveConfig(max_iter=3000, tol_grad=1e-7,
-                                            algorithm="cg"))
-        g_joint = _pressure_cost_gradient(p, _heat_forward(p, s.pi, s.f))
-        g_zero = _pressure_cost_gradient(p, _heat_forward(p, np.zeros_like(s.pi), s.f))
-        nj = np.sqrt(st_inner(g_joint, g_joint, p.grid))
-        n0 = np.sqrt(st_inner(g_zero, g_zero, p.grid))
-        assert nj <= 0.1 * n0
-
-    def test_zero_data_immediate(self):
-        g = SpaceTimeGrid(5, 5, 5)
-        p = sc.ControlProblem(g, 1.0, np.zeros((2, 5, 5)),
-                              SupportMask(0.0, 1 / 3, 0.0, 1.0))
-        s, rep = sc.split_iteration(p, sc.SolveConfig(max_iter=10, tol_energy=1e-14,
-                                                      inner_max_iter=50))
-        assert rep.converged and len(rep.energies) == 1 and rep.energies[0] == 0.0
-
-    def test_outer_steps_never_increase_G(self):
-        p = small_problem()
-        s, rep = sc.split_iteration(p, sc.SolveConfig(
-            max_iter=6, tol_energy=1e-12, inner_max_iter=80, inner_tol_grad=1e-3))
-        G_after = rep.extras["G_after"]
-        assert len(G_after) == len(rep.steps)
-        assert (G_after <= rep.energies[:len(G_after)] + 1e-15).all()
-        assert np.array_equal(s.y[0], p.y0)
-        assert np.abs(s.y[-1]).max() == 0.0
-
-    def test_noop_observer_leaves_report_bit_identical(self):
-        p = small_problem()
-        cfg = sc.SolveConfig(max_iter=4, inner_max_iter=30, inner_tol_grad=1e-3)
-        s0, rep0 = sc.split_iteration(p, cfg)
-        records = []
-        s1, rep1 = sc.split_iteration(
-            p, cfg, observer=lambda rec, s: records.append((dict(rec), s.copy())))
-        assert (rep0.iterates_count, rep0.reason) == (rep1.iterates_count, rep1.reason)
-        for name in ("energies", "grad_norms", "steps"):
-            assert np.array_equal(getattr(rep0, name), getattr(rep1, name)), name
-        for name in ("div_norms", "yT_norms", "f_norms", "G_after"):
-            assert np.array_equal(rep0.extras[name], rep1.extras[name]), name
-        for name in ("y", "pi", "f"):
-            assert np.array_equal(getattr(s0, name), getattr(s1, name))
-        assert [r["iter"] for r, _ in records] == list(range(rep1.iterates_count))
-        # each record describes the state the observer was shown
-        for rec, s in records:
-            assert rec["f_norm"] == np.sqrt(st_inner(s.f, s.f, p.grid))
-            assert rec["yT_norm"] == trace_norms(s.y, p.grid)[1]
-
-    def test_direct_mode_rejected(self):
-        p = small_problem(mode="direct")
-        with pytest.raises(ValueError):
-            sc.split_iteration(p, sc.SolveConfig(max_iter=2))
 
 
 class TestDivergenceGuard:
