@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -451,8 +452,11 @@ def run(cfg: RunConfig):
     anything is written) and returns the trace header, ``solve(observer)
     -> (state, report)``, ``dump(tag, state)`` or None, the leading
     summary fields ``summary(state, report)`` and the manufactured
-    ``l2_error(state)`` or None.  A solver failure (a ValueError of the
-    solve too) or a non-finite summary value exits 4.
+    ``l2_error(state)`` or None.  The summary also gets the wall time of
+    the solve call, ``wall_s``, and ``ms_per_iter`` over its iterates;
+    they stay out of ``trace.csv``, which reruns reproduce bit for bit.
+    A solver failure (a ValueError of the solve too) or a non-finite
+    summary value exits 4.
     """
     from .stokes_control import DescentDivergence
 
@@ -464,13 +468,17 @@ def run(cfg: RunConfig):
     try:
         with _trace_observer(out / "trace.csv", header, v["io.dump_every"] if dump else 0,
                              dump) as observe:
+            start = time.perf_counter()
             state, rep = solve(observe)
+            wall_s = time.perf_counter() - start
     except (DescentDivergence, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
     if dump:
         dump("final", state)
     summary = summary_of(state, rep)
+    summary["wall_s"] = wall_s
+    summary["ms_per_iter"] = 1e3 * wall_s / rep.iterates_count
     code = _exit_code(rep.reason)
     if l2_error is not None:
         summary["l2_error"] = err = l2_error(state)

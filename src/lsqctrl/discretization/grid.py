@@ -87,6 +87,11 @@ class SpaceTimeGrid:
             raise ValueError("grid requires nx, ny, nt >= 2")
         if min(self.Lx, self.Ly, self.T_final) <= 0:
             raise ValueError("domain lengths and horizon must be positive")
+        w = np.full(self.nt + 1, self.ht)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        w.flags.writeable = False
+        object.__setattr__(self, "_time_weights", w)
 
     @property
     def hx(self):
@@ -123,11 +128,9 @@ class SpaceTimeGrid:
         return np.meshgrid(self.xs(), self.ys(), indexing="xy")
 
     def time_weights(self):
-        """Trapezoidal quadrature weights over the nt+1 levels."""
-        w = np.full(self.nt + 1, self.ht)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        """Trapezoidal quadrature weights over the nt+1 levels: one
+        read-only array per grid, built with it."""
+        return self._time_weights
 
     def scalar_zeros(self):
         return np.zeros((self.nt + 1, self.ny, self.nx))

@@ -34,8 +34,8 @@ import numpy as np
 from .abstract_descent import run_descent
 from .discretization import (
     SpatialGrid,
-    div,
     div_part,
+    div_parts,
     dx,
     dy,
     grad,
@@ -163,17 +163,19 @@ def corrector_steady(p: SteadyProblem, s: SteadyState):
     return v, {"v_h1": vnorm, "rhs": rhs}
 
 
-def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None):
+def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None, q=None):
     """E at s, from its corrector v if given (else solved).
 
     With v = P(rhs) and rhs given, the H_0^1 part is space_inner(v, rhs),
     which equals h1_pairing(v, v) up to roundoff; without rhs it is the
-    edge form h1_seminorm_sq(v), the oracle.
+    edge form h1_seminorm_sq(v), the oracle.  q is div y + eps*pi of s,
+    if known.
     """
     if v is None:
         v, _ = corrector_steady(p, s)
     h1 = h1_seminorm_sq(v, p.grid) if rhs is None else space_inner(v, rhs, p.grid)
-    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    if q is None:
+        q = div_part(s.y, s.pi, p.grid, p.epsilon)
     return 0.5 * (h1 + space_inner(q, q, p.grid))
 
 
@@ -183,19 +185,21 @@ def _grad_tensor(v, grid):
     return ((vx[0], vy[0]), (vx[1], vy[1]))
 
 
-def gradient_steady(p: SteadyProblem, s: SteadyState, v=None):
+def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     """Riesz gradient of E in H_0^1 x L^2(U).
 
     Pressure component: adjoint divergence of the corrector (+ eps
     coupling), mean removed.  Velocity component: one Poisson solve of
-    the assembled first-variation functional, ybar = P(r).  Returns
-    (ybar, pibar, info): info["rhs"] is r, so that h1_pairing(a, ybar) =
-    space_inner(a, r), and info["norm_sq"] the squared metric norm.
+    the assembled first-variation functional, ybar = P(r).  q is div y
+    + eps*pi of s, if known.  Returns (ybar, pibar, info): info["rhs"]
+    is r, so that h1_pairing(a, ybar) = space_inner(a, r), and
+    info["norm_sq"] the squared metric norm.
     """
     g = p.grid
     if v is None:
         v, _ = corrector_steady(p, s)
-    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    if q is None:
+        q = div_part(s.y, s.pi, p.grid, p.epsilon)
     pibar = -grad_pressure_transpose(v, g)
     if p.epsilon:
         pibar = pibar + p.epsilon * q
@@ -231,7 +235,7 @@ def _gram(fields, rhss, grid):
     return grid.hx * grid.hy * (a @ b.T)
 
 
-def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi):
+def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi, q0=None):
     """E along (y - eta dir_y, pi - eta dir_pi) as a quartic in eta.
 
     The momentum residual is quadratic in y, so there the corrector's
@@ -239,8 +243,9 @@ def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi):
     corrector v at s): lin is the residual linearized in the direction
     and cdd the convection of dir_y.  The corrector is v + eta v1 -
     eta^2 v2 with [v1, v2] = P([lin, cdd]) from one Poisson solve, and
-    the divergence part is q0 - eta q1.  The H_0^1 pairings of v, v1,
-    v2 are the entries of G = _gram([v, v1, v2], [rhs, lin, cdd]), since
+    the divergence part is q0 - eta q1 (q0 = div y + eps pi of s,
+    computed if not given).  The H_0^1 pairings of v, v1, v2 are the
+    entries of G = _gram([v, v1, v2], [rhs, lin, cdd]), since
     h1_pairing(a, P(r)) = space_inner(a, r).  Returns the coefficients
     c0..c4 of E(eta) = sum_k c_k eta^k, [v1, v2] and [lin, cdd]; raises
     ValueError if a coefficient is not finite.
@@ -253,7 +258,8 @@ def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi):
     rhss = np.stack([lin, cdd])
     fields = poisson_solve(g, rhss)
     gram = _gram([v, *fields], [rhs, *rhss], g)
-    q0 = div_part(s.y, s.pi, g, p.epsilon)
+    if q0 is None:
+        q0 = div_part(s.y, s.pi, g, p.epsilon)
     q1 = div_part(dir_y, dir_pi, g, p.epsilon)
     coef = np.array([
         0.5 * (gram[0, 0] + space_inner(q0, q0, g)),
@@ -285,9 +291,10 @@ def _quartic_argmin(coef):
 class _ExactStepRule:
     """Step rule of ``descend_steady`` for ``run_descent``: the exact
     step on the quartic energy along the metric gradient or its PR+
-    combination.  Each step carries the corrector, its right-hand side
-    and the energy of its trial to the next iterate, so only iterate 0
-    solves a corrector, and every H_0^1 pairing is read off a
+    combination.  Each step carries the corrector, its right-hand side,
+    div y, q = div y + eps*pi and the energy of its trial to the next
+    iterate, so only iterate 0 solves a corrector, an iteration takes
+    div once (of its trial), and every H_0^1 pairing is read off a
     right-hand side."""
 
     diagnostics = ("residual_norm", "div_norm")
@@ -295,8 +302,9 @@ class _ExactStepRule:
 
     def __init__(self, p, cfg, s):
         self.p, self.cfg, self.state = p, cfg, s
-        # corrector, its right-hand side and the energy of self.state, once known
-        self.v = self.rhs = self.e = None
+        # corrector, its right-hand side, div y, q and the energy of
+        # self.state, once known
+        self.v = self.rhs = self.dv = self.q = self.e = None
         self.prev = None  # (ybar, pibar, gn_sq) of the previous iterate
         self.dir_y = self.dir_pi = None
 
@@ -305,15 +313,15 @@ class _ExactStepRule:
         if self.v is None:
             self.v, info = corrector_steady(p, s)
             self.rhs = info["rhs"]
-            self.e = energy_steady(p, s, self.v, self.rhs)
-        self.ybar, self.pibar, info = gradient_steady(p, s, self.v)
+            self.dv, self.q = div_parts(s.y, s.pi, g, p.epsilon)
+            self.e = energy_steady(p, s, self.v, self.rhs, self.q)
+        self.ybar, self.pibar, info = gradient_steady(p, s, self.v, self.q)
         self.gn_sq, self.r = info["norm_sq"], info["rhs"]
-        dv = div(s.y, g)
         return {
             "E": self.e,
             "grad_norm": np.sqrt(self.gn_sq),
             "residual_norm": np.sqrt(max(space_inner(self.v, self.rhs, g), 0.0)),
-            "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0)),
+            "div_norm": np.sqrt(max(space_inner(self.dv, self.dv, g), 0.0)),
         }
 
     def choose(self, record):
@@ -337,22 +345,23 @@ class _ExactStepRule:
         self.prev = (ybar, pibar, gn_sq)
 
         coef, (v1, v2), (lin, cdd) = _line_quartic(p, s, self.v, self.rhs,
-                                                   self.dir_y, self.dir_pi)
+                                                   self.dir_y, self.dir_pi, self.q)
         eta = _quartic_argmin(coef)
         if eta is None:
             return "line_search_stall"
         trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
         v = self.v + eta * v1 - eta**2 * v2
         rhs = self.rhs + eta * lin - eta**2 * cdd
-        e = energy_steady(p, trial, v, rhs)
+        dv, q = div_parts(trial.y, trial.pi, g, p.epsilon)
+        e = energy_steady(p, trial, v, rhs, q)
         if not e < record["E"]:  # the roundoff floor: the exact step no longer descends
             return "line_search_stall"
-        self.trial = (trial, v, rhs, e)
+        self.trial = (trial, v, rhs, e, dv, q)
         record["step"] = eta
         return None
 
     def advance(self, record):
-        self.state, self.v, self.rhs, self.e = self.trial
+        self.state, self.v, self.rhs, self.e, self.dv, self.q = self.trial
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):

@@ -36,6 +36,7 @@ from .discretization import (
     a0_velocity_riesz,
     div,
     div_part,
+    div_parts,
     dt_sq_integral,
     grad,
     grad_pressure,
@@ -126,8 +127,13 @@ class ControlProblem:
 
 @dataclass
 class CorrectorField:
+    """Corrector v = A^-1 rhs of a triplet or a direction, with its
+    right-hand side rhs (the negated weak residual) and its energy norm
+    sqrt(v . rhs)."""
+
     v: np.ndarray
     weak_residual_norm: float
+    rhs: np.ndarray
 
 
 @dataclass
@@ -208,7 +214,7 @@ def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
     b = _corrector_rhs(p, s)
     v = spacetime_solve_weak(p.grid, b)
     energy_sq = max(float(np.sum(v * b)), 0.0)
-    return CorrectorField(v, np.sqrt(energy_sq))
+    return CorrectorField(v, np.sqrt(energy_sq), b)
 
 
 def lift_sA(p: ControlProblem) -> Triplet:
@@ -270,17 +276,17 @@ def apply_T(p: ControlProblem, d: Triplet):
     bd = _direction_rhs(p, d)
     v = spacetime_solve_weak(p.grid, bd)
     energy_sq = max(float(np.sum(v * bd)), 0.0)
-    return CorrectorField(v, np.sqrt(energy_sq)), div_part(d.y, d.pi, p.grid, p.epsilon)
+    return CorrectorField(v, np.sqrt(energy_sq), bd), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False):
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=None):
     """Riesz representative of E'(s) in the increment metric.
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support
     (global sign SIGMA, resolved by the finite-difference oracle).  The
     velocity component solves the metric problem with the H^-1 term
-    when metric='a0_exact'.
+    when metric='a0_exact'.  q is div y + eps*pi of s, if known.
     """
     grid = p.grid
     corr = corr or corrector(p, s)
@@ -289,7 +295,8 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False):
     w = grid.time_weights()[:, None, None, None]
 
     g = Triplet.zeros(grid)
-    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    if q is None:
+        q = div_part(s.y, s.pi, p.grid, p.epsilon)
     pibar = SIGMA * (-grad_pressure_transpose(v, grid))
     if p.epsilon:
         pibar = pibar + p.epsilon * q
@@ -311,9 +318,11 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False):
     return g, max(norm_sq, 0.0)
 
 
-def _state_norms(s, grid):
-    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||."""
-    dv = div(s.y, grid)
+def _state_norms(s, grid, dv=None):
+    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||;
+    dv is div y, if known."""
+    if dv is None:
+        dv = div(s.y, grid)
     return {"div_norm": np.sqrt(st_inner(dv, dv, grid)), "yT_norm": trace_norms(s.y, grid)[1],
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
@@ -340,29 +349,38 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
 
 class _MetricGradientRule:
     """Step rule of ``descend`` for ``run_descent``: exact quadratic steps
-    along the metric gradient or its Fletcher-Reeves combination."""
+    along the metric gradient or its Fletcher-Reeves combination.
+
+    E is quadratic and every quantity it is read from is linear in the
+    iterate, so the step carries them: the corrector v with its
+    right-hand side b (v = A^-1 b, so the corrector part of 2E is
+    v . b), and div y with q = div y + eps*pi.  An iteration computes
+    them only for the direction; a refresh computes them afresh.
+    """
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
     kernel_ratios = True
 
     def __init__(self, p, cfg, s):
         self.p, self.cfg, self.state = p, cfg, s
-        self.corr = corrector(p, s)
-        self.q = div_part(s.y, s.pi, p.grid, p.epsilon)
+        self._refresh()
         self.pdir = self.gn_sq_prev = self.pn_sq_prev = None
         self.restarted = False
 
+    def _refresh(self):
+        p, s = self.p, self.state
+        self.corr = corrector(p, s)
+        self.div_y, self.q = div_parts(s.y, s.pi, p.grid, p.epsilon)
+
     def corrector_energy_sq(self):
-        v, grid = self.corr.v, self.p.grid
-        return dt_sq_integral(v, grid) + st_h1_seminorm_sq(v, grid)
+        return max(float(np.vdot(self.corr.v, self.corr.rhs)), 0.0)
 
     def measure(self, history):
         p, cfg, s, grid = self.p, self.cfg, self.state, self.p.grid
         it = len(history)
         if cfg.refresh_every and it and it % cfg.refresh_every == 0:
             s.pi = remove_slice_means(s.pi)
-            self.corr = corrector(p, s)
-            self.q = div_part(s.y, s.pi, grid, p.epsilon)
+            self._refresh()
         e = 0.5 * (self.corrector_energy_sq() + st_inner(self.q, self.q, grid))
         if not history and not np.isfinite(e):
             raise DescentDivergence(f"non-finite initial energy: {e}")
@@ -376,15 +394,15 @@ class _MetricGradientRule:
                 raise DescentDivergence(
                     f"energy increased at iteration {it}: {history[-1]['E']} -> {e}"
                 )
-        self.g, self.gn_sq = gradient_a0(p, s, self.corr, return_norm=True)
-        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid)}
+        self.g, self.gn_sq = gradient_a0(p, s, self.corr, return_norm=True, q=self.q)
+        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid, self.div_y)}
 
     def choose(self, record):
         p, grid, gn_sq = self.p, self.p.grid, self.gn_sq
         if self.cfg.algorithm == "cg" and self.pdir is not None and self.gn_sq_prev:
             beta = gn_sq / self.gn_sq_prev
-            d = self.g.copy()
-            d.axpy(beta, self.pdir)
+            # built in the gradient's arrays: self.g is not read again
+            d = self.g.axpy(beta, self.pdir)
             # exact-search CG keeps <g_k, p_{k-1}>_A0 = 0, so the
             # directional derivative stays gn_sq and the direction norm
             # recurses cheaply
@@ -393,10 +411,10 @@ class _MetricGradientRule:
             d, pn_sq = self.g, gn_sq
         self.gn_sq_prev, self.pn_sq_prev = gn_sq, pn_sq
 
-        bd = _direction_rhs(p, d)
-        self.Vd = spacetime_solve_weak(grid, bd)
-        self.qd = div_part(d.y, d.pi, grid, p.epsilon)
-        td_sq = max(float(np.sum(self.Vd * bd)), 0.0) + st_inner(self.qd, self.qd, grid)
+        self.bd = _direction_rhs(p, d)
+        self.Vd = spacetime_solve_weak(grid, self.bd)
+        self.div_yd, self.qd = div_parts(d.y, d.pi, grid, p.epsilon)
+        td_sq = max(float(np.sum(self.Vd * self.bd)), 0.0) + st_inner(self.qd, self.qd, grid)
         ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
         if (self.cfg.tol_kernel and ratio <= self.cfg.tol_kernel) or td_sq <= 1e-28 * gn_sq:
             return "kernel_stall"
@@ -408,7 +426,12 @@ class _MetricGradientRule:
         eta = record["step"]
         self.state.axpy(-eta, self.dir)
         self.corr.v -= eta * self.Vd
-        self.q -= eta * self.qd
+        self.corr.rhs -= eta * self.bd
+        self.div_y -= eta * self.div_yd
+        if self.q is not self.div_y:
+            self.q -= eta * self.qd
+        # the direction's fields are spent: free them before the next solve
+        self.Vd = self.bd = self.div_yd = self.qd = None
         self.pdir = self.dir if self.cfg.algorithm == "cg" else None
 
 
@@ -430,6 +453,6 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy())
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
-    rule.corr.weak_residual_norm = np.sqrt(max(rule.corrector_energy_sq(), 0.0))
+    rule.corr.weak_residual_norm = np.sqrt(rule.corrector_energy_sq())
     report.extras["corrector"] = rule.corr
     return rule.state, report

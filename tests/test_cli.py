@@ -187,6 +187,7 @@ class TestRuns:
                             ("residual_norm_last", "residual_norm"),
                             ("div_norm_last", "div_norm")):
             assert summary[key] == last[header.index(column)] > 0.0, key
+        assert summary["wall_s"] > 0.0 and summary["ms_per_iter"] > 0.0
 
     def test_unsteady_summary_carries_absolute_end_values(self, tmp_path, monkeypatch):
         reports = []
@@ -235,6 +236,7 @@ class TestRuns:
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["distance_to_oracle"] <= 1e-8
+        assert summary["wall_s"] > 0.0 and summary["ms_per_iter"] > 0.0
 
     def test_dump_every_writes_snapshots(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
@@ -386,6 +388,18 @@ class TestProcessLevel:
         t1 = (tmp_path / "r1" / "trace.csv").read_bytes()
         t2 = (tmp_path / "r2" / "trace.csv").read_bytes()
         assert t1 == t2
+        # the solve's wall time goes to summary.json only, and nothing
+        # else in the summary differs between the reruns
+        assert b"wall_s" not in t1 and b"ms_per_iter" not in t1
+        s1, s2 = (json.loads((tmp_path / run / "summary.json").read_text(),
+                             parse_constant=_reject_constant) for run in ("r1", "r2"))
+        for s in (s1, s2):
+            assert s["wall_s"] > 0.0
+            assert s["ms_per_iter"] == pytest.approx(1e3 * s["wall_s"] / s["iterations"],
+                                                     rel=1e-12)
+        timing = {"wall_s", "ms_per_iter"}
+        assert ({k: v for k, v in s1.items() if k not in timing}
+                == {k: v for k, v in s2.items() if k not in timing})
 
     @pytest.mark.parametrize("threads, expected", [
         ("2", ["numpy 2 2"]),

@@ -62,6 +62,14 @@ class TestGridAndMask:
         assert g.ht == pytest.approx(0.6)
         assert g.ts()[0] == 0.0 and g.ts()[-1] == pytest.approx(3.0)
 
+    def test_time_weights_cached_read_only(self):
+        g = SpaceTimeGrid(3, 3, 4, T_final=2.0)
+        w = g.time_weights()
+        assert w is g.time_weights()
+        assert np.array_equal(w, [0.25, 0.5, 0.5, 0.5, 0.25])
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SpaceTimeGrid(1, 4, 4)

@@ -10,6 +10,7 @@ from lsqctrl.discretization import (
     SpatialGrid,
     curl,
     div,
+    div_part,
     h1_pairing,
     h1_seminorm_sq,
     space_inner,
@@ -422,9 +423,12 @@ class TestExactStep:
         coef, _, _ = steady_nse._line_quartic(problem, s, rule.v, rule.rhs,
                                               rule.dir_y, rule.dir_pi)
         assert record["step"] == steady_nse._quartic_argmin(coef)
-        trial, v, rhs, e = rule.trial
+        trial, v, rhs, e, dv, q = rule.trial
         fresh = -steady_nse._momentum_residual(problem, trial)
         assert np.linalg.norm(rhs - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        # div y and q of the trial are formed once, with div_part's arithmetic
+        assert np.array_equal(dv, div(trial.y, problem.grid))
+        assert np.array_equal(q, div_part(trial.y, trial.pi, problem.grid, problem.epsilon))
         rule.advance(record)
         assert (rule.measure([record])["E"] == e == energy_steady(problem, trial, v, rhs)
                 < record["E"])

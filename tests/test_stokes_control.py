@@ -138,6 +138,16 @@ class TestCorrector:
         assert np.abs(corr.v).max() == 0.0
         assert corr.weak_residual_norm == 0.0
 
+    def test_energy_read_off_rhs(self):
+        # v = A^-1 rhs, so v . rhs is the corrector's energy norm squared:
+        # the descent reads E off it instead of edge differences
+        p = small_problem()
+        s = perturbed_state(p, np.random.default_rng(4))
+        corr = sc.corrector(p, s)
+        edge = dt_sq_integral(corr.v, p.grid) + st_h1_seminorm_sq(corr.v, p.grid)
+        assert float(np.vdot(corr.v, corr.rhs)) == pytest.approx(edge, rel=1e-12)
+        assert corr.weak_residual_norm**2 == pytest.approx(edge, rel=1e-12)
+
     def test_manufactured_h1_convergence(self):
         case = default_unsteady_case()
         norms = []
@@ -440,6 +450,27 @@ class TestDescend:
         _, gn_simpl = sc.gradient_a0(p_simpl, s, return_norm=True)
         _, rep0 = sc.descend(p_simpl, sc.SolveConfig(max_iter=0))
         assert np.sqrt(gn_simpl) <= 1e-6 * rep0.grad_norms[0]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    @pytest.mark.parametrize("refresh_every", [0, 50])
+    def test_carried_values_match_fresh(self, epsilon, refresh_every):
+        # E and div y are carried along the steps (E off the corrector's
+        # right-hand side, div y + eps pi updated with the direction's):
+        # at every iterate they agree with values computed afresh
+        p = small_problem(epsilon=epsilon)
+        cfg = sc.SolveConfig(max_iter=80, refresh_every=refresh_every, algorithm="cg")
+        seen = []
+
+        def check(rec, s):
+            dv = div(s.y, p.grid)
+            assert rec["E"] == pytest.approx(sc.energy(p, s), rel=1e-10), rec["iter"]
+            assert rec["div_norm"] == pytest.approx(np.sqrt(st_inner(dv, dv, p.grid)),
+                                                    rel=1e-10), rec["iter"]
+            seen.append(rec["iter"])
+
+        _, rep = sc.descend(p, cfg, observer=check)
+        assert rep.iterates_count == 81
+        assert seen == list(range(81))
 
     def test_noop_observer_leaves_report_bit_identical(self):
         # CG directions and a pressure-mean refresh at iterate 10: the
