@@ -240,7 +240,7 @@ def spacetime_weak_residual(grid, v, bvec):
     K = time_stiffness(grid)
     w = grid.time_weights()
     Kv = np.einsum("kl,l...->k...", K, v)
-    Lv = -laplace(v, grid, compact=True)
+    Lv = -laplace(v, grid)
     wl = w.reshape((-1,) + (1,) * (v.ndim - 1))
     Av = area * (Kv + wl * Lv)
     nb = np.linalg.norm(bvec.ravel())

@@ -217,7 +217,11 @@ class Triplet:
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, grid.vector_zeros(), grid.scalar_zeros(), grid.vector_zeros())
+        """The zero triplet.  Its fields are finite and shaped by
+        construction, so it skips the checks of __post_init__."""
+        t = cls.__new__(cls)
+        t.grid, t.y, t.pi, t.f = grid, grid.vector_zeros(), grid.scalar_zeros(), grid.vector_zeros()
+        return t
 
     def copy(self):
         return Triplet(self.grid, self.y.copy(), self.pi.copy(), self.f.copy())

@@ -1,5 +1,14 @@
 """Second-order finite-difference calculus on the structured grid.
 
+Every stencil is a 1-D operator along x or along y.  Each is applied as
+one product with a cached, read-only (n, n) operator matrix, built once
+per axis length and spacing by ``_operators`` (the way the sine
+transform caches its matrices): ``a @ M.T`` along x, the last axis, and
+``M @ a`` along y, the second to last.  The leading axes (time level,
+component) ride along in the same BLAS call.  A product costs O(n) per
+node where the slice stencil cost O(1), so the matrices win on the small
+grids the solvers run on and lose above n ~ 100 (README, "Cost model").
+
 Two flavours of first derivative coexist:
 
 * ``dx``/``dy`` (and ``grad``, ``div``, ``curl`` built on them) are the
@@ -11,11 +20,20 @@ Two flavours of first derivative coexist:
   node columns next to each wall.  Pressure carries no boundary value,
   so the padded stencil would be inconsistent there; the one-sided
   stencil is second order for smooth interior data and annihilates
-  constants exactly, which keeps the zero-mean pressure quotient clean.
+  constants, which keeps the zero-mean pressure quotient clean.  Its
+  matrix is kept as the integer stencil 2h G and the product is divided
+  by 2h afterwards.  The integer rows sum to zero exactly, so a constant
+  whose multiples by 3 and 4 are exact, such as 1, maps to exact zeros
+  at every spacing (other constants to roundoff, 1.8e-16 for 0.1); the
+  rounded entries -3/(2h), 4/(2h), -1/(2h) would leave up to 1e-14 on
+  the constant 1 at spacings such as h = 0.7/6.
 
 All functions accept arrays whose trailing axes are (ny, nx); leading
 axes (time level, component) are broadcast over.
 """
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,26 +61,48 @@ __all__ = [
 ]
 
 
+class _Operators(NamedTuple):
+    """1-D operators on the n interior nodes of one axis.  The
+    transposes are stored as C-ordered copies: numpy's matmul applies a
+    C-ordered right factor 1.4-2.2x faster than a transposed view
+    (n = 64 down to 16)."""
+
+    D: np.ndarray    # centered difference, zero Dirichlet padding
+    DT: np.ndarray
+    L: np.ndarray    # 5-point second difference (symmetric)
+    G2: np.ndarray   # 2h times the one-sided pressure difference
+    G2T: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _operators(n: int, h: float):
+    """Read-only (n, n) operator matrices of an axis with n interior
+    nodes of spacing h.  On two nodes the pressure difference is the
+    one available difference, (-1, 1)/h on both rows."""
+    e = np.ones(n - 1)
+    C = np.diag(e, 1) - np.diag(e, -1)
+    D = C / (2.0 * h)
+    L = (np.diag(e, 1) + np.diag(e, -1) - 2.0 * np.eye(n)) / h**2
+    G2 = C
+    if n == 2:
+        G2[:] = [-2.0, 2.0]
+    else:
+        G2[0, :3] = [-3.0, 4.0, -1.0]
+        G2[-1, -3:] = [1.0, -4.0, 3.0]
+    ops = _Operators(D, D.T.copy(), L, G2, G2.T.copy())
+    for M in ops:
+        M.flags.writeable = False
+    return ops
+
+
 def dx(a, grid):
     """Centered x-derivative with homogeneous Dirichlet padding."""
-    a = np.asarray(a)
-    out = np.empty_like(a)
-    out[..., :, 1:-1] = a[..., :, 2:] - a[..., :, :-2]
-    out[..., :, 0] = a[..., :, 1]
-    out[..., :, -1] = -a[..., :, -2]
-    out /= 2.0 * grid.hx
-    return out
+    return a @ _operators(grid.nx, grid.hx).DT
 
 
 def dy(a, grid):
     """Centered y-derivative with homogeneous Dirichlet padding."""
-    a = np.asarray(a)
-    out = np.empty_like(a)
-    out[..., 1:-1, :] = a[..., 2:, :] - a[..., :-2, :]
-    out[..., 0, :] = a[..., 1, :]
-    out[..., -1, :] = -a[..., -2, :]
-    out /= 2.0 * grid.hy
-    return out
+    return _operators(grid.ny, grid.hy).D @ a
 
 
 def grad(s, grid):
@@ -93,94 +133,40 @@ def curl(s, grid):
     return np.stack([dy(s, grid), -dx(s, grid)], axis=-3)
 
 
-def _lap1d_x(a, h):
-    out = -2.0 * a
-    out[..., :, 1:] += a[..., :, :-1]
-    out[..., :, :-1] += a[..., :, 1:]
-    return out / h**2
-
-
-def _lap1d_y(a, h):
-    out = -2.0 * a
-    out[..., 1:, :] += a[..., :-1, :]
-    out[..., :-1, :] += a[..., 1:, :]
-    return out / h**2
-
-
-def laplace(a, grid, compact=True):
-    """Discrete Laplacian.
-
-    compact=True is the 5-point stencil (consistent up to the wall for
-    Dirichlet fields; the operator behind the Poisson and corrector
-    solves).  compact=False composes div(grad(.)), the wide stencil that
-    satisfies the composition identity exactly.
-    """
-    a = np.asarray(a)
-    if not compact:
-        if a.ndim >= 3 and a.shape[-3] == 2:
-            return np.stack(
-                [div(grad(a[..., c, :, :], grid), grid) for c in range(2)], axis=-3
-            )
-        return div(grad(a, grid), grid)
-    return _lap1d_x(a, grid.hx) + _lap1d_y(a, grid.hy)
-
-
-def _dx1_onesided(a, h):
-    a = np.asarray(a)
-    n = a.shape[-1]
-    out = np.empty_like(a)
-    if n == 2:
-        d = (a[..., 1] - a[..., 0]) / h
-        out[..., 0] = d
-        out[..., 1] = d
-        return out
-    out[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]) / (2.0 * h)
+def laplace(a, grid):
+    """5-point discrete Laplacian: consistent up to the wall for Dirichlet
+    fields, and the operator behind the Poisson and corrector solves."""
+    out = a @ _operators(grid.nx, grid.hx).L
+    out += _operators(grid.ny, grid.hy).L @ a
     return out
-
-
-def _dx1_onesided_T(u, h):
-    u = np.asarray(u)
-    n = u.shape[-1]
-    z = np.zeros_like(u)
-    if n == 2:
-        s = u[..., 0] + u[..., 1]
-        z[..., 0] = -s / h
-        z[..., 1] = s / h
-        return z
-    z[..., :-2] -= u[..., 1:-1]
-    z[..., 2:] += u[..., 1:-1]
-    z[..., 0] += -3.0 * u[..., 0]
-    z[..., 1] += 4.0 * u[..., 0]
-    z[..., 2] += -u[..., 0]
-    z[..., -1] += 3.0 * u[..., -1]
-    z[..., -2] += -4.0 * u[..., -1]
-    z[..., -3] += u[..., -1]
-    return z / (2.0 * h)
-
-
-def _swap_xy(a):
-    return np.swapaxes(a, -1, -2)
 
 
 def grad_pressure(s, grid):
     """Gradient of a boundary-value-free scalar (pressure).
 
     One-sided second-order rows next to each wall, centered inside;
-    constants are in the kernel exactly.
+    constants are in the kernel (exactly for a constant such as 1, see
+    the module docstring).
     """
-    gx = _dx1_onesided(s, grid.hx)
-    gy = _swap_xy(_dx1_onesided(_swap_xy(s), grid.hy))
-    return np.stack([gx, gy], axis=-3)
+    s = np.asarray(s)
+    out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
+    gx, gy = out[..., 0, :, :], out[..., 1, :, :]
+    np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=gx)
+    np.matmul(_operators(grid.ny, grid.hy).G2, s, out=gy)
+    gx /= 2.0 * grid.hx
+    gy /= 2.0 * grid.hy
+    return out
 
 
 def grad_pressure_transpose(v, grid):
     """Exact matrix transpose of grad_pressure applied to a vector field."""
     v = np.asarray(v)
-    tx = _dx1_onesided_T(v[..., 0, :, :], grid.hx)
-    ty = _swap_xy(_dx1_onesided_T(_swap_xy(v[..., 1, :, :]), grid.hy))
-    return tx + ty
+    tx = v[..., 0, :, :] @ _operators(grid.nx, grid.hx).G2
+    tx /= 2.0 * grid.hx
+    ty = _operators(grid.ny, grid.hy).G2T @ v[..., 1, :, :]
+    ty /= 2.0 * grid.hy
+    tx += ty
+    return tx
 
 
 # ---------------------------------------------------------------------------

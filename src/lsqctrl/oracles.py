@@ -191,6 +191,8 @@ def _dx1d_centered(n, h):
 
 
 def _dx1d_onesided(n, h):
+    if n == 2:
+        return np.array([[-1.0, 1.0], [-1.0, 1.0]]) / h
     M = _dx1d_centered(n, h)
     M[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     M[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)

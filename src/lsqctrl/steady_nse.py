@@ -144,7 +144,7 @@ def convection(y, z, grid):
 
 
 def _momentum_residual(p: SteadyProblem, s: SteadyState):
-    r = -p.nu * laplace(s.y, p.grid, compact=True)
+    r = -p.nu * laplace(s.y, p.grid)
     r += convection(s.y, s.y, p.grid)
     r += grad_pressure(s.pi, p.grid)
     return r - p.f
@@ -210,7 +210,7 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
         [2 * gv[0][0] * s.y[0] + (gv[0][1] + gv[1][0]) * s.y[1],
          (gv[0][1] + gv[1][0]) * s.y[0] + 2 * gv[1][1] * s.y[1]]
     )
-    r = -p.nu * (-laplace(v, g, compact=True)) + sv - grad(q, g)
+    r = -p.nu * (-laplace(v, g)) + sv - grad(q, g)
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
@@ -252,7 +252,7 @@ def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi, q0=No
     """
     g = p.grid
     cross, cdd = _line_convection(s.y, dir_y, g)
-    lin = -p.nu * laplace(dir_y, g, compact=True)
+    lin = -p.nu * laplace(dir_y, g)
     lin += cross
     lin += grad_pressure(dir_pi, g)
     rhss = np.stack([lin, cdd])

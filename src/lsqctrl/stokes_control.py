@@ -25,6 +25,7 @@ the exact projector so projection semantics stay tested at small scale.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,27 +160,31 @@ class SolveConfig:
 # residual assembly
 # ---------------------------------------------------------------------------
 
-def _dt_weak_vector(y, grid):
-    """Dual vector in the test function w of int y_t . w.
+@lru_cache(maxsize=64)
+def _dt_matrix(grid):
+    """Read-only (nt+1, nt+1) matrix B of the pairing int y_t . w, hx*hy
+    folded in: (B y)_j pairs y with the hat function of level j.
 
     y is piecewise linear in time, so y_t is piecewise constant; exact
     integration against a piecewise-linear w gives the centered pairing
     with one-sided halves at the two endpoints.
     """
-    out = np.empty_like(y)
-    out[0] = 0.5 * (y[1] - y[0])
-    out[1:-1] = 0.5 * (y[2:] - y[:-2])
-    out[-1] = 0.5 * (y[-1] - y[-2])
-    return grid.hx * grid.hy * out
+    e = np.full(grid.nt, 0.5 * grid.hx * grid.hy)
+    B = np.diag(e, 1) - np.diag(e, -1)
+    B[0, 0], B[-1, -1] = -e[0], e[0]
+    B.flags.writeable = False
+    return B
+
+
+def _dt_weak_vector(y, grid):
+    """Dual vector in the test function w of int y_t . w: one product
+    with B over the level axis."""
+    return (_dt_matrix(grid) @ y.reshape(len(y), -1)).reshape(y.shape)
 
 
 def _dt_adjoint_vector(v, grid):
     """Dual vector in the direction Y of int Y_t . v (exact transpose)."""
-    out = np.empty_like(v)
-    out[0] = -0.5 * (v[0] + v[1])
-    out[1:-1] = 0.5 * (v[:-2] - v[2:])
-    out[-1] = 0.5 * (v[-2] + v[-1])
-    return grid.hx * grid.hy * out
+    return (_dt_matrix(grid).T @ v.reshape(len(v), -1)).reshape(v.shape)
 
 
 def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
@@ -192,7 +197,7 @@ def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
     r = _dt_weak_vector(y, grid)
-    r -= p.nu * area * w * laplace(y, grid, compact=True)
+    r -= p.nu * area * w * laplace(y, grid)
     r += area * w * grad_pressure(pi, grid)
     if include_control:
         r -= area * w * (p.mask_array() * f)
@@ -305,7 +310,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
         g.f = SIGMA * (p.mask_array() * v)
 
     rvec = -_dt_adjoint_vector(v, grid)
-    rvec += p.nu * area * w * laplace(v, grid, compact=True)
+    rvec += p.nu * area * w * laplace(v, grid)
     rvec -= area * w * grad(q, grid)
     sl = level_slice(grid, p.fixed_traces)
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric)

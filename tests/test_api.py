@@ -20,13 +20,16 @@ MODULES = (
     "lsqctrl.stokes_control",
 )
 
-# the splitting scheme and the helpers only it or the tests used
+# the splitting scheme and the helpers only it or the tests used, and
+# the slice kernels that the cached operator matrices replaced
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search",),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner"),
     "lsqctrl.discretization.a0": ("velocity_a0_inner",),
     "lsqctrl.discretization.elliptic": ("shifted_poisson_solve",),
-    "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights"),
+    "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
+                                        "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
+                                        "_swap_xy"),
     "lsqctrl.steady_nse": ("pressure_residual_indicator",),
     "lsqctrl.stokes_control": ("split_iteration", "pressure_update_step",
                                "pressure_stationary_point", "_PressureRule",
@@ -50,9 +53,11 @@ def test_removed_names_are_gone(name):
 def test_removed_options_are_gone():
     from lsqctrl import cli
     from lsqctrl import stokes_control as sc
+    from lsqctrl.discretization import stencils
 
     fields = {f.name for f in dataclasses.fields(sc.SolveConfig)}
     assert fields.isdisjoint({"inner_max_iter", "inner_tol_grad"})
     assert "frozen_pressure" not in inspect.signature(sc.gradient_a0).parameters
     assert "_frozen_pressure" not in inspect.signature(sc.descend).parameters
+    assert "compact" not in inspect.signature(stencils.laplace).parameters
     assert set(cli.REGISTRY).isdisjoint({"solver.inner_max_iter", "solver.inner_tol_grad"})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsqctrl import oracles
 from lsqctrl.discretization import (
     SpaceTimeGrid,
     SupportMask,
@@ -32,6 +33,7 @@ from lsqctrl.discretization import (
     time_stiffness,
     trace_norms,
 )
+from lsqctrl.discretization import stencils
 from lsqctrl.discretization.elliptic import _sine_matrix, mode_denominators
 
 
@@ -104,7 +106,7 @@ class TestStencils:
         c = np.ones((g.ny, g.nx))
         gc = grad(c, g)
         assert np.abs(gc[:, 1:-1, 1:-1]).max() == 0.0
-        lap = laplace(c, g, compact=False)
+        lap = div(grad(c, g), g)
         assert np.abs(lap[2:-2, 2:-2]).max() == 0.0
 
     def test_div_of_sampled_curl_second_order(self):
@@ -115,12 +117,6 @@ class TestStencils:
             errs.append(np.abs(div(y, g)).max())
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
-
-    def test_div_grad_composition_identity(self):
-        g = SpaceTimeGrid(7, 9, 2)
-        rng = np.random.default_rng(0)
-        s = rng.standard_normal((g.ny, g.nx))
-        assert np.abs(div(grad(s, g), g) - laplace(s, g, compact=False)).max() <= 1e-12
 
     def test_discrete_curl_exactly_divergence_free(self):
         g = SpaceTimeGrid(9, 6, 2)
@@ -141,6 +137,20 @@ class TestStencils:
         s = Triplet.zeros(g1)
         with pytest.raises(ValueError):
             Triplet(g1, s.y, np.zeros((5, 5)), s.f)
+
+    def test_zeros_is_zero_and_other_data_is_checked(self):
+        g = SpaceTimeGrid(4, 3, 2)
+        z = Triplet.zeros(g)
+        assert z.grid is g and z.y.shape == (3, 2, 3, 4) and z.pi.shape == (3, 3, 4)
+        assert not (z.y.any() or z.pi.any() or z.f.any())
+        bad_y = z.y.copy()
+        bad_y[1, 0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Triplet(g, bad_y, z.pi, z.f)
+        with pytest.raises(ValueError, match="non-finite"):
+            Triplet(g, z.y, z.pi, np.full_like(z.f, np.inf))
+        with pytest.raises(ValueError, match="shape"):
+            Triplet(g, z.y[:, :1], z.pi, z.f)
 
     def test_h1_pairings_match_padded_diff_formulas(self):
         # the edge differences are built without a padded copy, and a
@@ -192,6 +202,34 @@ class TestStencils:
             )
             errs.append(np.abs(gp - ex).max())
         assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17])
+    def test_operator_matrices_match_the_oracle(self, n):
+        # production 1-D operators against the oracle's independently
+        # built matrices, on an axis whose spacing differs from the other
+        h = 0.7 / (n + 1)
+        ops = stencils._operators(n, h)
+        assert ops is stencils._operators(n, h)
+        assert np.array_equal(ops.D, oracles._dx1d_centered(n, h))
+        assert np.array_equal(ops.L, -oracles._lap1d(n, h))
+        assert np.array_equal(ops.G2 / (2.0 * h), oracles._dx1d_onesided(n, h))
+        assert np.array_equal(ops.DT, ops.D.T) and np.array_equal(ops.G2T, ops.G2.T)
+        for M in ops:
+            assert M.flags.c_contiguous and not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+        # the product with the integer stencil, divided by 2h afterwards
+        g = SpaceTimeGrid(n, 4, 2, Lx=0.7)
+        s = np.random.default_rng(n).standard_normal((g.nt + 1, g.ny, g.nx))
+        assert np.allclose(grad_pressure(s, g)[:, 0], s @ oracles._dx1d_onesided(n, h).T,
+                           rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_pressure_gradient_kernel_exact_at_any_spacing(self, n):
+        # the rounded entries -3/(2h), 4/(2h), -1/(2h) leave up to 1e-14
+        # on this constant at these spacings; the integer stencil leaves 0
+        g = SpaceTimeGrid(n, n + 1, 2, Lx=0.7, Ly=1.3)
+        assert np.abs(grad_pressure(np.full((g.nt + 1, g.ny, g.nx), 2.5), g)).max() == 0.0
 
     def test_pressure_gradient_transpose_exact(self):
         g = SpaceTimeGrid(6, 11, 2)

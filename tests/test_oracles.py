@@ -26,8 +26,8 @@ from lsqctrl.oracles import (
 )
 
 
-def control_problem(n=4, eps=0.0, mask=None):
-    g = SpaceTimeGrid(n, n, n)
+def control_problem(n=4, eps=0.0, mask=None, shape=None):
+    g = SpaceTimeGrid(*(shape or (n, n, n)))
     X, Y = g.meshgrid()
     y0 = np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y),
                    0.4 * np.sin(np.pi * X) * np.sin(2 * np.pi * Y)])
@@ -110,10 +110,15 @@ class TestDenseAssembly:
         assert ad.energy(asm.problem, np.zeros(asm.problem.dim_H)) == 0.0
         assert sc.energy(p_zero, Triplet.zeros(p.grid)) == 0.0
 
-    @pytest.mark.parametrize("eps", [0.0, 0.01])
-    def test_energy_agreement_random_triplets(self, eps):
+    # (2, 3, 2): two x nodes, where grad_pressure takes its 2-node rows
+    @pytest.mark.parametrize("eps, shape", [
+        pytest.param(0.0, None, id="0.0"),
+        pytest.param(0.01, None, id="0.01"),
+        pytest.param(0.01, (2, 3, 2), id="0.01-2x3x2"),
+    ])
+    def test_energy_agreement_random_triplets(self, eps, shape):
         rng = np.random.default_rng(1)
-        p = control_problem(eps=eps)
+        p = control_problem(eps=eps, shape=shape)
         asm = dense_assemble(p)
         sl = level_slice(p.grid, p.fixed_traces)
         for _ in range(10):

@@ -183,6 +183,28 @@ class TestCorrector:
         assert np.abs(corr.v - v_dense).max() <= 1e-10 * scale
 
 
+class TestTimePairing:
+    @pytest.mark.parametrize("nt", [2, 3, 5, 16])
+    def test_matrix_matches_the_oracle(self, nt):
+        from lsqctrl.oracles import _time_ops
+
+        g = SpaceTimeGrid(3, 5, nt, Lx=0.7)
+        B = sc._dt_matrix(g)
+        assert B is sc._dt_matrix(g)
+        assert not B.flags.writeable
+        assert np.array_equal(B, g.hx * g.hy * _time_ops(g)[1])
+
+    @pytest.mark.parametrize("nt", [2, 3, 5, 16])
+    def test_adjoint_is_the_exact_transpose(self, nt):
+        g = SpaceTimeGrid(3, 5, nt, Lx=0.7)
+        y, v = np.random.default_rng(nt).standard_normal((2, g.nt + 1, 2, g.ny, g.nx))
+        lhs = float(np.vdot(sc._dt_weak_vector(y, g), v))
+        rhs = float(np.vdot(y, sc._dt_adjoint_vector(v, g)))
+        assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1.0)
+        # a field constant in time has no time derivative, exactly
+        assert not sc._dt_weak_vector(np.ones_like(y), g).any()
+
+
 class TestEnergy:
     def test_zero_data(self):
         g = SpaceTimeGrid(5, 5, 5)
