@@ -11,8 +11,9 @@ Modules
 -------
 abstract_descent
     Dense engine for quadratic error functionals over subspaces, with
-    exact kernel projectors and pseudoinverse minimizers as oracles, and
-    the descent loop that every solver runs on.
+    exact kernel projectors and pseudoinverse minimizers as oracles, the
+    descent loop that every solver runs on, and the PDE solvers' exact
+    line-step rule.
 discretization
     Structured-grid calculus, quadrature and exact sine/eigenbasis
     solvers for the Poisson, space-time elliptic and metric problems.

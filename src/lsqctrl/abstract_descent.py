@@ -8,10 +8,13 @@ the exact minimizer are all computable and serve as oracles for the
 matrix-free PDE machinery.
 
 ``run_descent`` is the package's one descent loop: stop tests,
-per-iterate history, report and observer hook, around a per-method step
-rule.  The dense ``descend`` and the PDE solvers each supply a rule.
+per-iterate history, report and observer hook, around a step rule.  The
+dense ``descend`` runs it on the exact steepest step of this module,
+the oracle; both PDE solvers run it on ``ExactLineRule``, the exact step
+on a polynomial line energy, each with its own line builder.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,8 @@ __all__ = [
     "LsqProblem",
     "DescentConfig",
     "DescentReport",
+    "DescentDivergence",
+    "ExactLineRule",
     "energy",
     "gradient",
     "kernel_projector",
@@ -31,6 +36,10 @@ __all__ = [
 ]
 
 _KERNEL_CUTOFF = 1e-10  # singular values below cutoff*sigma_max span Ker T
+
+
+class DescentDivergence(RuntimeError):
+    """Energy rise beyond roundoff, or a gradient that does not descend."""
 
 
 @dataclass(frozen=True)
@@ -342,3 +351,136 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
         kernel_ratios=np.array(ratios) if rule.kernel_ratios else None,
         extras={f"{name}s": np.array([r[name] for r in history]) for name in rule.diagnostics},
     )
+
+
+def _quartic_argmin(coef):
+    """The positive root of the cubic E' with the lowest E(eta) = sum_k
+    coef[k] eta^k, or None if E' has no positive root.
+
+    A quadratic's one root -coef[1] / (2 coef[2]) is taken in closed form
+    (np.roots gives the same value at 30 times the cost).  Real parts of
+    complex roots stay candidates, since a root close to a double root
+    may come out as a complex pair; none of them can undercut the real
+    root where E is lowest over eta > 0.
+    """
+    c1, c2, c3, c4 = coef[1:]
+    if not (c3 or c4):
+        eta = -c1 / (2 * c2) if c2 else 0.0
+        return float(eta) if eta > 0 else None
+    roots = np.roots([4 * c4, 3 * c3, 2 * c2, c1]).real
+    roots = roots[roots > 0]
+    if roots.size == 0:
+        return None
+    return float(roots[np.argmin(np.polyval(np.asarray(coef)[::-1], roots))])
+
+
+class ExactLineRule:
+    """Step rule of the PDE solvers for ``run_descent``: the exact step
+    along the metric gradient, or its PR+ combination if cg.
+
+    A line builder ``line`` holds the problem.  ``line.fields(state)``
+    (``line.refresh(state)`` re-projects the state first) gives the
+    carried fields [v, rhs, q], with 2E = ``line.inner_v(v, rhs) +
+    line.inner_q(q, q)`` (v = A^-1 rhs, the corrector).
+    ``line.measure(state, fields)`` gives the Riesz gradient (arrays in
+    the order of ``line.parts(state)``), its squared norm and the
+    ``line.diagnostics``; ``line.grad_pairing(x)`` pairs it with x.
+    ``line.line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
+    state - eta d, and per field F the increments of F(eta) = F - eta F1
+    - eta^2 F2.
+
+    ``choose`` carries the fields in place to the polynomial's argmin and
+    reads E there; the run ends on ``line_search_stall`` if there is no
+    argmin, or if E does not drop (the fields then solved afresh).  PR+ restarts where the
+    combination does not descend.  On a quadratic line exact-search CG
+    keeps successive gradients orthogonal, so PR+ is Fletcher-Reeves and
+    neither pairing is formed (each would cost a stored gradient).  A
+    gradient that does not descend, or an energy rise beyond roundoff at
+    a refresh, raises ``DescentDivergence``.  With tol_kernel not None
+    the records carry the kernel ratio ||T d|| / ||d|| of the (quadratic)
+    line, and the run ends on ``kernel_stall`` at or below it.
+    """
+
+    def __init__(self, line, state, cg, refresh_every=0, tol_kernel=None):
+        self.line, self.state, self.cg = line, state, cg
+        self.refresh_every, self.tol_kernel = refresh_every, tol_kernel
+        self.diagnostics = line.diagnostics
+        self.kernel_ratios = tol_kernel is not None
+        self.fields, self.e = line.fields(state), None  # e: the fields' energy, once known
+        # the last direction, the squared norms of its gradient and itself, that gradient
+        self.dir = self.gn_sq_prev = self.pn_sq_prev = self.gprev = None
+
+    def energy(self):
+        v, rhs, q = self.fields
+        return 0.5 * (self.line.inner_v(v, rhs) + self.line.inner_q(q, q))
+
+    def measure(self, history):
+        it = len(history)
+        if self.refresh_every and it and it % self.refresh_every == 0:
+            self.fields, self.e = self.line.refresh(self.state), None
+        e = self.energy() if self.e is None else self.e
+        if not history and not np.isfinite(e):
+            raise DescentDivergence(f"non-finite initial energy: {e}")
+        if history and not (e <= history[-1]["E"] * (1 + 1e-12)
+                            + 1e-14 * max(history[0]["E"], 1e-300)):
+            raise DescentDivergence(
+                f"energy increased at iteration {it}: {history[-1]['E']} -> {e}")
+        self.g, self.gn_sq, diagnostics = self.line.measure(self.state, self.fields)
+        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **diagnostics}
+
+    def _direction(self):
+        """The direction, built in place in the last one, and its squared
+        norm (exact-search CG keeps <g_k, d_{k-1}> = 0)."""
+        line, g, gn_sq, gprev = self.line, self.g, self.gn_sq, self.gprev
+        if not self.cg or self.dir is None:
+            return g, gn_sq
+        pair = 0.0 if gprev is None else line.grad_pairing(gprev)
+        beta = max(0.0, (gn_sq - pair) / self.gn_sq_prev)
+        if not beta:
+            return g, gn_sq
+        for a, b in zip(self.dir, g):
+            a *= beta
+            a += b
+        if gprev is not None and line.grad_pairing(self.dir) <= 1e-12 * gn_sq:
+            return g, gn_sq
+        return self.dir, gn_sq + beta**2 * self.pn_sq_prev
+
+    def choose(self, record):
+        d, pn_sq = self._direction()
+        self.gprev = None  # spent: free it before the line's solve
+        coef, incs = self.line.line(self.state, self.fields, d)
+        coef = (0.0, *coef)
+        if not all(map(math.isfinite, coef)):
+            raise ValueError("exact step: non-finite energy polynomial")
+        if self.kernel_ratios:
+            td_sq = max(2.0 * coef[2], 0.0)
+            ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
+            if (self.tol_kernel and ratio <= self.tol_kernel) or td_sq <= 1e-28 * self.gn_sq:
+                return "kernel_stall"
+        if d is self.g and not coef[1] < 0:
+            raise DescentDivergence(f"the gradient does not descend: slope {coef[1]}")
+        eta = _quartic_argmin(coef)
+        if eta is None:
+            return "line_search_stall"
+        for field, inc in zip(self.fields, incs):
+            for k, a in enumerate(inc, 1):
+                a *= eta**k  # in place: the increments are spent after this
+                field -= a
+        del incs, inc, a  # free the line's fields before the next solve
+        self.e = self.energy()
+        if not self.e < record["E"]:  # the roundoff floor
+            self.fields, self.e = self.line.fields(self.state), None
+            return "line_search_stall"
+        record["step"] = eta
+        self.dir, self.gn_sq_prev, self.pn_sq_prev = d, self.gn_sq, pn_sq
+        if self.cg and (coef[3] or coef[4]):
+            self.gprev = self.g
+        self.g = None
+        return None
+
+    def advance(self, record):
+        for a, b in zip(self.line.parts(self.state), self.dir):
+            a -= record["step"] * b
+        if not self.cg:
+            self.dir = None
+

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .discretization import METRICS
+
 __all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config", "run", "main"]
 
 SUBCOMMANDS = ("stokes-control", "stokes-direct", "steady-nse", "abstract-demo")
@@ -75,7 +77,7 @@ REGISTRY = {
     "solver.tol_grad": (float, 0.0, "gradient target relative to start "
                                     "(absolute for abstract-demo)"),
     "solver.tol_kernel": (float, 0.0, "kernel-ratio stopping threshold"),
-    "solver.metric": (str, "a0_exact", "increment metric: a0_exact | simplified"),
+    "solver.metric": (str, METRICS[0], f"increment metric: {' | '.join(METRICS)}"),
     "solver.epsilon": (float, 0.0, "quasi-incompressibility weight"),
     "solver.algorithm": (str, "steepest", "steepest | cg"),
     "io.out_dir": (str, "out", "output directory"),
@@ -136,8 +138,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("control.omega", "rectangle must lie inside the domain")
     if len(om) == 6 and not (0.0 <= om[4] < om[5] <= v["time.T"]):
         raise ConfigError("control.omega", "time window must lie inside [0, T]")
-    if v["solver.metric"] not in ("a0_exact", "simplified"):
-        raise ConfigError("solver.metric", "must be a0_exact or simplified")
+    if v["solver.metric"] not in METRICS:
+        raise ConfigError("solver.metric", f"must be {' or '.join(METRICS)}")
     if v["solver.algorithm"] not in ("steepest", "cg"):
         raise ConfigError("solver.algorithm", "must be steepest or cg")
     if v["solver.algorithm"] != "steepest" and cfg.subcommand == "abstract-demo":
@@ -458,7 +460,7 @@ def run(cfg: RunConfig):
     A solver failure (a ValueError of the solve too) or a non-finite
     summary value exits 4.
     """
-    from .stokes_control import DescentDivergence
+    from .abstract_descent import DescentDivergence
 
     header, solve, dump, summary_of, l2_error = _BUILDERS[cfg.subcommand](cfg)
     v = cfg.values

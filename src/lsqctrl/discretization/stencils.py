@@ -43,7 +43,6 @@ __all__ = [
     "grad",
     "div",
     "div_part",
-    "div_parts",
     "curl",
     "laplace",
     "grad_pressure",
@@ -118,14 +117,8 @@ def div(v, grid):
 
 def div_part(y, pi, grid, epsilon=0.0):
     """div y + epsilon*pi: the divergence term of the least-squares energies."""
-    return div_parts(y, pi, grid, epsilon)[1]
-
-
-def div_parts(y, pi, grid, epsilon=0.0):
-    """(div y, div y + epsilon*pi) from one divergence; at epsilon = 0
-    both are the same array."""
     dv = div(y, grid)
-    return dv, (dv + epsilon * pi if epsilon else dv)
+    return dv + epsilon * pi if epsilon else dv
 
 
 def curl(s, grid):

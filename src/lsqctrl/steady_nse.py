@@ -9,9 +9,9 @@ where the corrector v in H_0^1 lifts the momentum residual
 convection term) but still an error functional: its stationary points
 are exactly the discrete steady solutions when the corrector vanishes.
 Descent follows the H_0^1 x L^2 Riesz gradient (or its PR+ combination)
-with the exact step: along a line the corrector is a quadratic
-polynomial in the step size, so E is a quartic whose minimizer is a root
-of a cubic.
+with the exact step (``abstract_descent.ExactLineRule``, as in the
+unsteady solver): along a line the corrector is a quadratic polynomial
+in the step size, so E is a quartic whose minimizer is a root of a cubic.
 
 The H_0^1 norm of v is that of the 5-point stiffness L which
 ``poisson_solve`` (P) inverts exactly, so for every v = P(r)
@@ -19,23 +19,25 @@ The H_0^1 norm of v is that of the 5-point stiffness L which
     h1_pairing(a, P(r)) = space_inner(a, r):
 
 a pairing with a solved field is read off its right-hand side.  The
-descent therefore carries each corrector with its right-hand side, and
+descent therefore carries the corrector with its right-hand side (and
+div y + eps*pi) from step to step, so a run solves one corrector, and
 the quartic's coefficients come from one 3x3 Gram product of the
-line's fields [v, v1, v2] with their right-hand sides, never from edge
+line's fields [v, Vd, v2] with their right-hand sides, never from edge
 differences.  The edge-form pairings stay the oracle: ``energy_steady``
 without ``rhs``, and the tests.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
-from .abstract_descent import run_descent
+from .abstract_descent import ExactLineRule, run_descent
 from .discretization import (
     SpatialGrid,
     div_part,
-    div_parts,
     dx,
     dy,
     grad,
@@ -235,133 +237,54 @@ def _gram(fields, rhss, grid):
     return grid.hx * grid.hy * (a @ b.T)
 
 
-def _line_quartic(p: SteadyProblem, s: SteadyState, v, rhs, dir_y, dir_pi, q0=None):
-    """E along (y - eta dir_y, pi - eta dir_pi) as a quartic in eta.
-
-    The momentum residual is quadratic in y, so there the corrector's
-    right-hand side is rhs + eta lin - eta^2 cdd (rhs that of the
-    corrector v at s): lin is the residual linearized in the direction
-    and cdd the convection of dir_y.  The corrector is v + eta v1 -
-    eta^2 v2 with [v1, v2] = P([lin, cdd]) from one Poisson solve, and
-    the divergence part is q0 - eta q1 (q0 = div y + eps pi of s,
-    computed if not given).  The H_0^1 pairings of v, v1, v2 are the
-    entries of G = _gram([v, v1, v2], [rhs, lin, cdd]), since
-    h1_pairing(a, P(r)) = space_inner(a, r).  Returns the coefficients
-    c0..c4 of E(eta) = sum_k c_k eta^k, [v1, v2] and [lin, cdd]; raises
-    ValueError if a coefficient is not finite.
-    """
-    g = p.grid
-    cross, cdd = _line_convection(s.y, dir_y, g)
-    lin = -p.nu * laplace(dir_y, g)
-    lin += cross
-    lin += grad_pressure(dir_pi, g)
-    rhss = np.stack([lin, cdd])
-    fields = poisson_solve(g, rhss)
-    gram = _gram([v, *fields], [rhs, *rhss], g)
-    if q0 is None:
-        q0 = div_part(s.y, s.pi, g, p.epsilon)
-    q1 = div_part(dir_y, dir_pi, g, p.epsilon)
-    coef = np.array([
-        0.5 * (gram[0, 0] + space_inner(q0, q0, g)),
-        gram[0, 1] - space_inner(q0, q1, g),
-        0.5 * (gram[1, 1] + space_inner(q1, q1, g)) - gram[0, 2],
-        -gram[1, 2],
-        0.5 * gram[2, 2],
-    ])
-    if not np.isfinite(coef).all():
-        raise ValueError("steady step: non-finite energy polynomial")
-    return coef, fields, rhss
-
-
-def _quartic_argmin(coef):
-    """The positive root of the cubic E' with the lowest E(eta) = sum_k
-    coef[k] eta^k, or None if E' has no positive root.
-
-    Real parts of complex roots stay candidates, since a root close to
-    a double root may come out as a complex pair; none of them can
-    undercut the real root where E is lowest over eta > 0.
-    """
-    roots = np.roots((coef[1:] * np.arange(1, 5))[::-1]).real
-    roots = roots[roots > 0]
-    if roots.size == 0:
-        return None
-    return float(roots[np.argmin(np.polyval(coef[::-1], roots))])
-
-
-class _ExactStepRule:
-    """Step rule of ``descend_steady`` for ``run_descent``: the exact
-    step on the quartic energy along the metric gradient or its PR+
-    combination.  Each step carries the corrector, its right-hand side,
-    div y, q = div y + eps*pi and the energy of its trial to the next
-    iterate, so only iterate 0 solves a corrector, an iteration takes
-    div once (of its trial), and every H_0^1 pairing is read off a
-    right-hand side."""
+class _SteadyLine:
+    """The steady problem's line builder for ``ExactLineRule``.  The
+    residual is quadratic in y, so along (y - eta d_y, pi - eta d_pi) the
+    corrector's right-hand side is rhs - eta bd - eta^2 cdd (bd: the
+    linearized residual of d, negated; cdd: the convection of d_y), the
+    corrector v - eta Vd - eta^2 v2 with [Vd, v2] = P([bd, cdd]), and E a
+    quartic whose pairings are the entries of _gram([v, Vd, v2], [rhs,
+    bd, cdd]).  The gradient's pairings are read off its right-hand side."""
 
     diagnostics = ("residual_norm", "div_norm")
-    kernel_ratios = False
+    parts = staticmethod(attrgetter("y", "pi"))
 
-    def __init__(self, p, cfg, s):
-        self.p, self.cfg, self.state = p, cfg, s
-        # corrector, its right-hand side, div y, q and the energy of
-        # self.state, once known
-        self.v = self.rhs = self.dv = self.q = self.e = None
-        self.prev = None  # (ybar, pibar, gn_sq) of the previous iterate
-        self.dir_y = self.dir_pi = None
+    def __init__(self, p):
+        self.p = p
+        self.inner_v = self.inner_q = partial(space_inner, grid=p.grid)
 
-    def measure(self, history):
-        p, s, g = self.p, self.state, self.p.grid
-        if self.v is None:
-            self.v, info = corrector_steady(p, s)
-            self.rhs = info["rhs"]
-            self.dv, self.q = div_parts(s.y, s.pi, g, p.epsilon)
-            self.e = energy_steady(p, s, self.v, self.rhs, self.q)
-        self.ybar, self.pibar, info = gradient_steady(p, s, self.v, self.q)
-        self.gn_sq, self.r = info["norm_sq"], info["rhs"]
-        return {
-            "E": self.e,
-            "grad_norm": np.sqrt(self.gn_sq),
-            "residual_norm": np.sqrt(max(space_inner(self.v, self.rhs, g), 0.0)),
-            "div_norm": np.sqrt(max(space_inner(self.dv, self.dv, g), 0.0)),
-        }
+    def fields(self, s):
+        v, info = corrector_steady(self.p, s)
+        return [v, info["rhs"], div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
-    def choose(self, record):
-        p, cfg, s, g = self.p, self.cfg, self.state, self.p.grid
-        ybar, pibar, gn_sq, r = self.ybar, self.pibar, self.gn_sq, self.r
-        if cfg.algorithm == "cg" and self.prev is not None:
-            py, ppi, pgn_sq = self.prev
-            # H_0^1 x L^2 pairings of the gradient (ybar = P(r)) with the
-            # previous one and with the combined direction
-            pair = space_inner(pibar, ppi, g) + space_inner(py, r, g)
-            beta = max(0.0, (gn_sq - pair) / pgn_sq)
-            cy = ybar + beta * self.dir_y
-            cpi = pibar + beta * self.dir_pi
-            dd_c = space_inner(pibar, cpi, g) + space_inner(cy, r, g)
-            if dd_c > 1e-12 * gn_sq:
-                self.dir_y, self.dir_pi = cy, cpi
-            else:
-                self.dir_y, self.dir_pi = ybar, pibar
-        else:
-            self.dir_y, self.dir_pi = ybar, pibar
-        self.prev = (ybar, pibar, gn_sq)
+    def measure(self, s, fields):
+        g, (v, rhs, q) = self.p.grid, fields
+        dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
+        ybar, self.pibar, info = gradient_steady(self.p, s, v, q)
+        self.r = info["rhs"]
+        return [ybar, self.pibar], info["norm_sq"], {
+            "residual_norm": np.sqrt(max(space_inner(v, rhs, g), 0.0)),
+            "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0))}
 
-        coef, (v1, v2), (lin, cdd) = _line_quartic(p, s, self.v, self.rhs,
-                                                   self.dir_y, self.dir_pi, self.q)
-        eta = _quartic_argmin(coef)
-        if eta is None:
-            return "line_search_stall"
-        trial = SteadyState(g, s.y - eta * self.dir_y, s.pi - eta * self.dir_pi)
-        v = self.v + eta * v1 - eta**2 * v2
-        rhs = self.rhs + eta * lin - eta**2 * cdd
-        dv, q = div_parts(trial.y, trial.pi, g, p.epsilon)
-        e = energy_steady(p, trial, v, rhs, q)
-        if not e < record["E"]:  # the roundoff floor: the exact step no longer descends
-            return "line_search_stall"
-        self.trial = (trial, v, rhs, e, dv, q)
-        record["step"] = eta
-        return None
+    def grad_pairing(self, x):
+        """H_0^1 x L^2 pairing of the last gradient (ybar = P(r)) with x."""
+        return space_inner(self.pibar, x[1], self.p.grid) + space_inner(x[0], self.r, self.p.grid)
 
-    def advance(self, record):
-        self.state, self.v, self.rhs, self.e, self.dv, self.q = self.trial
+    def line(self, s, fields, d):
+        p, g, (v, rhs, q) = self.p, self.p.grid, fields
+        cross, cdd = _line_convection(s.y, d[0], g)
+        bd = laplace(d[0], g)
+        bd *= p.nu
+        bd -= cross
+        bd -= grad_pressure(d[1], g)
+        rhss = np.stack([bd, cdd])
+        sols = poisson_solve(g, rhss)
+        gram = _gram([v, *sols], [rhs, *rhss], g)
+        qd = div_part(d[0], d[1], g, p.epsilon)
+        coef = (-gram[0, 1] - space_inner(q, qd, g),
+                0.5 * (gram[1, 1] + space_inner(qd, qd, g)) - gram[0, 2],
+                gram[1, 2], 0.5 * gram[2, 2])
+        return coef, [sols, rhss, (qd,)]
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):
@@ -372,13 +295,15 @@ def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=No
     the combination stops being a descent direction).  Either way the
     step is the minimizer of E along the direction (the positive root of
     the cubic E' with the lowest E), and it is taken only if it strictly
-    decreases E; once roundoff stops that, the run ends on
-    ``line_search_stall``, reported, not raised.  ``observer(record,
-    s)`` sees every iterate (see ``abstract_descent.run_descent``);
-    records carry ``residual_norm`` and ``div_norm``.
+    decreases E, read off the carried corrector; once roundoff stops
+    that, the run ends on ``line_search_stall``, reported, not raised
+    (``abstract_descent.ExactLineRule``).  ``observer(record, s)`` sees
+    every iterate (see ``abstract_descent.run_descent``); records carry
+    ``residual_norm`` and ``div_norm``.
     """
     p.check_small_data()
-    rule = _ExactStepRule(p, cfg, (s_init or SteadyState.zeros(p.grid)).copy())
+    rule = ExactLineRule(_SteadyLine(p), (s_init or SteadyState.zeros(p.grid)).copy(),
+                         cfg.algorithm == "cg")
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer=observer)
     return rule.state, report

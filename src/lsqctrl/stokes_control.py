@@ -10,11 +10,11 @@ actually solving the system is measured by the quadratic functional
 
 where the corrector v solves the space-time elliptic problem driven by
 the momentum residual of s.  Minimization runs over the affine manifold
-s_A + (zero-trace increments), by steepest descent in the graph metric
-of the increment space; the metric makes the preconditioned problem
-well scaled, and the update directions have closed-form pressure and
-control components (the divergence and the restriction of the
-corrector).
+s_A + (zero-trace increments) by exact-step descent (steepest or
+conjugate gradient) in the graph metric of the increment space; the
+metric makes the preconditioned problem well scaled, and the gradient
+has closed-form pressure and control components (the divergence and
+the restriction of the corrector).
 
 The exact projection onto the orthogonal complement of the kernel of
 the residual map is itself a controllability problem and is not
@@ -25,19 +25,20 @@ the exact projector so projection semantics stay tested at small scale.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
-from .abstract_descent import run_descent
+from .abstract_descent import DescentDivergence, ExactLineRule, run_descent
 from .discretization import (
+    METRICS,
     SpaceTimeGrid,
     SupportMask,
     Triplet,
     a0_velocity_riesz,
     div,
     div_part,
-    div_parts,
     dt_sq_integral,
     grad,
     grad_pressure,
@@ -77,10 +78,6 @@ MODES = ("null_control", "direct")
 SIGMA = +1.0
 
 
-class DescentDivergence(RuntimeError):
-    """Energy increased beyond roundoff slack: gradient/metric bug."""
-
-
 @dataclass
 class ControlProblem:
     """Data of one unsteady solve.
@@ -106,8 +103,6 @@ class ControlProblem:
             raise ValueError("epsilon must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        from .discretization import METRICS
-
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -197,29 +192,37 @@ def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
     r = _dt_weak_vector(y, grid)
-    r -= p.nu * area * w * laplace(y, grid)
-    r += area * w * grad_pressure(pi, grid)
+    r -= _scaled(laplace(y, grid), p.nu * area * w)
+    r += _scaled(grad_pressure(pi, grid), area * w)
     if include_control:
-        r -= area * w * (p.mask_array() * f)
+        r -= _scaled(p.mask_array() * f, area * w)
     return r
 
 
-def _corrector_rhs(p, s: Triplet):
-    return -_residual_vector(p, s.y, s.pi, s.f)
+def _scaled(a, c):
+    """a *= c in place (a: a fresh stencil output), returning a."""
+    a *= c
+    return a
 
 
-def _direction_rhs(p, d: Triplet):
-    """Corrector right-hand side of a direction: its residual without the
-    data, and without the control where the control is frozen."""
-    return -_residual_vector(p, d.y, d.pi, d.f, include_control=p.mode == "null_control")
+def _direction_rhs(p, y, pi, f):
+    """Corrector right-hand side of a direction (y, pi, f): its negated
+    residual without the data, and without the control where the control
+    is frozen."""
+    b = _residual_vector(p, y, pi, f, include_control=p.mode == "null_control")
+    return np.negative(b, out=b)
 
 
 def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
     """Space-time corrector of s: the elliptic lift of the weak residual."""
-    b = _corrector_rhs(p, s)
+    b = _residual_vector(p, s.y, s.pi, s.f)
+    return _lift(p, np.negative(b, out=b))
+
+
+def _lift(p, b):
+    """The corrector of the right-hand side b."""
     v = spacetime_solve_weak(p.grid, b)
-    energy_sq = max(float(np.sum(v * b)), 0.0)
-    return CorrectorField(v, np.sqrt(energy_sq), b)
+    return CorrectorField(v, np.sqrt(max(float(np.sum(v * b)), 0.0)), b)
 
 
 def lift_sA(p: ControlProblem) -> Triplet:
@@ -265,7 +268,7 @@ def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
     """
     _check_direction(p, d)
     corr = corr or corrector(p, s)
-    bd = _direction_rhs(p, d)
+    bd = _direction_rhs(p, d.y, d.pi, d.f)
     val = float(np.sum(bd * corr.v))
     q = div_part(s.y, s.pi, p.grid, p.epsilon)
     qd = div_part(d.y, d.pi, p.grid, p.epsilon)
@@ -278,10 +281,7 @@ def apply_T(p: ControlProblem, d: Triplet):
     Oracle of the tests: the descent computes the same image inline.
     """
     _check_direction(p, d)
-    bd = _direction_rhs(p, d)
-    v = spacetime_solve_weak(p.grid, bd)
-    energy_sq = max(float(np.sum(v * bd)), 0.0)
-    return CorrectorField(v, np.sqrt(energy_sq), bd), div_part(d.y, d.pi, p.grid, p.epsilon)
+    return _lift(p, _direction_rhs(p, d.y, d.pi, d.f)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
 def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=None):
@@ -309,9 +309,9 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     if p.mode == "null_control":
         g.f = SIGMA * (p.mask_array() * v)
 
-    rvec = -_dt_adjoint_vector(v, grid)
-    rvec += p.nu * area * w * laplace(v, grid)
-    rvec -= area * w * grad(q, grid)
+    rvec = _scaled(laplace(v, grid), p.nu * area * w)
+    rvec -= _dt_adjoint_vector(v, grid)
+    rvec -= _scaled(grad(q, grid), area * w)
     sl = level_slice(grid, p.fixed_traces)
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric)
     g.y[sl] = ybar
@@ -323,11 +323,9 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     return g, max(norm_sq, 0.0)
 
 
-def _state_norms(s, grid, dv=None):
-    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||;
-    dv is div y, if known."""
-    if dv is None:
-        dv = div(s.y, grid)
+def _state_norms(s, grid, dv):
+    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||
+    (dv: div y)."""
     return {"div_norm": np.sqrt(st_inner(dv, dv, grid)), "yT_norm": trace_norms(s.y, grid)[1],
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
@@ -336,7 +334,7 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
     """Constraint and residual norms of a candidate triplet."""
     grid = p.grid
     corr = corr or corrector(p, s)
-    norms = _state_norms(s, grid)
+    norms = _state_norms(s, grid, div(s.y, grid))
     err0 = s.y[0] - p.y0
     return {
         "div_norm": norms["div_norm"],
@@ -349,95 +347,46 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
 
 
 # ---------------------------------------------------------------------------
-# steepest descent
+# descent
 # ---------------------------------------------------------------------------
 
-class _MetricGradientRule:
-    """Step rule of ``descend`` for ``run_descent``: exact quadratic steps
-    along the metric gradient or its Fletcher-Reeves combination.
-
-    E is quadratic and every quantity it is read from is linear in the
-    iterate, so the step carries them: the corrector v with its
-    right-hand side b (v = A^-1 b, so the corrector part of 2E is
-    v . b), and div y with q = div y + eps*pi.  An iteration computes
-    them only for the direction; a refresh computes them afresh.
-    """
+class _StokesLine:
+    """The unsteady problem's line builder for ``ExactLineRule``.  Along
+    s - eta d the corrector is v - eta Vd (Vd = A^-1 bd, bd the
+    direction's right-hand side) and the divergence part q - eta qd; A^-1
+    takes the assembled dual vector, so E(s - eta d) - E(s) =
+    -eta (v . bd + <q, qd>) + eta^2 (Vd . bd + <qd, qd>) / 2."""
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
-    kernel_ratios = True
+    parts = staticmethod(attrgetter("y", "pi", "f"))
+    inner_v = staticmethod(lambda a, b: float(np.vdot(a, b)))
 
-    def __init__(self, p, cfg, s):
-        self.p, self.cfg, self.state = p, cfg, s
-        self._refresh()
-        self.pdir = self.gn_sq_prev = self.pn_sq_prev = None
-        self.restarted = False
+    def __init__(self, p):
+        self.p = p
+        self.inner_q = partial(st_inner, grid=p.grid)
 
-    def _refresh(self):
-        p, s = self.p, self.state
-        self.corr = corrector(p, s)
-        self.div_y, self.q = div_parts(s.y, s.pi, p.grid, p.epsilon)
+    def fields(self, s):
+        corr = corrector(self.p, s)
+        return [corr.v, corr.rhs, div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
-    def corrector_energy_sq(self):
-        return max(float(np.vdot(self.corr.v, self.corr.rhs)), 0.0)
+    def refresh(self, s):
+        s.pi = remove_slice_means(s.pi)
+        return self.fields(s)
 
-    def measure(self, history):
-        p, cfg, s, grid = self.p, self.cfg, self.state, self.p.grid
-        it = len(history)
-        if cfg.refresh_every and it and it % cfg.refresh_every == 0:
-            s.pi = remove_slice_means(s.pi)
-            self._refresh()
-        e = 0.5 * (self.corrector_energy_sq() + st_inner(self.q, self.q, grid))
-        if not history and not np.isfinite(e):
-            raise DescentDivergence(f"non-finite initial energy: {e}")
-        if history and not (e <= history[-1]["E"] * (1 + 1e-12)
-                            + 1e-14 * max(history[0]["E"], 1e-300)):
-            if cfg.algorithm == "cg" and not self.restarted:
-                # conjugacy lost to roundoff: fall back to a pure
-                # gradient step before declaring divergence
-                self.pdir, self.restarted = None, True
-            else:
-                raise DescentDivergence(
-                    f"energy increased at iteration {it}: {history[-1]['E']} -> {e}"
-                )
-        self.g, self.gn_sq = gradient_a0(p, s, self.corr, return_norm=True, q=self.q)
-        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **_state_norms(s, grid, self.div_y)}
+    def measure(self, s, fields):
+        v, rhs, q = fields
+        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, 0.0, rhs), return_norm=True, q=q)
+        dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
+        return [g.y, g.pi, g.f], gn_sq, _state_norms(s, self.p.grid, dv)
 
-    def choose(self, record):
-        p, grid, gn_sq = self.p, self.p.grid, self.gn_sq
-        if self.cfg.algorithm == "cg" and self.pdir is not None and self.gn_sq_prev:
-            beta = gn_sq / self.gn_sq_prev
-            # built in the gradient's arrays: self.g is not read again
-            d = self.g.axpy(beta, self.pdir)
-            # exact-search CG keeps <g_k, p_{k-1}>_A0 = 0, so the
-            # directional derivative stays gn_sq and the direction norm
-            # recurses cheaply
-            pn_sq = gn_sq + beta**2 * self.pn_sq_prev
-        else:
-            d, pn_sq = self.g, gn_sq
-        self.gn_sq_prev, self.pn_sq_prev = gn_sq, pn_sq
-
-        self.bd = _direction_rhs(p, d)
-        self.Vd = spacetime_solve_weak(grid, self.bd)
-        self.div_yd, self.qd = div_parts(d.y, d.pi, grid, p.epsilon)
-        td_sq = max(float(np.sum(self.Vd * self.bd)), 0.0) + st_inner(self.qd, self.qd, grid)
-        ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
-        if (self.cfg.tol_kernel and ratio <= self.cfg.tol_kernel) or td_sq <= 1e-28 * gn_sq:
-            return "kernel_stall"
-        record["step"] = gn_sq / td_sq
-        self.dir = d
-        return None
-
-    def advance(self, record):
-        eta = record["step"]
-        self.state.axpy(-eta, self.dir)
-        self.corr.v -= eta * self.Vd
-        self.corr.rhs -= eta * self.bd
-        self.div_y -= eta * self.div_yd
-        if self.q is not self.div_y:
-            self.q -= eta * self.qd
-        # the direction's fields are spent: free them before the next solve
-        self.Vd = self.bd = self.div_yd = self.qd = None
-        self.pdir = self.dir if self.cfg.algorithm == "cg" else None
+    def line(self, s, fields, d):
+        p, grid, (v, _, q) = self.p, self.p.grid, fields
+        bd = _direction_rhs(p, *d)
+        Vd = spacetime_solve_weak(grid, bd)
+        qd = div_part(d[0], d[1], grid, p.epsilon)
+        coef = (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
+                0.5 * (float(np.vdot(Vd, bd)) + st_inner(qd, qd, grid)), 0.0, 0.0)
+        return coef, [(Vd,), (bd,), (qd,)]
 
 
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
@@ -446,18 +395,22 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
 
     algorithm='steepest' updates u_{k+1} = u_k - eta_k g_k with the
     exact line-search step; 'cg' recombines successive gradients into
-    conjugate directions (restarted on any roundoff-level energy
-    increase), which resolves the flat tail of the quadratic in far
-    fewer corrector solves while keeping the energy non-increasing and
-    the trace/support constraints exact.  Terminates on the absolute or
+    conjugate directions (PR+, which exact search makes Fletcher-Reeves
+    on this quadratic), which resolves the flat tail of the quadratic in
+    far fewer corrector solves while keeping the energy decreasing and
+    the trace/support constraints exact (``abstract_descent.ExactLineRule``).
+    Every refresh_every iterates the pressure's slice means are removed
+    and the corrector is solved afresh.  Terminates on the absolute or
     relative energy target, the relative gradient target, the
-    kernel-ratio criterion, or max_iter.  ``observer(record, s)`` sees
-    every iterate (see ``abstract_descent.run_descent``); records carry
+    kernel-ratio criterion, max_iter, or ``line_search_stall`` once the
+    exact step no longer lowers E.  ``observer(record, s)`` sees every
+    iterate (see ``abstract_descent.run_descent``); records carry
     ``kernel_ratio``, ``div_norm``, ``yT_norm`` and ``f_norm``.
     """
-    rule = _MetricGradientRule(p, cfg, (s_init or lift_sA(p)).copy())
+    rule = ExactLineRule(_StokesLine(p), (s_init or lift_sA(p)).copy(), cfg.algorithm == "cg",
+                         cfg.refresh_every, cfg.tol_kernel)
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
-    rule.corr.weak_residual_norm = np.sqrt(rule.corrector_energy_sq())
-    report.extras["corrector"] = rule.corr
+    v, rhs = rule.fields[:2]
+    report.extras["corrector"] = CorrectorField(v, np.sqrt(max(float(np.vdot(v, rhs)), 0.0)), rhs)
     return rule.state, report

@@ -20,20 +20,24 @@ MODULES = (
     "lsqctrl.stokes_control",
 )
 
-# the splitting scheme and the helpers only it or the tests used, and
-# the slice kernels that the cached operator matrices replaced
+# the splitting scheme and the helpers only it or the tests used, the
+# slice kernels that the cached operator matrices replaced, and the two
+# step rules (with their helpers) that ExactLineRule replaced
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search",),
-    "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner"),
+    "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
+                               "div_parts"),
     "lsqctrl.discretization.a0": ("velocity_a0_inner",),
     "lsqctrl.discretization.elliptic": ("shifted_poisson_solve",),
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
-                                        "_swap_xy"),
-    "lsqctrl.steady_nse": ("pressure_residual_indicator",),
+                                        "_swap_xy", "div_parts"),
+    "lsqctrl.steady_nse": ("pressure_residual_indicator", "_ExactStepRule", "_line_quartic",
+                           "_quartic_argmin"),
     "lsqctrl.stokes_control": ("split_iteration", "pressure_update_step",
                                "pressure_stationary_point", "_PressureRule",
-                               "_heat_forward", "_div_cost", "_pressure_cost_gradient"),
+                               "_heat_forward", "_div_cost", "_pressure_cost_gradient",
+                               "_MetricGradientRule", "_corrector_rhs"),
 }
 
 

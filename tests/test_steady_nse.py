@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from lsqctrl import steady_nse
+from lsqctrl import stokes_control as sc
+from lsqctrl.abstract_descent import ExactLineRule, _quartic_argmin
 from lsqctrl.discretization import (
     SpatialGrid,
+    Triplet,
     curl,
     div,
     div_part,
+    dt_sq_integral,
     h1_pairing,
     h1_seminorm_sq,
     space_inner,
+    st_h1_seminorm_sq,
     stencils,
 )
 from lsqctrl.oracles import (
@@ -31,6 +36,7 @@ from lsqctrl.steady_nse import (
     energy_steady,
     gradient_steady,
 )
+from test_stokes_control import perturbed_state, random_direction, small_problem
 
 
 def smooth_pair(grid, seed=0):
@@ -256,101 +262,170 @@ class TestGradientSteady:
         assert np.abs(pibar - pibar_dense).max() <= 1e-8 * max(np.abs(pibar_dense).max(), 1e-30)
 
 
-def random_line(p, direction, seed=7):
-    """A random state of p and a descent direction through it: the metric
-    gradient ('steepest'), the PR+ direction of the third CG iterate
-    ('cg') or a random one ('random').  Returns (state, corrector, its
-    right-hand side, dir_y, dir_pi)."""
-    g = p.grid
-    rng = np.random.default_rng(seed)
-    s = SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
-                    rng.standard_normal((g.ny, g.nx)))
-    if direction == "random":
-        v, info = corrector_steady(p, s)
+class SteadyKit:
+    """The steady solver's side of the line-step tests."""
+
+    def __init__(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.p = small_data_problem(SpatialGrid(8, 8), amp=1.0)
+        self.line = steady_nse._SteadyLine(self.p)
+
+    def state(self, rng):
+        g = self.p.grid
+        return SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
+                           rng.standard_normal((g.ny, g.nx)))
+
+    def direction(self, rng):
+        g = self.p.grid
         d_y = rng.standard_normal((2, g.ny, g.nx))
         d_pi = rng.standard_normal((g.ny, g.nx))
-        d_pi -= d_pi.mean()
-        # pointed downhill: E'(0) = coef[1] < 0
-        sign = -np.sign(steady_nse._line_quartic(p, s, v, info["rhs"], d_y, d_pi)[0][1])
-        return s, v, info["rhs"], sign * d_y, sign * d_pi
-    rule = steady_nse._ExactStepRule(p, SteadyConfig(algorithm=direction), s)
-    for k in range(3):
+        return [d_y, d_pi - d_pi.mean()]
+
+    def energy(self, s):
+        return energy_steady(self.p, s)
+
+    def corrector(self, s):
+        v, info = corrector_steady(self.p, s)
+        return v, info["rhs"]
+
+    def norm(self, v):
+        return np.sqrt(h1_seminorm_sq(v, self.p.grid))
+
+    @staticmethod
+    def along(s, d, eta):
+        return SteadyState(s.grid, s.y - eta * d[0], s.pi - eta * d[1])
+
+
+class StokesKit:
+    """The unsteady solver's side of the line-step tests."""
+
+    def __init__(self):
+        self.p = small_problem()
+        self.line = sc._StokesLine(self.p)
+
+    def state(self, rng):
+        return perturbed_state(self.p, rng)
+
+    def direction(self, rng):
+        d = random_direction(self.p, rng)
+        return [d.y, d.pi, d.f]
+
+    def energy(self, s):
+        return sc.energy(self.p, s)
+
+    def corrector(self, s):
+        corr = sc.corrector(self.p, s)
+        return corr.v, corr.rhs
+
+    def norm(self, v):
+        return np.sqrt(dt_sq_integral(v, self.p.grid) + st_h1_seminorm_sq(v, self.p.grid))
+
+    @staticmethod
+    def along(s, d, eta):
+        return Triplet(s.grid, s.y - eta * d[0], s.pi - eta * d[1], s.f - eta * d[2])
+
+
+KITS = {"steady": SteadyKit, "unsteady": StokesKit}
+DIRECTIONS = ("steepest", "cg", "random")
+# both builders; the steady cases keep their direction as the test id
+LINES = [pytest.param(kind, direction, id=direction if kind == "steady" else f"{kind}-{direction}")
+         for kind in KITS for direction in DIRECTIONS]
+
+
+def random_line(kit, direction, seed=7):
+    """An exact-line rule at a random state after it has chosen its step
+    along the metric gradient ('steepest'), the CG direction of the third
+    iterate ('cg') or a random one ('random').  Returns the rule (its
+    state not yet stepped, its direction rule.dir), the record with the
+    step and copies of the fields at the state."""
+    rng = np.random.default_rng(seed)
+    rule = ExactLineRule(kit.line, kit.state(rng), cg=direction == "cg")
+    steps = 1 if direction == "random" else 3
+    for k in range(steps):
         record = rule.measure([])
+        fields = [f.copy() for f in rule.fields]
+        if direction == "random":
+            d = kit.direction(rng)
+            # pointed downhill: E'(0) = c1 < 0
+            sign = -np.sign(kit.line.line(rule.state, rule.fields, d)[0][0])
+            rule.g = [sign * a for a in d]
         assert rule.choose(record) is None
-        if k < 2:
+        if k < steps - 1:
             rule.advance(record)
-    return rule.state, rule.v, rule.rhs, rule.dir_y, rule.dir_pi
+    return rule, record, fields
 
 
-def along(s, d_y, d_pi, eta):
-    return SteadyState(s.grid, s.y - eta * d_y, s.pi - eta * d_pi)
+def line_polynomial(rule, record, fields):
+    """Coefficients c0..c4 of E along rule.state - eta rule.dir, and the
+    line's field increments."""
+    coef, incs = rule.line.line(rule.state, fields, rule.dir)
+    return np.array([record["E"], *coef]), incs
 
 
 class TestExactStep:
     @pytest.fixture
     def problem(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return small_data_problem(SpatialGrid(8, 8), amp=1.0)
+        return SteadyKit().p
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_polynomial_matches_energy(self, problem, direction):
-        s, v, rhs, d_y, d_pi = random_line(problem, direction)
-        coef, _, _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
-        eta_star = steady_nse._quartic_argmin(coef)
+    @pytest.mark.parametrize("kind, direction", LINES)
+    def test_polynomial_matches_energy(self, kind, direction):
+        kit = KITS[kind]()
+        rule, record, fields = random_line(kit, direction)
+        coef, _ = line_polynomial(rule, record, fields)
+        eta_star = _quartic_argmin(coef)
         assert eta_star > 0
         for eta in eta_star * np.array([0.0, 0.3, 1.0, 1.7, 3.2]):
-            e = energy_steady(problem, along(s, d_y, d_pi, eta))
+            e = kit.energy(kit.along(rule.state, rule.dir, eta))
             assert np.polyval(coef[::-1], eta) == pytest.approx(e, rel=1e-10)
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_carried_corrector_matches_a_fresh_solve(self, problem, direction):
-        s, v, rhs, d_y, d_pi = random_line(problem, direction)
-        coef, (v1, v2), _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
-        eta = steady_nse._quartic_argmin(coef)
-        carried = v + eta * v1 - eta**2 * v2
-        fresh, _ = corrector_steady(problem, along(s, d_y, d_pi, eta))
-        g = problem.grid
-        assert np.sqrt(h1_seminorm_sq(carried - fresh, g)) <= 1e-12 * np.sqrt(
-            h1_seminorm_sq(fresh, g))
+    @pytest.mark.parametrize("kind, direction", LINES)
+    def test_carried_corrector_matches_a_fresh_solve(self, kind, direction):
+        kit = KITS[kind]()
+        rule, record, _ = random_line(kit, direction)
+        rule.advance(record)
+        v, rhs = rule.fields[:2]
+        fresh_v, fresh_rhs = kit.corrector(rule.state)
+        assert kit.norm(v - fresh_v) <= 1e-12 * kit.norm(fresh_v)
+        assert np.linalg.norm(rhs - fresh_rhs) <= 1e-12 * np.linalg.norm(fresh_rhs)
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_step_beats_a_dense_scan(self, problem, direction):
-        s, v, rhs, d_y, d_pi = random_line(problem, direction)
-        coef, _, _ = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
-        eta_star = steady_nse._quartic_argmin(coef)
-        scan = [energy_steady(problem, along(s, d_y, d_pi, eta))
+    @pytest.mark.parametrize("kind, direction", LINES)
+    def test_step_beats_a_dense_scan(self, kind, direction):
+        kit = KITS[kind]()
+        rule, record, _ = random_line(kit, direction)
+        s, d, eta_star = rule.state, rule.dir, record["step"]
+        scan = [kit.energy(kit.along(s, d, eta))
                 for eta in np.linspace(0.0, 4.0 * eta_star, 401)]
-        e_star = energy_steady(problem, along(s, d_y, d_pi, eta_star))
+        e_star = kit.energy(kit.along(s, d, eta_star))
         assert e_star <= min(scan)
         assert e_star < scan[0]
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_gram_entries_are_the_h1_pairings(self, problem, direction):
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_gram_entries_are_the_h1_pairings(self, direction):
         # h1_pairing(a, P(r)) = space_inner(a, r): the Gram product of the
         # line's fields with their right-hand sides holds their pairings
-        s, v, rhs, d_y, d_pi = random_line(problem, direction)
-        _, fields, rhss = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
-        g = problem.grid
-        V = [v, *fields]
+        rule, record, fields = random_line(SteadyKit(), direction)
+        (v, rhs), (sols, rhss, *_) = fields[:2], line_polynomial(rule, record, fields)[1]
+        g = rule.state.grid
+        V = [v, *sols]
         G = steady_nse._gram(V, [rhs, *rhss], g)
         for i in range(3):
             for j in range(3):
                 assert G[i, j] == pytest.approx(h1_pairing(V[i], V[j], g), rel=1e-12), (i, j)
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_carried_rhs_matches_the_momentum_residual(self, problem, direction):
-        s, v, rhs, d_y, d_pi = random_line(problem, direction)
-        coef, _, (lin, cdd) = steady_nse._line_quartic(problem, s, v, rhs, d_y, d_pi)
-        eta = steady_nse._quartic_argmin(coef)
-        carried = rhs + eta * lin - eta**2 * cdd
-        fresh = -steady_nse._momentum_residual(problem, along(s, d_y, d_pi, eta))
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_carried_rhs_matches_the_momentum_residual(self, direction):
+        kit = SteadyKit()
+        rule, record, _ = random_line(kit, direction)
+        rule.advance(record)
+        carried = rule.fields[1]
+        fresh = -steady_nse._momentum_residual(kit.p, rule.state)
         assert np.linalg.norm(carried - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
-    @pytest.mark.parametrize("direction", ["steepest", "cg", "random"])
-    def test_fused_convection_matches_the_oracle(self, problem, direction):
-        s, _, _, d_y, _ = random_line(problem, direction)
-        g = problem.grid
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_fused_convection_matches_the_oracle(self, direction):
+        rule, _, _ = random_line(SteadyKit(), direction)
+        s, d_y, g = rule.state, rule.dir[0], rule.state.grid
         cross, cdd = steady_nse._line_convection(s.y, d_y, g)
         ref_cross = convection(s.y, d_y, g) + convection(d_y, s.y, g)
         ref_cdd = convection(d_y, d_y, g)
@@ -358,8 +433,8 @@ class TestExactStep:
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_gradient_rhs_carries_the_pairings(self, problem):
-        s, v, rhs, _, _ = random_line(problem, "random")
-        g = problem.grid
+        rule, _, (v, rhs, *_) = random_line(SteadyKit(), "random")
+        s, g = rule.state, problem.grid
         ybar, _, info = gradient_steady(problem, s, v)
         r = info["rhs"]
         a = np.random.default_rng(3).standard_normal(ybar.shape)
@@ -367,22 +442,23 @@ class TestExactStep:
         assert space_inner(v, rhs, g) == pytest.approx(h1_seminorm_sq(v, g), rel=1e-12)
 
     def test_pr_plus_direction_matches_the_edge_form_pairings(self, problem):
-        s, _, _, _, _ = random_line(problem, "random")
+        kit = SteadyKit()
         g = problem.grid
-        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
         record = rule.measure([])
         assert rule.choose(record) is None
         rule.advance(record)
-        py, ppi, pgn_sq = rule.ybar, rule.pibar, rule.gn_sq
-        d_y, d_pi = rule.dir_y, rule.dir_pi
+        # the quartic line keeps the gradient for the next PR+ pairing
+        (py, ppi), pgn_sq = rule.gprev, rule.gn_sq_prev
+        d_y, d_pi = (a.copy() for a in rule.dir)
         record = rule.measure([record])
-        ybar, pibar = rule.ybar, rule.pibar
+        ybar, pibar = rule.g
         gn_sq = h1_seminorm_sq(ybar, g) + space_inner(pibar, pibar, g)
         assert rule.gn_sq == pytest.approx(gn_sq, rel=1e-12)
         beta = (gn_sq - h1_pairing(ybar, py, g) - space_inner(pibar, ppi, g)) / pgn_sq
         assert beta > 0
         assert rule.choose(record) is None
-        for got, ref in ((rule.dir_y, ybar + beta * d_y), (rule.dir_pi, pibar + beta * d_pi)):
+        for got, ref in zip(rule.dir, (ybar + beta * d_y, pibar + beta * d_pi)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("restart", [True, False])
@@ -392,45 +468,51 @@ class TestExactStep:
         # pairings with ybar disagree on whether ybar + D descends; the
         # rule must restart to the gradient exactly when the H_0^1 x L^2
         # pairing says it does not.
-        s, _, _, _, _ = random_line(problem, "random")
+        kit = SteadyKit()
         g = problem.grid
-        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
         record = rule.measure([])
-        ybar, pibar, gn_sq, r = rule.ybar, rule.pibar, rule.gn_sq, rule.r
+        (ybar, pibar), gn_sq, r = rule.g, rule.gn_sq, rule.line.r
         # a zero previous gradient of norm gn_sq makes beta exactly 1
-        rule.prev = (np.zeros_like(ybar), np.zeros_like(pibar), gn_sq)
+        rule.gprev = [np.zeros_like(ybar), np.zeros_like(pibar)]
+        rule.gn_sq_prev = rule.pn_sq_prev = gn_sq
         l2_sq = space_inner(pibar, pibar, g) + space_inner(ybar, ybar, g)
         pairings = np.array([[h1_pairing(r, ybar, g), h1_pairing(ybar, ybar, g)],
                              [space_inner(r, ybar, g), space_inner(ybar, ybar, g)]])
         # targets for (h1_pairing(D, ybar), space_inner(D, ybar))
         target = [-2.0 * gn_sq, 0.0] if restart else [0.0, -2.0 * l2_sq]
         a, b = np.linalg.solve(pairings, target)
-        rule.dir_y, rule.dir_pi = a * r + b * ybar, np.zeros_like(pibar)
-        assert h1_pairing(ybar + rule.dir_y, ybar, g) + space_inner(pibar, pibar, g) == (
+        D = a * r + b * ybar
+        rule.dir = [D.copy(), np.zeros_like(pibar)]
+        assert h1_pairing(ybar + D, ybar, g) + space_inner(pibar, pibar, g) == (
             pytest.approx(gn_sq if not restart else -gn_sq, rel=1e-8))
-        expected = ybar if restart else ybar + rule.dir_y
+        expected = ybar if restart else ybar + D
         rule.choose(record)
-        assert np.array_equal(rule.dir_y, expected)
-        assert np.array_equal(rule.dir_pi, pibar)
+        assert np.array_equal(rule.dir[0], expected)
+        assert np.array_equal(rule.dir[1], pibar)
 
     def test_rule_carries_the_trial_corrector(self, problem):
-        # the rule steps by the polynomial's minimizer, and the next
+        # the rule steps by the polynomial's minimizer, carries the
+        # corrector, its right-hand side, div y and q to it, and the next
         # iterate's record holds the carried energy
-        s, _, _, _, _ = random_line(problem, "random")
-        rule = steady_nse._ExactStepRule(problem, SteadyConfig(algorithm="cg"), s)
+        kit = SteadyKit()
+        rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
         record = rule.measure([])
+        fields = [f.copy() for f in rule.fields]
         assert rule.choose(record) is None
-        coef, _, _ = steady_nse._line_quartic(problem, s, rule.v, rule.rhs,
-                                              rule.dir_y, rule.dir_pi)
-        assert record["step"] == steady_nse._quartic_argmin(coef)
-        trial, v, rhs, e, dv, q = rule.trial
+        coef, _ = line_polynomial(rule, record, fields)
+        assert record["step"] == _quartic_argmin(coef)
+        v, rhs, q = rule.fields[:3]
+        e = rule.e
+        rule.advance(record)
+        trial, g = rule.state, problem.grid
         fresh = -steady_nse._momentum_residual(problem, trial)
         assert np.linalg.norm(rhs - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        # div y and q of the trial are formed once, with div_part's arithmetic
-        assert np.array_equal(dv, div(trial.y, problem.grid))
-        assert np.array_equal(q, div_part(trial.y, trial.pi, problem.grid, problem.epsilon))
-        rule.advance(record)
-        assert (rule.measure([record])["E"] == e == energy_steady(problem, trial, v, rhs)
+        # div y and q are carried along the line, not formed afresh
+        for got, ref in ((rule.fields[-1], div(trial.y, g)),
+                         (q, div_part(trial.y, trial.pi, g, problem.epsilon))):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert (rule.measure([record])["E"] == e == energy_steady(problem, trial, v, rhs, q)
                 < record["E"])
 
     def test_one_corrector_solve_per_run(self, problem, monkeypatch):
@@ -472,20 +554,25 @@ class TestExactStep:
 
     def test_non_finite_polynomial_is_a_value_error(self, problem):
         # the Poisson data stay finite; the pairings of the corrector overflow
-        s, v, rhs, d_y, d_pi = random_line(problem, "random")
+        kit = SteadyKit()
+        rng = np.random.default_rng(7)
+        rule = ExactLineRule(kit.line, kit.state(rng), cg=False)
+        record = rule.measure([])
+        d_y, d_pi = kit.direction(rng)
+        rule.g = [1e80 * d_y, d_pi]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="steady step: non-finite energy polynomial"):
-                steady_nse._line_quartic(problem, s, v, rhs, 1e80 * d_y, d_pi)
+            with pytest.raises(ValueError, match="exact step: non-finite energy polynomial"):
+                rule.choose(record)
 
     def test_argmin_picks_the_lower_of_two_minima(self):
         # E = (eta - 1)^2 (eta - 3)^2 - eta/10: minima near 1 and 3, lower near 3
         coef = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 3.0, 3.0])
         coef[1] -= 0.1
-        eta = steady_nse._quartic_argmin(coef)
+        eta = _quartic_argmin(coef)
         assert eta == pytest.approx(3.0, abs=0.05)
 
     def test_argmin_without_a_positive_root(self):
-        assert steady_nse._quartic_argmin(np.array([1.0, 1.0, 1.0, 0.0, 0.0])) is None
+        assert _quartic_argmin(np.array([1.0, 1.0, 1.0, 0.0, 0.0])) is None
 
 
 class TestDescendSteady:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lsqctrl import stokes_control as sc
+from lsqctrl.abstract_descent import ExactLineRule
 from lsqctrl.discretization import (
     SpaceTimeGrid,
     SupportMask,
@@ -251,12 +252,12 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         p = small_problem(epsilon=0.01)
         s = perturbed_state(p, rng)
-        from lsqctrl.stokes_control import _corrector_rhs
+        from lsqctrl.stokes_control import _residual_vector
 
         corr = sc.corrector(p, s)
         e_quad = sc.energy(p, s, corr)
         q = div(s.y, p.grid) + p.epsilon * s.pi
-        e_op = 0.5 * (float(np.sum(corr.v * _corrector_rhs(p, s)))
+        e_op = 0.5 * (float(np.sum(corr.v * -_residual_vector(p, s.y, s.pi, s.f)))
                       + st_inner(q, q, p.grid))
         assert e_op == pytest.approx(e_quad, rel=1e-12)
 
@@ -530,6 +531,28 @@ class TestDescend:
         on = (g.ts() >= 0.25 - 1e-12) & (g.ts() <= 0.75 + 1e-12)
         assert np.abs(s.f[~on]).max() == 0.0
         assert np.abs(s.f[on]).max() > 0.0
+
+
+class TestQuadraticLine:
+    def test_exact_search_keeps_successive_gradients_orthogonal(self):
+        # On the quadratic E exact-search CG keeps <g_k, g_{k-1}>_A0 = 0,
+        # so the rule's PR+ beta is Fletcher-Reeves without forming that
+        # pairing, and it holds no previous gradient to form it from.
+        p = small_problem()
+        rule = ExactLineRule(sc._StokesLine(p), sc.lift_sA(p), cg=True)
+        history, prev = [], None
+        for _ in range(30):
+            record = rule.measure(history)
+            history.append(record)
+            g = Triplet(p.grid, *(a.copy() for a in rule.g))
+            gn_sq = rule.gn_sq
+            assert inner_a0(g, g, p.metric) == pytest.approx(gn_sq, rel=1e-10)
+            if prev is not None:
+                assert abs(inner_a0(g, prev, p.metric)) <= 1e-10 * gn_sq
+            assert rule.choose(record) is None
+            assert rule.gprev is None
+            rule.advance(record)
+            prev = g
 
 
 class TestDiagnostics:
