@@ -8,10 +8,9 @@ the exact minimizer are all computable and serve as oracles for the
 matrix-free PDE machinery.
 
 ``run_descent`` is the package's one descent loop: stop tests,
-per-iterate history, report and observer hook, around a step rule.  The
-dense ``descend`` runs it on the exact steepest step of this module,
-the oracle; both PDE solvers run it on ``ExactLineRule``, the exact step
-on a polynomial line energy, each with its own line builder.
+per-iterate history, report and observer hook, around a step rule: the
+exact steepest step of the dense ``descend`` (the oracle), or the PDE
+solvers' ``ExactLineRule``, the exact step on a polynomial line energy.
 """
 
 import math
@@ -355,13 +354,11 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
 
 def _quartic_argmin(coef):
     """The positive root of the cubic E' with the lowest E(eta) = sum_k
-    coef[k] eta^k, or None if E' has no positive root.
-
-    A quadratic's one root -coef[1] / (2 coef[2]) is taken in closed form
-    (np.roots gives the same value at 30 times the cost).  Real parts of
-    complex roots stay candidates, since a root close to a double root
-    may come out as a complex pair; none of them can undercut the real
-    root where E is lowest over eta > 0.
+    coef[k] eta^k, or None if E' has no positive root.  A quadratic's
+    root is taken in closed form (np.roots gives the same value at 30
+    times the cost).  Real parts of complex roots stay candidates: a root
+    close to a double root may come out as a complex pair, and none can
+    undercut the real root where E is lowest.
     """
     c1, c2, c3, c4 = coef[1:]
     if not (c3 or c4):
@@ -376,36 +373,32 @@ def _quartic_argmin(coef):
 
 class ExactLineRule:
     """Step rule of the PDE solvers for ``run_descent``: the exact step
-    along the metric gradient, or its PR+ combination if cg.
+    along the metric gradient, or its PR+ combination if cg, on a line
+    builder ``line`` that holds the problem:
 
-    A line builder ``line`` holds the problem.  ``line.fields(state)``
-    (``line.refresh(state)`` re-projects the state first) gives the
-    carried fields [v, rhs, q], with 2E = ``line.inner_v(v, rhs) +
-    line.inner_q(q, q)`` (v = A^-1 rhs, the corrector).
-    ``line.measure(state, fields)`` gives the Riesz gradient (arrays in
-    the order of ``line.parts(state)``), its squared norm and the
-    ``line.diagnostics``; ``line.grad_pairing(x)`` pairs it with x.
-    ``line.line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
-    state - eta d, and per field F the increments of F(eta) = F - eta F1
-    - eta^2 F2.
+    * ``fields(state)`` gives the carried [v, rhs, q], 2E = ``inner_v(v,
+      rhs) + inner_q(q, q)`` (v = A^-1 rhs); ``refresh(state)`` projects
+      the state first; ``reform(state, d, eta, fields)``, unless None,
+      forms fields at state - eta d in place of their carry;
+    * ``measure(state, fields)`` gives the Riesz gradient (ordered as
+      ``parts(state)``), its dual (summed ``inner_q`` with x gives <g, x>;
+      or None), its squared norm and the ``diagnostics``;
+    * ``line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
+      state - eta d, and per field F the increments of F - eta F1 - eta^2 F2.
 
-    ``choose`` carries the fields in place to the polynomial's argmin and
-    reads E there; the run ends on ``line_search_stall`` if there is no
-    argmin, or if E does not drop (the fields then solved afresh).  PR+ restarts where the
-    combination does not descend.  On a quadratic line exact-search CG
-    keeps successive gradients orthogonal, so PR+ is Fletcher-Reeves and
-    neither pairing is formed (each would cost a stored gradient).  A
-    gradient that does not descend, or an energy rise beyond roundoff at
-    a refresh, raises ``DescentDivergence``.  With tol_kernel not None
-    the records carry the kernel ratio ||T d|| / ||d|| of the (quadratic)
-    line, and the run ends on ``kernel_stall`` at or below it.
+    No argmin, or no drop in E there, ends the run on
+    ``line_search_stall``.  Without a dual, PR+ takes successive gradients
+    as orthogonal (Fletcher-Reeves; exact search keeps them so on
+    quadratic lines) and keeps no gradient.  A gradient that does not
+    descend, or an energy rise beyond roundoff, raises DescentDivergence.
+    With tol_kernel not None the records carry the kernel ratio ||T d|| /
+    ||d||, and the run ends on ``kernel_stall`` at or below it.
     """
 
     def __init__(self, line, state, cg, refresh_every=0, tol_kernel=None):
         self.line, self.state, self.cg = line, state, cg
         self.refresh_every, self.tol_kernel = refresh_every, tol_kernel
-        self.diagnostics = line.diagnostics
-        self.kernel_ratios = tol_kernel is not None
+        self.diagnostics, self.kernel_ratios = line.diagnostics, tol_kernel is not None
         self.fields, self.e = line.fields(state), None  # e: the fields' energy, once known
         # the last direction, the squared norms of its gradient and itself, that gradient
         self.dir = self.gn_sq_prev = self.pn_sq_prev = self.gprev = None
@@ -425,29 +418,37 @@ class ExactLineRule:
                             + 1e-14 * max(history[0]["E"], 1e-300)):
             raise DescentDivergence(
                 f"energy increased at iteration {it}: {history[-1]['E']} -> {e}")
-        self.g, self.gn_sq, diagnostics = self.line.measure(self.state, self.fields)
+        self.g, self.gdual, self.gn_sq, diagnostics = self.line.measure(self.state, self.fields)
         return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **diagnostics}
+
+    def _pairing(self, x):
+        """The metric pairing <g, x>, read off the gradient's dual."""
+        return sum(map(self.line.inner_q, self.gdual, x))
 
     def _direction(self):
         """The direction, built in place in the last one, and its squared
         norm (exact-search CG keeps <g_k, d_{k-1}> = 0)."""
-        line, g, gn_sq, gprev = self.line, self.g, self.gn_sq, self.gprev
+        g, gn_sq, gprev = self.g, self.gn_sq, self.gprev
         if not self.cg or self.dir is None:
             return g, gn_sq
-        pair = 0.0 if gprev is None else line.grad_pairing(gprev)
-        beta = max(0.0, (gn_sq - pair) / self.gn_sq_prev)
+        beta = max(0.0, (gn_sq - (0.0 if gprev is None else self._pairing(gprev)))
+                   / self.gn_sq_prev)
         if not beta:
             return g, gn_sq
         for a, b in zip(self.dir, g):
             a *= beta
             a += b
-        if gprev is not None and line.grad_pairing(self.dir) <= 1e-12 * gn_sq:
+        if gprev is not None and self._pairing(self.dir) <= 1e-12 * gn_sq:
             return g, gn_sq
         return self.dir, gn_sq + beta**2 * self.pn_sq_prev
 
     def choose(self, record):
         d, pn_sq = self._direction()
-        self.gprev = None  # spent: free it before the line's solve
+        # free before the line's solve: the last gradient, and this one
+        # unless it is d or a later PR+ pairing reads it
+        self.gprev = None
+        if d is not self.g and self.gdual is None:
+            self.g = None
         coef, incs = self.line.line(self.state, self.fields, d)
         coef = (0.0, *coef)
         if not all(map(math.isfinite, coef)):
@@ -467,15 +468,16 @@ class ExactLineRule:
                 a *= eta**k  # in place: the increments are spent after this
                 field -= a
         del incs, inc, a  # free the line's fields before the next solve
+        if self.line.reform:
+            self.line.reform(self.state, d, eta, self.fields)
         self.e = self.energy()
         if not self.e < record["E"]:  # the roundoff floor
             self.fields, self.e = self.line.fields(self.state), None
             return "line_search_stall"
         record["step"] = eta
         self.dir, self.gn_sq_prev, self.pn_sq_prev = d, self.gn_sq, pn_sq
-        if self.cg and (coef[3] or coef[4]):
-            self.gprev = self.g
-        self.g = None
+        self.gprev = self.g if self.cg and self.gdual is not None else None
+        self.g = self.gdual = None
         return None
 
     def advance(self, record):
@@ -483,4 +485,3 @@ class ExactLineRule:
             a -= record["step"] * b
         if not self.cg:
             self.dir = None
-

@@ -18,13 +18,11 @@ The H_0^1 norm of v is that of the 5-point stiffness L which
 
     h1_pairing(a, P(r)) = space_inner(a, r):
 
-a pairing with a solved field is read off its right-hand side.  The
-descent therefore carries the corrector with its right-hand side (and
-div y + eps*pi) from step to step, so a run solves one corrector, and
-the quartic's coefficients come from one 3x3 Gram product of the
-line's fields [v, Vd, v2] with their right-hand sides, never from edge
-differences.  The edge-form pairings stay the oracle: ``energy_steady``
-without ``rhs``, and the tests.
+a pairing with a solved field is read off its right-hand side.  So a
+run solves one corrector, carried with its right-hand side from step to
+step, and the quartic's coefficients come from one 3x3 Gram product of
+the line's fields [v, Vd, v2] with their right-hand sides.  The
+edge-form pairings stay the oracle (``energy_steady`` without ``rhs``).
 """
 
 import warnings
@@ -165,19 +163,17 @@ def corrector_steady(p: SteadyProblem, s: SteadyState):
     return v, {"v_h1": vnorm, "rhs": rhs}
 
 
-def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None, q=None):
+def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None):
     """E at s, from its corrector v if given (else solved).
 
     With v = P(rhs) and rhs given, the H_0^1 part is space_inner(v, rhs),
     which equals h1_pairing(v, v) up to roundoff; without rhs it is the
-    edge form h1_seminorm_sq(v), the oracle.  q is div y + eps*pi of s,
-    if known.
+    edge form h1_seminorm_sq(v), the oracle.
     """
     if v is None:
         v, _ = corrector_steady(p, s)
     h1 = h1_seminorm_sq(v, p.grid) if rhs is None else space_inner(v, rhs, p.grid)
-    if q is None:
-        q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
     return 0.5 * (h1 + space_inner(q, q, p.grid))
 
 
@@ -238,13 +234,12 @@ def _gram(fields, rhss, grid):
 
 
 class _SteadyLine:
-    """The steady problem's line builder for ``ExactLineRule``.  The
-    residual is quadratic in y, so along (y - eta d_y, pi - eta d_pi) the
-    corrector's right-hand side is rhs - eta bd - eta^2 cdd (bd: the
-    linearized residual of d, negated; cdd: the convection of d_y), the
-    corrector v - eta Vd - eta^2 v2 with [Vd, v2] = P([bd, cdd]), and E a
-    quartic whose pairings are the entries of _gram([v, Vd, v2], [rhs,
-    bd, cdd]).  The gradient's pairings are read off its right-hand side."""
+    """The steady line builder for ``ExactLineRule``.  The residual is
+    quadratic in y, so along s - eta d the corrector's right-hand side is
+    rhs - eta bd - eta^2 cdd (bd: the negated linearized residual of d,
+    cdd: the convection of d_y), the corrector v - eta Vd - eta^2 v2 with
+    [Vd, v2] = P([bd, cdd]), and E a quartic read off _gram([v, Vd, v2],
+    [rhs, bd, cdd]).  The gradient's dual is [r, pibar], ybar = P(r)."""
 
     diagnostics = ("residual_norm", "div_norm")
     parts = staticmethod(attrgetter("y", "pi"))
@@ -257,18 +252,17 @@ class _SteadyLine:
         v, info = corrector_steady(self.p, s)
         return [v, info["rhs"], div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
+    def reform(self, s, d, eta, fields):
+        """q at s - eta d afresh: carried, it would drift by roundoff."""
+        fields[2] = div_part(s.y - eta * d[0], s.pi - eta * d[1], self.p.grid, self.p.epsilon)
+
     def measure(self, s, fields):
         g, (v, rhs, q) = self.p.grid, fields
         dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
-        ybar, self.pibar, info = gradient_steady(self.p, s, v, q)
-        self.r = info["rhs"]
-        return [ybar, self.pibar], info["norm_sq"], {
+        ybar, pibar, info = gradient_steady(self.p, s, v, q)
+        return [ybar, pibar], [info["rhs"], pibar], info["norm_sq"], {
             "residual_norm": np.sqrt(max(space_inner(v, rhs, g), 0.0)),
             "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0))}
-
-    def grad_pairing(self, x):
-        """H_0^1 x L^2 pairing of the last gradient (ybar = P(r)) with x."""
-        return space_inner(self.pibar, x[1], self.p.grid) + space_inner(x[0], self.r, self.p.grid)
 
     def line(self, s, fields, d):
         p, g, (v, rhs, q) = self.p, self.p.grid, fields
@@ -284,7 +278,7 @@ class _SteadyLine:
         coef = (-gram[0, 1] - space_inner(q, qd, g),
                 0.5 * (gram[1, 1] + space_inner(qd, qd, g)) - gram[0, 2],
                 gram[1, 2], 0.5 * gram[2, 2])
-        return coef, [sols, rhss, (qd,)]
+        return coef, [sols, rhss, ()]
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):
@@ -292,13 +286,11 @@ def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=No
 
     algorithm='steepest' follows the metric gradient; 'cg' recombines
     it with the previous direction (Polak-Ribiere+, restarted whenever
-    the combination stops being a descent direction).  Either way the
-    step is the minimizer of E along the direction (the positive root of
-    the cubic E' with the lowest E), and it is taken only if it strictly
-    decreases E, read off the carried corrector; once roundoff stops
-    that, the run ends on ``line_search_stall``, reported, not raised
-    (``abstract_descent.ExactLineRule``).  ``observer(record, s)`` sees
-    every iterate (see ``abstract_descent.run_descent``); records carry
+    the combination stops descending).  The step is the minimizer of E
+    along the direction, taken only if it strictly lowers E; once
+    roundoff stops that, the run ends on ``line_search_stall``, reported,
+    not raised (``abstract_descent.ExactLineRule``).  ``observer(record,
+    s)`` sees every iterate (see ``run_descent``); records carry
     ``residual_norm`` and ``div_norm``.
     """
     p.check_small_data()

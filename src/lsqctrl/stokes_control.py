@@ -124,12 +124,15 @@ class ControlProblem:
 @dataclass
 class CorrectorField:
     """Corrector v = A^-1 rhs of a triplet or a direction, with its
-    right-hand side rhs (the negated weak residual) and its energy norm
-    sqrt(v . rhs)."""
+    right-hand side rhs (the negated weak residual)."""
 
     v: np.ndarray
-    weak_residual_norm: float
     rhs: np.ndarray
+
+    @property
+    def weak_residual_norm(self):
+        """The energy norm sqrt(v . rhs) of the corrector."""
+        return np.sqrt(max(float(np.vdot(self.v, self.rhs)), 0.0))
 
 
 @dataclass
@@ -200,15 +203,14 @@ def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
 
 
 def _scaled(a, c):
-    """a *= c in place (a: a fresh stencil output), returning a."""
+    """a *= c in place, returning a: unnamed in the caller, a is freed once spent."""
     a *= c
     return a
 
 
 def _direction_rhs(p, y, pi, f):
     """Corrector right-hand side of a direction (y, pi, f): its negated
-    residual without the data, and without the control where the control
-    is frozen."""
+    residual without the data, and without a frozen control."""
     b = _residual_vector(p, y, pi, f, include_control=p.mode == "null_control")
     return np.negative(b, out=b)
 
@@ -221,8 +223,7 @@ def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
 
 def _lift(p, b):
     """The corrector of the right-hand side b."""
-    v = spacetime_solve_weak(p.grid, b)
-    return CorrectorField(v, np.sqrt(max(float(np.sum(v * b)), 0.0)), b)
+    return CorrectorField(spacetime_solve_weak(p.grid, b), b)
 
 
 def lift_sA(p: ControlProblem) -> Triplet:
@@ -294,8 +295,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     when metric='a0_exact'.  q is div y + eps*pi of s, if known.
     """
     grid = p.grid
-    corr = corr or corrector(p, s)
-    v = corr.v
+    v = (corr or corrector(p, s)).v
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
 
@@ -324,8 +324,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
 
 
 def _state_norms(s, grid, dv):
-    """Record diagnostics of an iterate: ||div y||, ||y(T)|| and ||f||
-    (dv: div y)."""
+    """Record diagnostics of an iterate (dv: div y): ||dv||, ||y(T)||, ||f||."""
     return {"div_norm": np.sqrt(st_inner(dv, dv, grid)), "yT_norm": trace_norms(s.y, grid)[1],
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
@@ -351,14 +350,14 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
 # ---------------------------------------------------------------------------
 
 class _StokesLine:
-    """The unsteady problem's line builder for ``ExactLineRule``.  Along
-    s - eta d the corrector is v - eta Vd (Vd = A^-1 bd, bd the
-    direction's right-hand side) and the divergence part q - eta qd; A^-1
-    takes the assembled dual vector, so E(s - eta d) - E(s) =
-    -eta (v . bd + <q, qd>) + eta^2 (Vd . bd + <qd, qd>) / 2."""
+    """The unsteady line builder for ``ExactLineRule``.  Along s - eta d
+    the corrector is v - eta Vd (Vd = A^-1 bd, bd the direction's
+    right-hand side, an assembled dual vector) and q is q - eta qd, so
+    E(s - eta d) - E(s) = -eta (v.bd + <q, qd>) + eta^2 (Vd.bd + <qd, qd>) / 2."""
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
     parts = staticmethod(attrgetter("y", "pi", "f"))
+    reform = None
     inner_v = staticmethod(lambda a, b: float(np.vdot(a, b)))
 
     def __init__(self, p):
@@ -375,9 +374,9 @@ class _StokesLine:
 
     def measure(self, s, fields):
         v, rhs, q = fields
-        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, 0.0, rhs), return_norm=True, q=q)
+        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), return_norm=True, q=q)
         dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
-        return [g.y, g.pi, g.f], gn_sq, _state_norms(s, self.p.grid, dv)
+        return [g.y, g.pi, g.f], None, gn_sq, _state_norms(s, self.p.grid, dv)
 
     def line(self, s, fields, d):
         p, grid, (v, _, q) = self.p, self.p.grid, fields
@@ -393,24 +392,21 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
             observer=None):
     """Minimizing sequence s_k = s_A + u_k driven by the metric gradient.
 
-    algorithm='steepest' updates u_{k+1} = u_k - eta_k g_k with the
-    exact line-search step; 'cg' recombines successive gradients into
-    conjugate directions (PR+, which exact search makes Fletcher-Reeves
-    on this quadratic), which resolves the flat tail of the quadratic in
-    far fewer corrector solves while keeping the energy decreasing and
+    algorithm='steepest' steps along the gradient, 'cg' along conjugate
+    directions (PR+, which exact search makes Fletcher-Reeves on this
+    quadratic) and so resolves the flat tail of E in far fewer corrector
+    solves; both take the exact step and keep the energy decreasing and
     the trace/support constraints exact (``abstract_descent.ExactLineRule``).
     Every refresh_every iterates the pressure's slice means are removed
-    and the corrector is solved afresh.  Terminates on the absolute or
-    relative energy target, the relative gradient target, the
-    kernel-ratio criterion, max_iter, or ``line_search_stall`` once the
-    exact step no longer lowers E.  ``observer(record, s)`` sees every
-    iterate (see ``abstract_descent.run_descent``); records carry
-    ``kernel_ratio``, ``div_norm``, ``yT_norm`` and ``f_norm``.
+    and the corrector solved afresh.  Stops on the energy, gradient or
+    kernel-ratio target, max_iter, or ``line_search_stall`` once the step
+    no longer lowers E.  ``observer(record, s)`` sees every iterate (see
+    ``run_descent``); records carry ``kernel_ratio``, ``div_norm``,
+    ``yT_norm`` and ``f_norm``.
     """
     rule = ExactLineRule(_StokesLine(p), (s_init or lift_sA(p)).copy(), cfg.algorithm == "cg",
                          cfg.refresh_every, cfg.tol_kernel)
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
-    v, rhs = rule.fields[:2]
-    report.extras["corrector"] = CorrectorField(v, np.sqrt(max(float(np.vdot(v, rhs)), 0.0)), rhs)
+    report.extras["corrector"] = CorrectorField(*rule.fields[:2])
     return rule.state, report
