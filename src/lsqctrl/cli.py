@@ -383,14 +383,18 @@ def _unsteady(cfg: RunConfig, mode):
 def _steady(cfg: RunConfig):
     from .discretization import SpatialGrid, space_inner
     from . import steady_nse as sn
-    from .oracles import default_steady_case, manufactured_steady
+    from .oracles import ManufacturedCase, default_steady_case, manufactured_steady
 
     v = cfg.values
     grid = SpatialGrid(v["grid.nx"], v["grid.ny"], v["domain.Lx"], v["domain.Ly"])
     exact = None
     if v["problem.manufactured"]:
-        y_ex, _, f_ex = manufactured_steady(default_steady_case(), grid, v["physics.nu"])
-        exact, forcing = v["problem.amplitude"] * y_ex, v["problem.amplitude"] * f_ex
+        # the problem is nonlinear: a * y needs the forcing of the scaled case;
+        # an overflow is reported below as a non-finite f, naming the amplitude
+        base, a = default_steady_case(), v["problem.amplitude"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact, _, forcing = manufactured_steady(
+                ManufacturedCase(a * base.psi, a * base.pressure), grid, v["physics.nu"])
     else:
         forcing = np.zeros((2, grid.ny, grid.nx))
 

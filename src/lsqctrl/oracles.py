@@ -1,30 +1,25 @@
 """Independent ground-truth generators for the PDE solvers.
 
 Everything here is deliberately assembled through its own code path --
-explicit matrices built entrywise/kron-wise, symbolic differentiation,
-pseudoinverse and Newton solves -- sharing nothing with the production
-stencil and transform code beyond the grid container, so agreement
-between the two paths is meaningful evidence.
-
-sympy is imported on first use, by the manufactured-solution functions,
-so that importing the package (and the CLI) loads numpy only.
+explicit matrices built entrywise/kron-wise, manufactured fields
+differentiated in closed form, pseudoinverse and Newton solves --
+sharing nothing with the production stencil and transform code beyond
+the grid container, so agreement between the two paths is meaningful
+evidence.  The closed forms are checked against sympy in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .abstract_descent import InnerProductSpace, LsqProblem
-from .discretization import SpaceTimeGrid, Triplet, level_slice
-
-if TYPE_CHECKING:
-    import sympy as sp
+from .discretization import SpaceTimeGrid, SpatialGrid, Triplet, level_slice
 
 __all__ = [
+    "Separable",
     "ManufacturedCase",
     "default_unsteady_case",
     "default_steady_case",
@@ -43,138 +38,147 @@ __all__ = [
 # manufactured solutions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _sympy():
-    """The sympy module and the coordinate symbols x, y, t."""
-    import sympy
+# A 1-D form is a tuple of terms (c, p, w, is_sin), the sum of
+# c * s**p * sin(w s) (or cos(w s)).  Such sums are closed under
+# differentiation, so derivatives of any order are exact closed forms.
 
-    return (sympy, *sympy.symbols("x y t"))
+def _diff1d(form, k):
+    for _ in range(k):
+        out = []
+        for c, p, w, is_sin in form:
+            if p:
+                out.append((c * p, p - 1, w, is_sin))
+            if w:
+                out.append((c * w if is_sin else -c * w, p, w, not is_sin))
+        form = tuple(out)
+    return form
+
+
+def _eval1d(form, s):
+    return sum(c * s**p * (np.sin if is_sin else np.cos)(w * s) for c, p, w, is_sin in form)
+
+
+def _sin2(*poly):
+    """sin^2(pi s) * sum_p poly[p] s^p = (1 - cos(2 pi s)) / 2 * poly."""
+    return tuple(term for p, a in enumerate(poly) if a
+                 for term in ((a / 2, p, 0.0, False), (-a / 2, p, 2 * np.pi, False)))
+
+
+_ONE = ((1.0, 0, 0.0, False),)
+
+
+@dataclass(frozen=True)
+class Separable:
+    """A sum of products X(x) Y(y) T(t) of 1-D forms, one triple of
+    forms per product.  ``a * f`` scales the x factors; ``f.diff(i, j,
+    k)`` is the exact mixed derivative; ``f(x, y, t)`` samples it on
+    broadcastable coordinate arrays."""
+
+    products: tuple = ()
+    __array_ufunc__ = None  # so that a numpy scalar times f calls __rmul__
+
+    def __rmul__(self, a):
+        return Separable(tuple((tuple((a * c, p, w, s) for c, p, w, s in fx), fy, ft)
+                               for fx, fy, ft in self.products))
+
+    def diff(self, dx=0, dy=0, dt=0):
+        return Separable(tuple((_diff1d(fx, dx), _diff1d(fy, dy), _diff1d(ft, dt))
+                               for fx, fy, ft in self.products))
+
+    def __call__(self, x, y, t=0.0):
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
+        for fx, fy, ft in self.products:
+            out += _eval1d(fx, x) * _eval1d(fy, y) * _eval1d(ft, t)
+        return out
 
 
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Analytic stream function / pressure pair on the unit square.
 
-    The velocity is the perpendicular gradient of psi, hence exactly
-    divergence free with vanishing boundary values as long as psi and
-    grad psi vanish on the walls.  The pressure must have zero mean.
+    The velocity (psi_y, -psi_x) is exactly divergence free, with
+    vanishing boundary values as long as psi and grad psi vanish on the
+    walls.  The pressure must have zero mean.
     """
 
-    psi: sp.Expr
-    pressure: sp.Expr
+    psi: Separable
+    pressure: Separable
     T_final: float = 1.0
 
-    def velocity_exprs(self):
-        sp, x, y, _ = _sympy()
-        return sp.diff(self.psi, y), -sp.diff(self.psi, x)
 
-    def forcing_exprs_unsteady(self, nu):
-        """f = y_t - nu lap y + grad pi, component expressions."""
-        sp, x, y, t = _sympy()
-        y1, y2 = self.velocity_exprs()
-        lap = lambda e: sp.diff(e, x, 2) + sp.diff(e, y, 2)
-        f1 = sp.diff(y1, t) - nu * lap(y1) + sp.diff(self.pressure, x)
-        f2 = sp.diff(y2, t) - nu * lap(y2) + sp.diff(self.pressure, y)
-        return f1, f2
-
-    def forcing_exprs_steady(self, nu):
-        """f = -nu lap y + (y . grad) y + grad pi."""
-        sp, x, y, _ = _sympy()
-        y1, y2 = self.velocity_exprs()
-        lap = lambda e: sp.diff(e, x, 2) + sp.diff(e, y, 2)
-        conv = lambda e: y1 * sp.diff(e, x) + y2 * sp.diff(e, y)
-        f1 = -nu * lap(y1) + conv(y1) + sp.diff(self.pressure, x)
-        f2 = -nu * lap(y2) + conv(y2) + sp.diff(self.pressure, y)
-        return f1, f2
+# sin(pi x) cos(pi y), zero mean on the square
+_PRESSURE = Separable(((((1.0, 0, np.pi, True),), ((1.0, 0, np.pi, False),), _ONE),))
 
 
 def default_unsteady_case(T_final=1.0, modulated=True):
-    """sin^2 bump stream function with a cosine time profile.
+    """psi = sin^2(pi x) sin^2(pi y) (1 + x/2 - 3y/10) cos(pi t / T).
 
     The linear modulation breaks the tensor-product degeneracy that
     would make the sampled velocity exactly divergence free on the
     discrete grid (refinement studies need a representative O(h^2)).
     """
-    sp, x, y, t = _sympy()
-    base = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
+    time = ((1.0, 0, np.pi / T_final, False),)
+    psi = [(_sin2(1.0, 0.5) if modulated else _sin2(1.0), _sin2(1.0), time)]
     if modulated:
-        base = base * (1 + x / 2 - 3 * y / 10)
-    psi = base * sp.cos(sp.pi * t / T_final)
-    pressure = sp.sin(sp.pi * x) * sp.cos(sp.pi * y)  # zero mean on the square
-    return ManufacturedCase(psi, pressure, T_final)
+        psi.append((_sin2(1.0), _sin2(0.0, -0.3), time))
+    return ManufacturedCase(Separable(tuple(psi)), _PRESSURE, T_final)
 
 
 def default_steady_case(modulated=True):
-    sp, x, y, _ = _sympy()
-    base = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-    if modulated:
-        base = base * (1 + x / 2)
-    return ManufacturedCase(base, sp.sin(sp.pi * x) * sp.cos(sp.pi * y))
+    """psi = sin^2(pi x) sin^2(pi y) (1 + x/2)."""
+    bump_x = _sin2(1.0, 0.5) if modulated else _sin2(1.0)
+    return ManufacturedCase(Separable(((bump_x, _sin2(1.0), _ONE),)), _PRESSURE)
 
 
-def _lambdify(exprs, with_time):
-    sp, x, y, t = _sympy()
-    args = (x, y, t) if with_time else (x, y)
-    return [sp.lambdify(args, e, modules="numpy") for e in exprs]
-
-
-def _sample_spacetime(fns, grid):
-    X, Yc = grid.meshgrid()
-    out = np.empty((grid.nt + 1, len(fns), grid.ny, grid.nx))
-    for k, t in enumerate(grid.ts()):
-        for c, fn in enumerate(fns):
-            out[k, c] = np.broadcast_to(fn(X, Yc, t), (grid.ny, grid.nx))
-    return out
+def _stokes_sample(case: ManufacturedCase, nu, x, y, t):
+    """Velocity, pressure and the forcing part -nu lap y + grad pi at
+    (x, y, t), the velocity components stacked on axis -3, and the
+    sampler of psi's derivatives."""
+    psi = lambda i, j, k=0: case.psi.diff(i, j, k)(x, y, t)
+    pr = lambda i, j: case.pressure.diff(i, j)(x, y, t)
+    vel = np.stack([psi(0, 1), -psi(1, 0)], axis=-3)
+    f = np.stack([-nu * (psi(2, 1) + psi(0, 3)) + pr(1, 0),
+                  nu * (psi(3, 0) + psi(1, 2)) + pr(0, 1)], axis=-3)
+    return vel, pr(0, 0), f, psi
 
 
 def _residual_scale(case: ManufacturedCase, nu):
     """Crude derivative bound so the sampled triplet's discrete residual
-    can be certified as O(hx^2 + hy^2 + ht^2)."""
-    sp, x, y, t = _sympy()
-    y1, y2 = case.velocity_exprs()
-    probes = []
-    for e in (y1, y2):
-        probes += [sp.diff(e, x, 4), sp.diff(e, y, 4), sp.diff(e, t, 3)]
-    probes += [sp.diff(case.pressure, x, 3), sp.diff(case.pressure, y, 3)]
-    fns = _lambdify(probes, with_time=True)
-    xs = np.linspace(0.04, 0.96, 11)
+    can be certified as O(hx^2 + hy^2 + ht^2): the 4th space and 3rd
+    time derivatives of the velocity, the 3rd of the pressure."""
+    psi, pr = case.psi, case.pressure
+    probes = [psi.diff(4, 1), psi.diff(0, 5), psi.diff(0, 1, 3),
+              psi.diff(5, 0), psi.diff(1, 4), psi.diff(1, 0, 3), pr.diff(3, 0), pr.diff(0, 3)]
+    s = np.linspace(0.04, 0.96, 11)
     ts = np.linspace(0.0, case.T_final, 7)
-    Xp, Yp, Tp = np.meshgrid(xs, xs, ts, indexing="ij")
-    m = max(np.abs(np.broadcast_to(f(Xp, Yp, Tp), Xp.shape)).max() for f in fns)
+    m = max(np.abs(f(s[:, None, None], s[:, None], ts)).max() for f in probes)
     return float(m) * max(nu, 1.0)
 
 
 def manufactured_stokes(case: ManufacturedCase, grid: SpaceTimeGrid, nu):
-    """Sampled exact triplet for the unsteady problem (support = Omega).
+    """Sampled exact triplet for the unsteady problem (support = Omega),
+    forced by f = y_t - nu lap y + grad pi.
 
     Returns the triplet and a bound on its pointwise discrete residual,
     scale * (hx^2 + hy^2 + ht^2).
     """
-    y1, y2 = case.velocity_exprs()
-    f1, f2 = case.forcing_exprs_unsteady(nu)
-    y = _sample_spacetime(_lambdify((y1, y2), True), grid)
-    f = _sample_spacetime(_lambdify((f1, f2), True), grid)
-    piv = _sample_spacetime(_lambdify((case.pressure,), True), grid)[:, 0]
-    piv = piv - piv.reshape(grid.nt + 1, -1).mean(axis=1)[:, None, None]
-    trip = Triplet(grid, y, piv, f)
+    x, y, t = grid.xs(), grid.ys()[:, None], grid.ts()[:, None, None]
+    vel, piv, f, psi = _stokes_sample(case, nu, x, y, t)
+    f += np.stack([psi(0, 1, 1), -psi(1, 0, 1)], axis=1)
+    piv -= piv.reshape(grid.nt + 1, -1).mean(axis=1)[:, None, None]
+    trip = Triplet(grid, vel, piv, f)
     bound = _residual_scale(case, nu) * (grid.hx**2 + grid.hy**2 + grid.ht**2)
     return trip, bound
 
 
-def manufactured_steady(case: ManufacturedCase, grid: SpaceTimeGrid, nu):
-    """Sampled exact (y, pi) slices and forcing for the steady problem."""
-    y1, y2 = case.velocity_exprs()
-    f1, f2 = case.forcing_exprs_steady(nu)
-    X, Yc = grid.meshgrid()
-
-    def sample(e):
-        fn, = _lambdify((e,), with_time=False)
-        return np.broadcast_to(fn(X, Yc), (grid.ny, grid.nx)).astype(float)
-
-    y = np.stack([sample(y1), sample(y2)])
-    f = np.stack([sample(f1), sample(f2)])
-    piv = sample(case.pressure)
-    return y, piv - piv.mean(), f
+def manufactured_steady(case: ManufacturedCase, grid: SpatialGrid, nu):
+    """Sampled exact (y, pi) slices and the forcing
+    f = -nu lap y + (y . grad) y + grad pi of the steady problem."""
+    x, y = grid.xs(), grid.ys()[:, None]
+    vel, piv, f, psi = _stokes_sample(case, nu, x, y, 0.0)
+    grad_vel = np.stack([[psi(1, 1), psi(0, 2)], [-psi(2, 0), -psi(1, 1)]])  # [component, axis]
+    f += vel[0] * grad_vel[:, 0] + vel[1] * grad_vel[:, 1]
+    return vel, piv - piv.mean(), f
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ MODULES = (
 
 # the splitting scheme and the helpers only it or the tests used, the
 # slice kernels that the cached operator matrices replaced, and the two
-# step rules (with their helpers) that ExactLineRule replaced
+# step rules (with their helpers) that ExactLineRule replaced, and the
+# sympy path of the manufactured cases that the closed forms replaced
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search",),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
@@ -32,6 +33,7 @@ REMOVED = {
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
                                         "_swap_xy", "div_parts"),
+    "lsqctrl.oracles": ("_sympy", "_lambdify", "_sample_spacetime"),
     "lsqctrl.steady_nse": ("pressure_residual_indicator", "_ExactStepRule", "_line_quartic",
                            "_quartic_argmin"),
     "lsqctrl.stokes_control": ("split_iteration", "pressure_update_step",
@@ -55,7 +57,7 @@ def test_removed_names_are_gone(name):
 
 
 def test_removed_options_are_gone():
-    from lsqctrl import cli
+    from lsqctrl import cli, oracles
     from lsqctrl import stokes_control as sc
     from lsqctrl.discretization import stencils
 
@@ -65,3 +67,5 @@ def test_removed_options_are_gone():
     assert "_frozen_pressure" not in inspect.signature(sc.descend).parameters
     assert "compact" not in inspect.signature(stencils.laplace).parameters
     assert set(cli.REGISTRY).isdisjoint({"solver.inner_max_iter", "solver.inner_tol_grad"})
+    assert not {"velocity_exprs", "forcing_exprs_unsteady",
+                "forcing_exprs_steady"} & set(dir(oracles.ManufacturedCase))

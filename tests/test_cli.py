@@ -224,6 +224,19 @@ class TestRuns:
         assert summary["iterations"] == 2  # iterates 0 and 1
         assert summary["E_last"] <= 0.5 * summary["E_first"]
 
+    def test_steady_manufactured_error_scales_with_amplitude(self, tmp_path):
+        # the exact solution a y needs the forcing a L + a^2 C (viscous and
+        # pressure part L, convection C) of the scaled case; a times the
+        # amplitude-1 forcing made the error ratio 2.25 here
+        errors = []
+        for a in (1, 2):
+            assert main(["steady-nse", f"--io.out_dir={tmp_path}/{a}", "--grid.nx=12",
+                         "--grid.ny=12", "--problem.manufactured=true",
+                         f"--problem.amplitude={a}", "--solver.algorithm=cg",
+                         "--solver.tol_energy_rel=1e-12", "--solver.max_iter=2000"]) == 0
+            errors.append(json.loads((tmp_path / str(a) / "summary.json").read_text())["l2_error"])
+        assert errors[1] / errors[0] == pytest.approx(2.0, abs=0.1)
+
     def test_max_iter_exit_code(self, tmp_path):
         code = main(["stokes-control", f"--io.out_dir={tmp_path}",
                      "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
@@ -343,6 +356,15 @@ class TestProcessLevel:
         assert f"config error: {argv[-1][2:].split('=')[0]}:" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("amplitude", ["1e300", "1e308"])
+    def test_overflowing_manufactured_forcing_exits_2_quietly(self, tmp_path, amplitude):
+        # the forcing a L + a^2 C of the scaled case overflows: the config
+        # error names the key, and numpy's overflow warnings are not printed
+        r = invoke(["steady-nse", "--problem.manufactured=true",
+                    f"--problem.amplitude={amplitude}", f"--io.out_dir={tmp_path}/out"])
+        assert r.returncode == 2
+        assert r.stderr == "config error: problem.amplitude: f contains non-finite values\n"
+
     def test_steady_inf_amplitude_exits_2_with_key_name(self, tmp_path):
         r = invoke(["steady-nse", "--problem.amplitude=inf", f"--io.out_dir={tmp_path}"])
         assert r.returncode == 2
@@ -356,15 +378,16 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in r.stderr
 
     def test_import_loads_numpy_only(self, tmp_path):
-        # sympy is imported on first use, by a manufactured run
+        # the manufactured runs sample closed forms: neither sympy nor scipy loads
         probe = (
             "import sys\n"
             "import lsqctrl.cli\n"
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))\n"
-            "code = lsqctrl.cli.main(['stokes-direct', '--problem.manufactured=true',\n"
-            "    '--grid.nx=4', '--grid.ny=4', '--grid.nt=4', '--solver.max_iter=3',\n"
-            f"    '--io.out_dir={tmp_path}'])\n"
-            "print(code, 'sympy' in sys.modules, 'scipy' in sys.modules)\n"
+            "loaded = lambda: sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'})\n"
+            "print(loaded())\n"
+            "for argv in (['stokes-direct', '--grid.nt=4'], ['steady-nse']):\n"
+            "    code = lsqctrl.cli.main(argv + ['--problem.manufactured=true', '--grid.nx=4',\n"
+            f"        '--grid.ny=4', '--solver.max_iter=3', '--io.out_dir={tmp_path}/' + argv[0]])\n"
+            "    print(code, loaded())\n"
         )
         src = str(Path(lsqctrl.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -372,8 +395,9 @@ class TestProcessLevel:
         r = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                            text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines() == ["[]", "3 True False"]
-        assert "l2_error" in json.loads((tmp_path / "summary.json").read_text())
+        assert r.stdout.splitlines() == ["[]", "3 []", "3 []"]
+        for run in ("stokes-direct", "steady-nse"):
+            assert "l2_error" in json.loads((tmp_path / run / "summary.json").read_text())
 
     def test_missing_config_file_exits_2(self, tmp_path):
         r = invoke(["stokes-control", "--config", str(tmp_path / "nope.cfg")])
@@ -434,9 +458,10 @@ BROKEN = {
 
 class TestExitCodeContract:
     def test_overflowing_steady_data_is_a_solver_failure(self, tmp_path, capsys):
-        # the data pass the checks, then the convection term overflows in the solve
+        # the forcing a L + a^2 C passes the checks, then the energy overflows in
+        # the solve (at a = 1e300 the forcing itself overflows: exit 2, as at 1e308)
         code = main(["steady-nse", "--grid.nx=4", "--grid.ny=4", "--problem.manufactured=true",
-                     "--problem.amplitude=1e300", "--solver.max_iter=20",
+                     "--problem.amplitude=1e150", "--solver.max_iter=20",
                      f"--io.out_dir={tmp_path}"])
         assert code == 4
         assert "solver failure: " in capsys.readouterr().err
@@ -470,7 +495,8 @@ class TestExitCodeContract:
         values=st.fixed_dictionaries({
             "physics.nu": st.floats(1e-3, 10.0),
             "time.T": st.floats(1e-3, 10.0),
-            # 1e160 and 1e300 pass the config checks and overflow in the run
+            # 1e160 and 1e300 pass the config checks and overflow in the run, or
+            # in the steady manufactured forcing a L + a^2 C (exit 2)
             "problem.amplitude": st.one_of(st.floats(-10.0, 10.0),
                                            st.sampled_from([1e160, 1e300])),
             "control.omega": st.sampled_from(["0,1,0,1", "0,0.34,0,1", "0,1,0,0.5,0.2,0.8"]),

@@ -8,6 +8,7 @@ from lsqctrl import abstract_descent as ad
 from lsqctrl import stokes_control as sc
 from lsqctrl.discretization import (
     SpaceTimeGrid,
+    SpatialGrid,
     SupportMask,
     Triplet,
     div,
@@ -17,6 +18,8 @@ from lsqctrl.discretization import (
 )
 from lsqctrl.oracles import (
     ManufacturedCase,
+    Separable,
+    _residual_scale,
     default_steady_case,
     default_unsteady_case,
     dense_assemble,
@@ -35,13 +38,102 @@ def control_problem(n=4, eps=0.0, mask=None, shape=None):
     return sc.ControlProblem(g, 1.0, y0, mask, epsilon=eps)
 
 
+# sympy oracle of the closed forms: the default cases as symbolic expressions
+SX, SY, ST = sp.symbols("x y t")
+PRESSURE_EXPR = sp.sin(sp.pi * SX) * sp.cos(sp.pi * SY)
+
+
+def unsteady_exprs(T_final):
+    bump = sp.sin(sp.pi * SX) ** 2 * sp.sin(sp.pi * SY) ** 2 * (1 + SX / 2 - 3 * SY / 10)
+    return bump * sp.cos(sp.pi * ST / T_final), PRESSURE_EXPR
+
+
+def steady_exprs():
+    return sp.sin(sp.pi * SX) ** 2 * sp.sin(sp.pi * SY) ** 2 * (1 + SX / 2), PRESSURE_EXPR
+
+
+def field_exprs(psi, pressure, nu, steady):
+    """Velocity and forcing of the stream function psi, symbolically."""
+    vel = (sp.diff(psi, SY), -sp.diff(psi, SX))
+    lap = lambda e: sp.diff(e, SX, 2) + sp.diff(e, SY, 2)
+    if steady:
+        extra = lambda e: vel[0] * sp.diff(e, SX) + vel[1] * sp.diff(e, SY)
+    else:
+        extra = lambda e: sp.diff(e, ST)
+    f = [extra(e) - nu * lap(e) + sp.diff(pressure, s) for e, s in zip(vel, (SX, SY))]
+    return vel, f
+
+
+def sample_expr(expr, x, y, t=0.0):
+    fn = sp.lambdify((SX, SY, ST), expr, modules="numpy")
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+    return np.broadcast_to(fn(x, y, t), shape).astype(float)
+
+
+def assert_close(value, reference, rel=1e-13):
+    assert np.abs(value - reference).max() <= rel * np.abs(reference).max()
+
+
+def scaled(case, a):
+    return ManufacturedCase(a * case.psi, a * case.pressure, case.T_final)
+
+
 class TestManufactured:
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_unsteady_samples_match_sympy(self, a):
+        nu, T_final = 0.7, 0.8
+        g = SpaceTimeGrid(9, 7, 5, T_final=T_final)
+        trip, _ = manufactured_stokes(scaled(default_unsteady_case(T_final), a), g, nu)
+        psi, pressure = (a * e for e in unsteady_exprs(T_final))
+        vel, f = field_exprs(psi, pressure, nu, steady=False)
+        x, y, t = g.xs(), g.ys()[:, None], g.ts()[:, None, None]
+        piv = sample_expr(pressure, x, y, t)
+        piv -= piv.mean(axis=(1, 2), keepdims=True)
+        assert_close(trip.y, np.stack([sample_expr(e, x, y, t) for e in vel], axis=1))
+        assert_close(trip.pi, piv)
+        assert_close(trip.f, np.stack([sample_expr(e, x, y, t) for e in f], axis=1))
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_steady_samples_match_sympy(self, a):
+        nu = 0.7
+        g = SpatialGrid(9, 7)
+        y_vel, piv, f = manufactured_steady(scaled(default_steady_case(), a), g, nu)
+        psi, pressure = (a * e for e in steady_exprs())
+        vel, f_exprs = field_exprs(psi, pressure, nu, steady=True)
+        x, y = g.xs(), g.ys()[:, None]
+        pi_ref = sample_expr(pressure, x, y)
+        assert_close(y_vel, np.stack([sample_expr(e, x, y) for e in vel]))
+        assert_close(piv, pi_ref - pi_ref.mean())
+        assert_close(f, np.stack([sample_expr(e, x, y) for e in f_exprs]))
+
+    @pytest.mark.parametrize("steady", [False, True], ids=["unsteady", "steady"])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_residual_scale_derivatives_match_sympy(self, steady, a):
+        # the residual bound takes the 4th space and 3rd time derivatives
+        # of the velocity and the 3rd space derivatives of the pressure
+        case = scaled(default_steady_case() if steady else default_unsteady_case(0.8), a)
+        psi, pressure = (a * e for e in (steady_exprs() if steady else unsteady_exprs(0.8)))
+        rng = np.random.default_rng(3)
+        x, y, t = rng.uniform(0, 1, (3, 40))
+        probes = [(psi, case.psi, (i, j, k)) for i, j, k in
+                  ((4, 1, 0), (0, 5, 0), (0, 1, 3), (5, 0, 0), (1, 4, 0), (1, 0, 3))]
+        probes += [(pressure, case.pressure, (3, 0, 0)), (pressure, case.pressure, (0, 3, 0))]
+        d_exprs = [sp.diff(expr, SX, i, SY, j, ST, k) for expr, _, (i, j, k) in probes]
+        for d_expr, (_, form, order) in zip(d_exprs, probes):
+            assert_close(form.diff(*order)(x, y, t), sample_expr(d_expr, x, y, t))
+        s = np.linspace(0.04, 0.96, 11)
+        mesh = (s[:, None, None], s[:, None], np.linspace(0.0, case.T_final, 7))
+        ref = max(np.abs(sample_expr(d_expr, *mesh)).max() for d_expr in d_exprs)
+        assert _residual_scale(case, 0.5) == pytest.approx(ref, rel=1e-13)
+        assert _residual_scale(case, 3.0) == pytest.approx(3.0 * ref, rel=1e-13)
+
     def test_velocity_divergence_free_analytically(self):
-        case = default_unsteady_case()
-        y1, y2 = case.velocity_exprs()
-        x, y = sp.symbols("x y")
-        divergence = sp.simplify(sp.diff(y1, x) + sp.diff(y2, y))
-        assert divergence == 0
+        psi = default_unsteady_case().psi
+        # div (psi_y, -psi_x) = psi_yx - psi_xy: the two closed forms are one
+        assert psi.diff(0, 1).diff(1, 0) == psi.diff(1, 0).diff(0, 1)
+        x, y, t = np.random.default_rng(4).uniform(0, 1, (3, 50))
+        divergence = psi.diff(0, 1).diff(1, 0)(x, y, t) + (-1 * psi.diff(1, 0)).diff(0, 1)(x, y, t)
+        assert np.abs(divergence).max() == 0.0
 
     def test_sampled_divergence_second_order(self):
         case = default_unsteady_case()
@@ -66,25 +158,25 @@ class TestManufactured:
         assert np.abs(r / w).max() <= bound
 
     def test_time_independent_case_reduces_to_steady_forcing(self):
-        x, y, t = sp.symbols("x y t")
-        psi = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-        case = ManufacturedCase(psi, sp.sin(sp.pi * x) * sp.cos(sp.pi * y))
-        f1, f2 = case.forcing_exprs_unsteady(nu=1.0)
-        assert sp.simplify(sp.diff(f1, t)) == 0
+        steady = default_steady_case(modulated=False)
+        case = ManufacturedCase(steady.psi, steady.pressure)
+        assert all(ft == () for _, _, ft in case.psi.diff(dt=1).products)
         g = SpaceTimeGrid(5, 5, 4)
         trip, _ = manufactured_stokes(case, g, nu=1.0)
         for k in range(1, g.nt + 1):
             assert np.array_equal(trip.f[k], trip.f[0])
             assert np.array_equal(trip.y[k], trip.y[0])
+        y, _, _ = manufactured_steady(case, SpatialGrid(5, 5), nu=1.0)
+        assert np.array_equal(trip.y[0], y)
 
     def test_zero_stream_function(self):
-        case = ManufacturedCase(sp.Integer(0), sp.Integer(0))
+        case = ManufacturedCase(Separable(), Separable())
         g = SpaceTimeGrid(4, 4, 4)
         trip, _ = manufactured_stokes(case, g, nu=1.0)
         assert np.abs(trip.y).max() == 0 and np.abs(trip.f).max() == 0
 
     def test_steady_pressure_mean_free(self):
-        g = __import__("lsqctrl.discretization", fromlist=["SpatialGrid"]).SpatialGrid(9, 9)
+        g = SpatialGrid(9, 9)
         y, piv, f = manufactured_steady(default_steady_case(), g, nu=1.0)
         assert abs(piv.mean()) <= 1e-14
 
