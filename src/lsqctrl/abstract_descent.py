@@ -354,21 +354,40 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
 
 def _quartic_argmin(coef):
     """The positive root of the cubic E' with the lowest E(eta) = sum_k
-    coef[k] eta^k, or None if E' has no positive root.  A quadratic's
-    root is taken in closed form (np.roots gives the same value at 30
-    times the cost).  Real parts of complex roots stay candidates: a root
-    close to a double root may come out as a complex pair, and none can
-    undercut the real root where E is lowest.
+    coef[k] eta^k, or None if E' has no positive root.
+
+    A quadratic E's root is taken in closed form.  Otherwise the roots
+    are the eigenvalues of the companion matrix that np.roots builds, so
+    they are its roots to the bit: leading zeros lower the degree and
+    trailing zeros, roots at 0, are dropped.  Candidates are ranked by E
+    evaluated as np.polyval does, the first of equal values winning as in
+    np.argmin.  Built from Python floats, a cubic costs one 3x3 eigvals
+    call, about 30 us on a 2-vCPU VM; np.roots and np.polyval around the
+    same call took 65 us.  Real parts of complex roots stay candidates:
+    a root close to a double root may come out as a complex pair, and
+    none can undercut the real root where E is lowest.
     """
-    c1, c2, c3, c4 = coef[1:]
+    c0, c1, c2, c3, c4 = map(float, coef)
     if not (c3 or c4):
         eta = -c1 / (2 * c2) if c2 else 0.0
-        return float(eta) if eta > 0 else None
-    roots = np.roots([4 * c4, 3 * c3, 2 * c2, c1]).real
-    roots = roots[roots > 0]
-    if roots.size == 0:
+        return eta if eta > 0 else None
+    p = [4 * c4, 3 * c3, 2 * c2, c1]
+    while not p[0]:
+        del p[0]
+    while not p[-1]:
+        del p[-1]
+    n = len(p) - 1
+    if not n:
         return None
-    return float(roots[np.argmin(np.polyval(np.asarray(coef)[::-1], roots))])
+    companion = [[-a / p[0] for a in p[1:]]]
+    companion += [[float(i == j) for j in range(n)] for i in range(n - 1)]
+    best = e_best = None
+    for eta in np.linalg.eigvals(np.array(companion)).real.tolist():
+        if eta > 0:
+            e = (((c4 * eta + c3) * eta + c2) * eta + c1) * eta + c0
+            if best is None or e < e_best:
+                best, e_best = eta, e
+    return best
 
 
 class ExactLineRule:
@@ -380,9 +399,11 @@ class ExactLineRule:
       rhs) + inner_q(q, q)`` (v = A^-1 rhs); ``refresh(state)`` projects
       the state first; ``reform(state, d, eta, fields)``, unless None,
       forms fields at state - eta d in place of their carry;
-    * ``measure(state, fields)`` gives the Riesz gradient (ordered as
-      ``parts(state)``), its dual (summed ``inner_q`` with x gives <g, x>;
-      or None), its squared norm and the ``diagnostics``;
+    * ``measure(state, fields, pairings)`` gives the Riesz gradient
+      (ordered as ``parts(state)``), its dual (summed ``inner_q`` with x
+      gives <g, x>; or None), its squared norm and the ``diagnostics``;
+      ``pairings`` are the energy's ``inner_v(v, rhs)`` and ``inner_q(q,
+      q)``, for diagnostics to read off;
     * ``line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
       state - eta d, and per field F the increments of F - eta F1 - eta^2 F2.
 
@@ -404,8 +425,10 @@ class ExactLineRule:
         self.dir = self.gn_sq_prev = self.pn_sq_prev = self.gprev = None
 
     def energy(self):
+        """E of the fields, keeping the two pairings 2E sums."""
         v, rhs, q = self.fields
-        return 0.5 * (self.line.inner_v(v, rhs) + self.line.inner_q(q, q))
+        vv, qq = self.pairings = self.line.inner_v(v, rhs), self.line.inner_q(q, q)
+        return 0.5 * (vv + qq)
 
     def measure(self, history):
         it = len(history)
@@ -418,7 +441,8 @@ class ExactLineRule:
                             + 1e-14 * max(history[0]["E"], 1e-300)):
             raise DescentDivergence(
                 f"energy increased at iteration {it}: {history[-1]['E']} -> {e}")
-        self.g, self.gdual, self.gn_sq, diagnostics = self.line.measure(self.state, self.fields)
+        self.g, self.gdual, self.gn_sq, diagnostics = self.line.measure(
+            self.state, self.fields, self.pairings)
         return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **diagnostics}
 
     def _pairing(self, x):

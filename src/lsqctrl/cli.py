@@ -302,9 +302,9 @@ def _bump_y0(grid, amplitude):
     Sx = np.pi / grid.Lx * np.sin(2 * np.pi * X / grid.Lx)
     Ty = np.pi / grid.Ly * np.sin(2 * np.pi * Y / grid.Ly)
     M = 1.0 + 0.5 * X / grid.Lx - 0.3 * Y / grid.Ly
-    return amplitude * np.stack(
-        [S * Ty * M - 0.3 / grid.Ly * S * T, -(Sx * T * M + 0.5 / grid.Lx * S * T)]
-    )
+    bump = np.stack([S * Ty * M - 0.3 / grid.Ly * S * T, -(Sx * T * M + 0.5 / grid.Lx * S * T)])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a non-finite y0
+        return amplitude * bump
 
 
 @contextlib.contextmanager
@@ -336,8 +336,9 @@ def _unsteady(cfg: RunConfig, mode):
     if mode == "direct" and v["problem.manufactured"]:
         case = default_unsteady_case(T_final=v["time.T"])
         exact, _ = manufactured_stokes(case, grid, v["physics.nu"])
-        exact.y *= v["problem.amplitude"]
-        exact.f *= v["problem.amplitude"]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a non-finite y0
+            exact.y *= v["problem.amplitude"]
+            exact.f *= v["problem.amplitude"]
         y0 = exact.y[0].copy()
     elif v["problem.y0"] == "bump":
         y0 = _bump_y0(grid, v["problem.amplitude"])

@@ -167,8 +167,10 @@ def grad_pressure_transpose(v, grid):
 # ---------------------------------------------------------------------------
 
 def space_inner(a, b, grid):
-    """Nodal L2(Omega) inner product of two slices (components summed)."""
-    return grid.hx * grid.hy * float(np.sum(np.asarray(a) * np.asarray(b)))
+    """Nodal L2(Omega) inner product of two slices (components summed).
+    The array's own sum is np.sum's add.reduce without its Python-level
+    dispatch, which cost a third of the call on a 32x32 slice."""
+    return grid.hx * grid.hy * float((np.asarray(a) * b).sum())
 
 
 def st_inner(a, b, grid):

@@ -204,25 +204,32 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     pibar = pibar - pibar.mean()
 
     gv = _grad_tensor(v, g)
-    sv = np.stack(
-        [2 * gv[0][0] * s.y[0] + (gv[0][1] + gv[1][0]) * s.y[1],
-         (gv[0][1] + gv[1][0]) * s.y[0] + 2 * gv[1][1] * s.y[1]]
-    )
+    shear = gv[0][1] + gv[1][0]
+    sv = np.empty_like(s.y)
+    np.multiply(2 * gv[0][0], s.y[0], out=sv[0])
+    sv[0] += shear * s.y[1]
+    np.multiply(shear, s.y[0], out=sv[1])
+    sv[1] += 2 * gv[1][1] * s.y[1]
     r = -p.nu * (-laplace(v, g)) + sv - grad(q, g)
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
 
 
-def _line_convection(y, d, grid):
-    """convection(y, d) + convection(d, y) and convection(d, d), from one
-    dx pass over their stacked x-fluxes and one dy pass over their
-    y-fluxes (each convection call makes two of each per component)."""
-    fx = np.concatenate([y * d[0] + d * y[0], d * d[0]])
-    fy = np.concatenate([y * d[1] + d * y[1], d * d[1]])
-    c = dx(fx, grid)
-    c += dy(fy, grid)
-    return c[:2], c[2:]
+def _line_convection(y, d, grid, out):
+    """convection(y, d) + convection(d, y), returned, and convection(d, d),
+    written to out, from one dx pass over their stacked x-fluxes and one
+    dy pass over their y-fluxes (each convection call makes two of each
+    per component)."""
+    f = np.empty((2, 4) + y.shape[1:])  # [x, y] fluxes of [cross, dd]
+    for fj, yj, dj in zip(f, y, d):
+        np.multiply(y, dj, out=fj[:2])
+        fj[:2] += d * yj
+        np.multiply(d, dj, out=fj[2:])
+    c = dx(f[0], grid)
+    c += dy(f[1], grid)
+    out[...] = c[2:]
+    return c[:2]
 
 
 def _gram(fields, rhss, grid):
@@ -256,22 +263,23 @@ class _SteadyLine:
         """q at s - eta d afresh: carried, it would drift by roundoff."""
         fields[2] = div_part(s.y - eta * d[0], s.pi - eta * d[1], self.p.grid, self.p.epsilon)
 
-    def measure(self, s, fields):
-        g, (v, rhs, q) = self.p.grid, fields
-        dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
+    def measure(self, s, fields, pairings):
+        (v, _, q), (v_sq, div_sq) = fields, pairings
+        if self.p.epsilon:
+            dv = q - self.p.epsilon * s.pi
+            div_sq = space_inner(dv, dv, self.p.grid)
         ybar, pibar, info = gradient_steady(self.p, s, v, q)
         return [ybar, pibar], [info["rhs"], pibar], info["norm_sq"], {
-            "residual_norm": np.sqrt(max(space_inner(v, rhs, g), 0.0)),
-            "div_norm": np.sqrt(max(space_inner(dv, dv, g), 0.0))}
+            "residual_norm": np.sqrt(max(v_sq, 0.0)), "div_norm": np.sqrt(max(div_sq, 0.0))}
 
     def line(self, s, fields, d):
         p, g, (v, rhs, q) = self.p, self.p.grid, fields
-        cross, cdd = _line_convection(s.y, d[0], g)
-        bd = laplace(d[0], g)
-        bd *= p.nu
+        rhss = np.empty((2,) + s.y.shape)
+        bd, cdd = rhss
+        cross = _line_convection(s.y, d[0], g, out=cdd)
+        np.multiply(laplace(d[0], g), p.nu, out=bd)
         bd -= cross
         bd -= grad_pressure(d[1], g)
-        rhss = np.stack([bd, cdd])
         sols = poisson_solve(g, rhss)
         gram = _gram([v, *sols], [rhs, *rhss], g)
         qd = div_part(d[0], d[1], g, p.epsilon)

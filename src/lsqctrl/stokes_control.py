@@ -51,7 +51,6 @@ from .discretization import (
     spacetime_solve_weak,
     st_h1_seminorm_sq,
     st_inner,
-    trace_norms,
 )
 
 __all__ = [
@@ -323,9 +322,11 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     return g, max(norm_sq, 0.0)
 
 
-def _state_norms(s, grid, dv):
-    """Record diagnostics of an iterate (dv: div y): ||dv||, ||y(T)||, ||f||."""
-    return {"div_norm": np.sqrt(st_inner(dv, dv, grid)), "yT_norm": trace_norms(s.y, grid)[1],
+def _state_norms(s, grid, div_sq):
+    """Record diagnostics of an iterate (div_sq: ||div y||^2): ||div y||,
+    ||y(T)||, ||f||."""
+    yT = s.y[-1]
+    return {"div_norm": np.sqrt(div_sq), "yT_norm": np.sqrt(space_inner(yT, yT, grid)),
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
 
@@ -333,7 +334,8 @@ def diagnostics(p: ControlProblem, s: Triplet, corr=None):
     """Constraint and residual norms of a candidate triplet."""
     grid = p.grid
     corr = corr or corrector(p, s)
-    norms = _state_norms(s, grid, div(s.y, grid))
+    dv = div(s.y, grid)
+    norms = _state_norms(s, grid, st_inner(dv, dv, grid))
     err0 = s.y[0] - p.y0
     return {
         "div_norm": norms["div_norm"],
@@ -372,11 +374,14 @@ class _StokesLine:
         s.pi = remove_slice_means(s.pi)
         return self.fields(s)
 
-    def measure(self, s, fields):
+    def measure(self, s, fields, pairings):
         v, rhs, q = fields
         g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), return_norm=True, q=q)
-        dv = q - self.p.epsilon * s.pi if self.p.epsilon else q
-        return [g.y, g.pi, g.f], None, gn_sq, _state_norms(s, self.p.grid, dv)
+        div_sq = pairings[1]
+        if self.p.epsilon:
+            dv = q - self.p.epsilon * s.pi
+            div_sq = st_inner(dv, dv, self.p.grid)
+        return [g.y, g.pi, g.f], None, gn_sq, _state_norms(s, self.p.grid, div_sq)
 
     def line(self, s, fields, d):
         p, grid, (v, _, q) = self.p, self.p.grid, fields

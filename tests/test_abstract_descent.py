@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lsqctrl.abstract_descent import (
+    _quartic_argmin,
     random_instance,
     DescentConfig,
     InnerProductSpace,
@@ -25,6 +26,92 @@ def random_problem(seed, dim_x=None, dim_y=None, rank_deficient=False):
 def random_spd(rng, n, cond=2.0):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return Q @ np.diag(np.linspace(1.0, cond, n)) @ Q.T
+
+
+def reference_argmin(coef):
+    """The exact step as np.roots and np.polyval take it."""
+    c1, c2, c3, c4 = coef[1:]
+    if not (c3 or c4):
+        eta = -c1 / (2 * c2) if c2 else 0.0
+        return float(eta) if eta > 0 else None
+    roots = np.roots([4 * c4, 3 * c3, 2 * c2, c1]).real
+    roots = roots[roots > 0]
+    if roots.size == 0:
+        return None
+    return float(roots[np.argmin(np.polyval(np.asarray(coef)[::-1], roots))])
+
+
+def quartic_from_slope(rng, slope_roots, scale=None):
+    """coef[0..4] of E whose derivative is scale * prod(eta - r) (r may be
+    complex in conjugate pairs); E(0) random."""
+    slope = np.polynomial.polynomial.polyfromroots(slope_roots).real
+    slope *= rng.uniform(0.1, 10.0) if scale is None else scale
+    coef = np.zeros(5)
+    coef[0] = rng.standard_normal()
+    coef[1:len(slope) + 1] = slope / np.arange(1, len(slope) + 1)
+    return coef
+
+
+def _pos(rng, n):
+    return list(rng.uniform(0.01, 5.0, n))
+
+
+def _neg(rng, n):
+    return list(-rng.uniform(0.01, 5.0, n))
+
+
+def _pair(rng):
+    z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 2.0))
+    return [z, z.conjugate()]
+
+
+QUARTICS = {
+    "three_positive_roots": lambda rng: quartic_from_slope(rng, _pos(rng, 3)),
+    "one_positive_root": lambda rng: quartic_from_slope(rng, _pos(rng, 1) + _neg(rng, 2)),
+    "complex_pair": lambda rng: quartic_from_slope(rng, _pos(rng, 1) + _pair(rng)),
+    "c4_zero": lambda rng: quartic_from_slope(rng, _pos(rng, 1) + [rng.uniform(-5, 5)],
+                                              rng.choice([-1, 1]) * rng.uniform(0.1, 10)),
+    "c3_c4_zero": lambda rng: quartic_from_slope(rng, [rng.uniform(-5, 5)]),
+    "c1_zero": lambda rng: quartic_from_slope(rng, [0.0] + _pos(rng, 1) + [rng.uniform(-5, 5)]),
+    "no_positive_root": lambda rng: quartic_from_slope(rng, _neg(rng, 3)),
+}
+
+
+class TestQuarticArgmin:
+    @pytest.mark.parametrize("case", sorted(QUARTICS))
+    def test_bit_equal_to_np_roots(self, case):
+        rng = np.random.default_rng(sorted(QUARTICS).index(case))
+        for _ in range(200):
+            coef = QUARTICS[case](rng)
+            want = reference_argmin(coef)
+            for given in (coef, tuple(coef.tolist())):
+                got = _quartic_argmin(given)
+                assert got == want and type(got) is type(want), (case, coef, got, want)
+
+    def test_cases_are_what_they_are_named(self):
+        rng = np.random.default_rng(0)
+        coef = {case: make(rng) for case, make in QUARTICS.items()}
+        assert coef["c4_zero"][4] == 0 and coef["c4_zero"][3] != 0
+        assert not coef["c3_c4_zero"][3:].any() and coef["c3_c4_zero"][2] > 0
+        assert coef["c1_zero"][1] == 0 and coef["c1_zero"][4] != 0
+        assert np.iscomplexobj(np.roots(np.arange(4, 0, -1) * coef["complex_pair"][:0:-1]))
+        assert reference_argmin(coef["no_positive_root"]) is None
+        for case in ("three_positive_roots", "one_positive_root", "c1_zero"):
+            assert reference_argmin(coef[case]) is not None
+
+    def test_ties_keep_the_first_root(self):
+        # E = 1e20 + (eta - 1)^2 (eta - 3)^2 + eta/1000: the minimum near 1
+        # is lower, but with E(0) = 1e20 both minima round to the same E,
+        # and the root listed first, near 3, wins
+        coef = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 3.0, 3.0])
+        coef[1] += 1e-3
+        roots = np.roots(np.arange(4, 0, -1) * coef[:0:-1]).real
+        first, last = roots[0], roots[-1]
+        assert first > 2.5 and 0 < last < 1.5
+        assert np.polyval(coef[::-1], last) < np.polyval(coef[::-1], first)
+        coef[0] = 1e20
+        assert np.polyval(coef[::-1], last) == np.polyval(coef[::-1], first)
+        assert _quartic_argmin(coef) == reference_argmin(coef) == first
 
 
 class TestEnergy:

@@ -341,6 +341,8 @@ class TestProcessLevel:
          "--control.omega=0,1,0,1,0.3,0.32"],
         ["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
          "--problem.amplitude=1e308"],
+        ["stokes-direct", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+         "--problem.manufactured=true", "--problem.amplitude=1e308"],
         ["steady-nse", "--problem.manufactured=true", "--problem.amplitude=1e308"],
         # the dense engine has only the exact steepest step
         ["abstract-demo", "--solver.algorithm=cg"],
@@ -354,6 +356,8 @@ class TestProcessLevel:
         r = invoke(argv + [f"--io.out_dir={tmp_path}/out"])
         assert r.returncode == 2
         assert f"config error: {argv[-1][2:].split('=')[0]}:" in r.stderr
+        # an overflowing amplitude is reported as the config error alone
+        assert "RuntimeWarning" not in r.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("amplitude", ["1e300", "1e308"])
@@ -457,6 +461,7 @@ BROKEN = {
 
 
 class TestExitCodeContract:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
     def test_overflowing_steady_data_is_a_solver_failure(self, tmp_path, capsys):
         # the forcing a L + a^2 C passes the checks, then the energy overflows in
         # the solve (at a = 1e300 the forcing itself overflows: exit 2, as at 1e308)
@@ -488,6 +493,7 @@ class TestExitCodeContract:
         assert "E_last" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # amplitudes 1e160, 1e300 overflow
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
         sub=st.sampled_from(SUBCOMMANDS),
