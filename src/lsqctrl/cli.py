@@ -6,7 +6,10 @@ comment); every key can also be given on the command line as
 ``trace.csv`` (one row per iterate, written as the run goes, schema fixed
 per run family), write ``summary.json`` and final field dumps, and with
 ``io.dump_every`` also snapshots of every N-th iterate, into
-``io.out_dir``.
+``io.out_dir``.  A field dump is one binary legacy-VTK file per time
+slice (velocity and pressure, for viewers) plus flat ``lsqctrl-raw``
+dumps of y, pi and, for unsteady runs, the control f (``read_raw``);
+both store the float64 values exactly.
 
 Exit codes: 0 solved/stopped by a convergence criterion, 2 bad
 configuration (the offending key is named on stderr), 3 iteration
@@ -93,9 +96,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def __eq__(self, other):
-        return (self.subcommand, self.values) == (other.subcommand, other.values)
 
 
 def _convert(key, raw):
@@ -223,30 +223,31 @@ def _trace_observer(path, header, dump_every=0, dump=None):
 
 
 def write_vtk_slice(path, grid, velocity=None, pressure=None, title="fields"):
-    """Legacy ASCII STRUCTURED_POINTS snapshot of one time slice."""
-    lines = [
+    """Legacy BINARY STRUCTURED_POINTS snapshot of one time slice.
+
+    After the text header each field is one block of big-endian float64,
+    x fastest, so every value reads back exactly: velocity as (vx, vy, 0)
+    per node, then the pressure.
+    """
+    header = [
         "# vtk DataFile Version 3.0",
         title,
-        "ASCII",
+        "BINARY",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {grid.nx} {grid.ny} 1",
         f"ORIGIN {_fmt(grid.hx)} {_fmt(grid.hy)} 0.0",
         f"SPACING {_fmt(grid.hx)} {_fmt(grid.hy)} 1.0",
         f"POINT_DATA {grid.nx * grid.ny}",
     ]
-    if velocity is not None:
-        lines.append("VECTORS velocity double")
-        vx, vy = velocity[0], velocity[1]
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                lines.append(f"{_fmt(vx[j, i])} {_fmt(vy[j, i])} 0.0")
-    if pressure is not None:
-        lines.append("SCALARS pressure double 1")
-        lines.append("LOOKUP_TABLE default")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                lines.append(_fmt(pressure[j, i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        if velocity is not None:
+            vec = np.zeros((grid.ny, grid.nx, 3), dtype=">f8")
+            vec[..., :2] = np.moveaxis(velocity, 0, -1)
+            fh.write(b"VECTORS velocity double\n" + vec.tobytes() + b"\n")
+        if pressure is not None:
+            fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+            fh.write(np.asarray(pressure, dtype=">f8").tobytes() + b"\n")
 
 
 def write_raw(path, array):
@@ -366,10 +367,7 @@ def _unsteady(cfg: RunConfig, mode):
         return sc.descend(problem, scfg, s_init=s_init, observer=observer)
 
     def summary(s, rep):
-        return {"mode": mode, "iterations": rep.iterates_count, "reason": rep.reason,
-                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-                "grad_norm_last": float(rep.grad_norms[-1]),
-                "div_last": float(rep.extras["div_norms"][-1]),
+        return {"mode": mode, "div_last": float(rep.extras["div_norms"][-1]),
                 "yT_last": float(rep.extras["yT_norms"][-1]),
                 "residual_norm_last": float(rep.extras["corrector"].weak_residual_norm)}
 
@@ -411,10 +409,7 @@ def _steady(cfg: RunConfig):
         return sn.descend_steady(problem, scfg, observer=observer)
 
     def summary(state, rep):
-        return {"mode": "steady", "iterations": rep.iterates_count, "reason": rep.reason,
-                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
-                "grad_norm_last": float(rep.grad_norms[-1]),
-                "residual_norm_last": float(rep.extras["residual_norms"][-1]),
+        return {"mode": "steady", "residual_norm_last": float(rep.extras["residual_norms"][-1]),
                 "div_norm_last": float(rep.extras["div_norms"][-1])}
 
     def l2_error(state):
@@ -437,8 +432,7 @@ def _abstract_demo(cfg: RunConfig):
         return ad.descend(p, np.zeros(p.dim_H), dcfg, observer=observer)
 
     def summary(u, rep):
-        return {"seed": v["seed"], "dim_H": p.dim_H, "iterations": rep.iterates_count,
-                "reason": rep.reason, "E_last": float(rep.energies[-1]),
+        return {"seed": v["seed"], "dim_H": p.dim_H,
                 "distance_to_oracle": float(p.norm_H(u - ad.oracle_minimizer(p)))}
 
     return ABSTRACT_HEADER, solve, None, summary, None
@@ -457,11 +451,14 @@ def run(cfg: RunConfig):
 
     The subcommand's builder builds the problem (a ConfigError, before
     anything is written) and returns the trace header, ``solve(observer)
-    -> (state, report)``, ``dump(tag, state)`` or None, the leading
+    -> (state, report)``, ``dump(tag, state)`` or None, the family's own
     summary fields ``summary(state, report)`` and the manufactured
-    ``l2_error(state)`` or None.  The summary also gets the wall time of
+    ``l2_error(state)`` or None.  Every summary gets the fields all
+    families share, read off the report: ``iterations``, ``reason``,
+    ``E_first``, ``E_last`` and ``grad_norm_last``, and the wall time of
     the solve call, ``wall_s``, and ``ms_per_iter`` over its iterates;
-    they stay out of ``trace.csv``, which reruns reproduce bit for bit.
+    the times stay out of ``trace.csv``, which reruns reproduce bit for
+    bit.
     A solver failure (a ValueError of the solve too) or a non-finite
     summary value exits 4.
     """
@@ -483,9 +480,10 @@ def run(cfg: RunConfig):
         return 4
     if dump:
         dump("final", state)
-    summary = summary_of(state, rep)
-    summary["wall_s"] = wall_s
-    summary["ms_per_iter"] = 1e3 * wall_s / rep.iterates_count
+    summary = {"iterations": rep.iterates_count, "reason": rep.reason,
+               "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
+               "grad_norm_last": float(rep.grad_norms[-1]), **summary_of(state, rep),
+               "wall_s": wall_s, "ms_per_iter": 1e3 * wall_s / rep.iterates_count}
     code = _exit_code(rep.reason)
     if l2_error is not None:
         summary["l2_error"] = err = l2_error(state)

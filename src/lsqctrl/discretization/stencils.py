@@ -49,7 +49,6 @@ __all__ = [
     "grad_pressure_transpose",
     "space_inner",
     "st_inner",
-    "trace_norms",
     "h1_pairing",
     "h1_seminorm_sq",
     "st_h1_pairing",
@@ -179,14 +178,6 @@ def st_inner(a, b, grid):
     b = np.asarray(b)
     prod = (a * b).reshape(grid.nt + 1, -1).sum(axis=1)
     return grid.hx * grid.hy * float(prod @ grid.time_weights())
-
-
-def trace_norms(y, grid):
-    """L2(Omega) norms of the first and last time slices."""
-    y = np.asarray(y)
-    n0 = np.sqrt(space_inner(y[0], y[0], grid))
-    nT = np.sqrt(space_inner(y[-1], y[-1], grid))
-    return n0, nT
 
 
 def _edge_diffs(a, grid):

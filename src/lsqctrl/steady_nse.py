@@ -38,7 +38,6 @@ from .discretization import (
     div_part,
     dx,
     dy,
-    grad,
     grad_pressure,
     grad_pressure_transpose,
     h1_seminorm_sq,
@@ -210,7 +209,11 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     sv[0] += shear * s.y[1]
     np.multiply(shear, s.y[0], out=sv[1])
     sv[1] += 2 * gv[1][1] * s.y[1]
-    r = -p.nu * (-laplace(v, g)) + sv - grad(q, g)
+    r = laplace(v, g)
+    r *= p.nu
+    r += sv
+    r[0] -= dx(q, g)
+    r[1] -= dy(q, g)
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
@@ -260,8 +263,10 @@ class _SteadyLine:
         return [v, info["rhs"], div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
     def reform(self, s, d, eta, fields):
-        """q at s - eta d afresh: carried, it would drift by roundoff."""
-        fields[2] = div_part(s.y - eta * d[0], s.pi - eta * d[1], self.p.grid, self.p.epsilon)
+        """q at s - eta d afresh: carried, it would drift by roundoff.
+        At epsilon = 0 q is div y alone, and the pressure is not formed."""
+        pi = s.pi - eta * d[1] if self.p.epsilon else None
+        fields[2] = div_part(s.y - eta * d[0], pi, self.p.grid, self.p.epsilon)
 
     def measure(self, s, fields, pairings):
         (v, _, q), (v_sq, div_sq) = fields, pairings

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import inspect
+import types
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +29,12 @@ MODULES = (
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search",),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
-                               "div_parts"),
+                               "div_parts", "trace_norms"),
     "lsqctrl.discretization.a0": ("velocity_a0_inner",),
     "lsqctrl.discretization.elliptic": ("shifted_poisson_solve",),
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
-                                        "_swap_xy", "div_parts"),
+                                        "_swap_xy", "div_parts", "trace_norms"),
     "lsqctrl.oracles": ("_sympy", "_lambdify", "_sample_spacetime"),
     "lsqctrl.steady_nse": ("pressure_residual_indicator", "_ExactStepRule", "_line_quartic",
                            "_quartic_argmin"),
@@ -69,3 +71,26 @@ def test_removed_options_are_gone():
     assert set(cli.REGISTRY).isdisjoint({"solver.inner_max_iter", "solver.inner_tol_grad"})
     assert not {"velocity_exprs", "forcing_exprs_unsteady",
                 "forcing_exprs_steady"} & set(dir(oracles.ManufacturedCase))
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark's span tracer wraps still exists, so a
+    rename breaks a tier-1 test and not only the traced benchmark run.
+    The tracer's source is run from its text, so that nothing is written
+    beside it, and methods are looked up in the class's own namespace,
+    as the tracer does."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    missing = []
+    for _, module, attr, _ in tracing.SPEC:
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert len(tracing.SPEC) > 0
+    assert missing == []

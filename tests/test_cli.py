@@ -24,6 +24,7 @@ from lsqctrl.cli import (
     read_raw,
     write_raw,
 )
+from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid
 
 
 # 8^3 CG null-control run of 40 iterations: with a field dump every 7
@@ -53,6 +54,24 @@ class NumpySpy:
 sys.meta_path.insert(0, NumpySpy())
 import lsqctrl
 """
+
+
+def read_vtk(path):
+    """Header lines and fields of a binary legacy-VTK slice, read line by
+    line up to each data block (a marker searched for in the whole file
+    could match inside the binary data)."""
+    with open(path, "rb") as fh:
+        header = [fh.readline().decode().rstrip("\n") for _ in range(8)]
+        n = int(header[7].split()[1])
+        fields = {}
+        while line := fh.readline():
+            kind, name = line.decode().split()[:2]
+            width = {"VECTORS": 3, "SCALARS": 1}[kind]
+            if kind == "SCALARS":
+                assert fh.readline() == b"LOOKUP_TABLE default\n"
+            fields[name] = np.frombuffer(fh.read(8 * width * n), dtype=">f8")
+            assert fh.read(1) == b"\n"
+    return header, fields
 
 
 def thread_probe(threads):
@@ -267,7 +286,7 @@ class TestRuns:
             assert main(CG8 + [f"--io.dump_every={every}",
                                f"--io.out_dir={tmp_path}/d{every}"]) == 3
         for name in ("trace.csv", "fields/final_y.bin", "fields/final_pi.bin",
-                     "fields/final_f.bin"):
+                     "fields/final_f.bin", "fields/final_t0000.vtk"):
             d0, d7 = (tmp_path / "d0" / name), (tmp_path / "d7" / name)
             assert d0.read_bytes() == d7.read_bytes()
         lines = (tmp_path / "d7" / "trace.csv").read_text().splitlines()
@@ -306,15 +325,41 @@ class TestRuns:
         assert lines[0] == "iter,E,grad_norm,step,kernel_ratio,div_norm,yT_norm,f_norm"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
-    def test_vtk_structure(self, tmp_path):
-        main(["stokes-control", f"--io.out_dir={tmp_path}", "--problem.y0=zero",
-              "--grid.nx=4", "--grid.ny=4", "--grid.nt=4"])
-        vtk = (tmp_path / "fields" / "final_t0000.vtk").read_text().splitlines()
-        assert vtk[0] == "# vtk DataFile Version 3.0"
-        assert vtk[3] == "DATASET STRUCTURED_POINTS"
-        assert vtk[4] == "DIMENSIONS 4 4 1"
-        assert "VECTORS velocity double" in vtk
-        assert "SCALARS pressure double 1" in vtk
+    def test_vtk_slices_read_back_exactly(self, tmp_path, monkeypatch):
+        states = []
+        for module, name in ((sc, "descend"), (sn, "descend_steady")):
+            def kept(*args, _original=getattr(module, name), **kwargs):
+                state, rep = _original(*args, **kwargs)
+                states.append(state)
+                return state, rep
+            monkeypatch.setattr(module, name, kept)
+        # nx != ny, so that fields written with x and y swapped fail
+        assert main(["stokes-control", f"--io.out_dir={tmp_path}/u", "--grid.nx=5",
+                     "--grid.ny=4", "--grid.nt=3", "--solver.max_iter=2"]) == 3
+        assert main(["steady-nse", f"--io.out_dir={tmp_path}/s", "--grid.nx=6",
+                     "--grid.ny=5", "--problem.manufactured=true",
+                     "--solver.max_iter=2"]) == 3
+        unsteady, steady = states
+        assert unsteady.pi.any() and steady.pi.any()
+        g, gs = SpaceTimeGrid(5, 4, 3), SpatialGrid(6, 5)
+        slices = [(tmp_path / "u" / "fields" / f"final_t{k:04d}.vtk", g, unsteady.y[k],
+                   unsteady.pi[k], f"lsqctrl final slice {k} t={k * g.ht}") for k in range(4)]
+        slices.append((tmp_path / "s" / "fields" / "final.vtk", gs, steady.y, steady.pi,
+                       "lsqctrl final"))
+        for path, grid, y, pi, title in slices:
+            header, fields = read_vtk(path)
+            assert header == ["# vtk DataFile Version 3.0", title, "BINARY",
+                              "DATASET STRUCTURED_POINTS",
+                              f"DIMENSIONS {grid.nx} {grid.ny} 1",
+                              f"ORIGIN {grid.hx!r} {grid.hy!r} 0.0",
+                              f"SPACING {grid.hx!r} {grid.hy!r} 1.0",
+                              f"POINT_DATA {grid.nx * grid.ny}"]
+            assert list(fields) == ["velocity", "pressure"]
+            velocity = fields["velocity"].reshape(grid.ny, grid.nx, 3)
+            assert np.array_equal(velocity[..., 0], y[0]), path.name
+            assert np.array_equal(velocity[..., 1], y[1]), path.name
+            assert not velocity[..., 2].any()
+            assert np.array_equal(fields["pressure"].reshape(grid.ny, grid.nx), pi), path.name
 
 
 class TestProcessLevel:

@@ -31,7 +31,6 @@ from lsqctrl.discretization import (
     st_inner,
     time_basis,
     time_stiffness,
-    trace_norms,
 )
 from lsqctrl.discretization import stencils
 from lsqctrl.discretization.elliptic import _sine_matrix, mode_denominators
@@ -239,14 +238,6 @@ class TestStencils:
         lhs = space_inner(grad_pressure(s, g), v, g)
         rhs = space_inner(s, grad_pressure_transpose(v, g), g)
         assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_trace_norms(self):
-        g = SpaceTimeGrid(6, 6, 4)
-        y = g.vector_zeros()
-        y[0, 0] = 1.0
-        n0, nT = trace_norms(y, g)
-        assert n0 == pytest.approx(np.sqrt(g.hx * g.hy * g.n_space))
-        assert nT == 0.0
 
 
 class TestPoisson:
