@@ -406,6 +406,8 @@ class ExactLineRule:
       q)``, for diagnostics to read off;
     * ``line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
       state - eta d, and per field F the increments of F - eta F1 - eta^2 F2.
+      The rule scales the increments in place as it applies them and
+      keeps none: once applied, they are the line's to reuse.
 
     No argmin, or no drop in E there, ends the run on
     ``line_search_stall``.  Without a dual, PR+ takes successive gradients
@@ -491,7 +493,9 @@ class ExactLineRule:
             for k, a in enumerate(inc, 1):
                 a *= eta**k  # in place: the increments are spent after this
                 field -= a
-        del incs, inc, a  # free the line's fields before the next solve
+        # spent, the increments go back to the line, which may write its next
+        # gradient into them (the unsteady line does), or let them be freed
+        del incs, inc, a
         if self.line.reform:
             self.line.reform(self.state, d, eta, self.fields)
         self.e = self.energy()

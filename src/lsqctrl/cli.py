@@ -149,6 +149,11 @@ def _validate(cfg: RunConfig):
     if (v["problem.manufactured"] and cfg.subcommand in ("stokes-direct", "steady-nse")
             and (v["domain.Lx"], v["domain.Ly"]) != (1.0, 1.0)):
         raise ConfigError("problem.manufactured", "analytic case needs the unit square")
+    # the frozen forcing acts only on the support, the analytic solution on the whole domain
+    if (v["problem.manufactured"] and cfg.subcommand == "stokes-direct"
+            and om != REGISTRY["control.omega"][1]):
+        raise ConfigError("control.omega", "a manufactured stokes-direct run is scored "
+                          "against the whole-domain forcing: keep the default")
     return cfg
 
 

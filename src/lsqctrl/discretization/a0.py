@@ -78,12 +78,14 @@ def _simplified_denominator(grid, lam_t, lam_x):
 _DENOMINATORS = {"a0_exact": _exact_denominator, "simplified": _simplified_denominator}
 
 
-def a0_velocity_riesz(grid, rvec, fixed, metric="a0_exact"):
+def a0_velocity_riesz(grid, rvec, fixed, metric="a0_exact", out=None):
     """Solve M ybar = rvec for the velocity block of the A0 metric.
 
     rvec is an assembled dual vector on the unknown time levels (shape
     (m, 2, ny, nx)); the trace constraint 'fixed' selects those levels.
-    Returns the representer on the same levels.
+    Returns the representer on the same levels: in out, if given (a
+    C-contiguous array shaped like rvec, not rvec itself; the solve also
+    uses it as work space), else in a new array.
     """
     _check_metric(metric)
-    return _st_solve(grid, rvec, _DENOMINATORS[metric], fixed)
+    return _st_solve(grid, rvec, _DENOMINATORS[metric], fixed, out)

@@ -59,10 +59,15 @@ def _sine_matrix(n: int):
     return S
 
 
-def sine_transform(a):
-    """Orthonormal DST-I over the two trailing axes (self-inverse)."""
+def sine_transform(a, out=None, work=None):
+    """Orthonormal DST-I over the two trailing axes (self-inverse).
+
+    out and work, if given, are arrays shaped like a: the product along
+    x goes to work, the one along y to out, which is returned.  out may
+    be a itself; work must be neither.  Unset, each is a new array.
+    """
     ny, nx = np.shape(a)[-2:]
-    return _sine_matrix(ny) @ (a @ _sine_matrix(nx))
+    return np.matmul(_sine_matrix(ny), np.matmul(a, _sine_matrix(nx), out=work), out=out)
 
 
 @lru_cache(maxsize=64)
@@ -77,18 +82,19 @@ def sine_eigenvalues(grid: SpaceTimeGrid):
     return out
 
 
-def poisson_solve(grid, rhs):
+def poisson_solve(grid, rhs, out=None):
     """Solve -lap g = rhs with homogeneous Dirichlet walls.
 
     Works on slices, space-time arrays and vector fields alike (the
     trailing two axes are spatial).  The discrete 5-point system is
-    solved exactly, so the residual is at roundoff level.
+    solved exactly, so the residual is at roundoff level.  out, if
+    given, receives g (see sine_transform).
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
         raise ValueError("poisson_solve: rhs contains non-finite values")
     lam = sine_eigenvalues(grid)
-    return sine_transform(sine_transform(rhs) / lam)
+    return sine_transform(sine_transform(rhs) / lam, out=out)
 
 
 def time_stiffness(grid):
@@ -131,13 +137,27 @@ class TimeBasis:
     Z: np.ndarray
     lam: np.ndarray
 
-    def to_modes(self, a):
-        """Mode coefficients Z^T a over the leading (level) axis."""
-        return (self.Z.T @ a.reshape(len(a), -1)).reshape(a.shape)
+    def to_modes(self, a, out=None):
+        """Mode coefficients Z^T a over the leading (level) axis.  out, if
+        given, is a C-contiguous array shaped like a, not a itself, that
+        receives them and is returned."""
+        return _level_product(self.Z.T, a, out)
 
-    def from_modes(self, c):
-        # Z^{-1} = Z^T W, so synthesis uses Z itself: a = Z c.
-        return (self.Z @ c.reshape(len(c), -1)).reshape(c.shape)
+    def from_modes(self, c, out=None):
+        """The levels a = Z c of mode coefficients c (Z^{-1} = Z^T W, so
+        synthesis uses Z itself); out as in to_modes."""
+        return _level_product(self.Z, c, out)
+
+
+def _level_product(M, a, out):
+    """M applied over the leading axis of a, into out if given."""
+    rows = a.reshape(len(a), -1)
+    if out is None:
+        return (M @ rows).reshape(a.shape)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    np.matmul(M, rows, out=out.reshape(rows.shape))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -187,18 +207,25 @@ def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
     return out
 
 
-def _st_solve(grid, bvec, rule, fixed):
+def _st_solve(grid, bvec, rule, fixed, out=None):
     """Diagonalized solve of a space-time operator on the given levels.
 
     bvec: dual vector shaped (m_levels, ..., ny, nx).  rule is the
-    operator's denominator rule, see mode_denominators.
+    operator's denominator rule, see mode_denominators.  The transforms
+    ping-pong between two arrays shaped like bvec: the modes and out (a
+    C-contiguous array, not bvec, or a new one), which holds the
+    solution at the end and is returned.
     """
+    bvec = np.asarray(bvec, dtype=float)
     tb = time_basis(grid, fixed)
-    chat = sine_transform(tb.to_modes(np.asarray(bvec, dtype=float)))
+    if out is None:
+        out = np.empty(bvec.shape)
+    chat = tb.to_modes(bvec, out=np.empty(bvec.shape))
+    sine_transform(chat, out=chat, work=out)
     denom = mode_denominators(grid, fixed, rule)
     # broadcast the per-mode (ny, nx) denominators across component axes
     chat /= denom.reshape(denom.shape[:1] + (1,) * (chat.ndim - denom.ndim) + denom.shape[1:])
-    return tb.from_modes(sine_transform(chat))
+    return tb.from_modes(sine_transform(chat, out=chat, work=out), out=out)
 
 
 def _weak_denominator(grid, lam_t, lam_x):

@@ -217,10 +217,16 @@ class Triplet:
 
     @classmethod
     def zeros(cls, grid):
-        """The zero triplet.  Its fields are finite and shaped by
-        construction, so it skips the checks of __post_init__."""
+        """The zero triplet."""
+        return cls.unchecked(grid, grid.vector_zeros(), grid.scalar_zeros(), grid.vector_zeros())
+
+    @classmethod
+    def unchecked(cls, grid, y, pi, f):
+        """The triplet of these arrays as they are, without the checks of
+        __post_init__: for arrays shaped by construction, whose values
+        may still be written."""
         t = cls.__new__(cls)
-        t.grid, t.y, t.pi, t.f = grid, grid.vector_zeros(), grid.scalar_zeros(), grid.vector_zeros()
+        t.grid, t.y, t.pi, t.f = grid, y, pi, f
         return t
 
     def copy(self):

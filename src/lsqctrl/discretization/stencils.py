@@ -150,10 +150,11 @@ def grad_pressure(s, grid):
     return out
 
 
-def grad_pressure_transpose(v, grid):
-    """Exact matrix transpose of grad_pressure applied to a vector field."""
+def grad_pressure_transpose(v, grid, out=None):
+    """Exact matrix transpose of grad_pressure applied to a vector field;
+    into out, if given (a scalar field shaped like a component of v)."""
     v = np.asarray(v)
-    tx = v[..., 0, :, :] @ _operators(grid.nx, grid.hx).G2
+    tx = np.matmul(v[..., 0, :, :], _operators(grid.nx, grid.hx).G2, out=out)
     tx /= 2.0 * grid.hx
     ty = _operators(grid.ny, grid.hy).G2T @ v[..., 1, :, :]
     ty /= 2.0 * grid.hy
@@ -251,9 +252,10 @@ def slice_means(pi):
     return pi.reshape(pi.shape[0], -1).mean(axis=1)
 
 
-def remove_slice_means(pi):
-    """Project a scalar field onto zero nodal mean per time slice."""
+def remove_slice_means(pi, out=None):
+    """Project a scalar field onto zero nodal mean per time slice; into
+    out, if given (an array shaped like pi, or pi itself)."""
     pi = np.asarray(pi)
     if pi.ndim == 2:
-        return pi - pi.mean()
-    return pi - slice_means(pi)[:, None, None]
+        return np.subtract(pi, pi.mean(), out=out)
+    return np.subtract(pi, slice_means(pi)[:, None, None], out=out)

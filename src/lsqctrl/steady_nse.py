@@ -236,10 +236,11 @@ def _line_convection(y, d, grid, out):
 
 
 def _gram(fields, rhss, grid):
-    """hx*hy * fields @ rhss^T over the flattened slices.  With
-    fields[i] = P(rhss[i]) entry (i, j) is h1_pairing(fields[i], fields[j])."""
-    a = np.reshape(fields, (len(fields), -1))
-    b = np.reshape(rhss, (len(rhss), -1))
+    """hx*hy * fields @ rhss^T over the flattened slices of two stacked
+    arrays.  With fields[i] = P(rhss[i]) entry (i, j) is
+    h1_pairing(fields[i], fields[j])."""
+    a = fields.reshape(len(fields), -1)
+    b = rhss.reshape(len(rhss), -1)
     return grid.hx * grid.hy * (a @ b.T)
 
 
@@ -279,19 +280,21 @@ class _SteadyLine:
 
     def line(self, s, fields, d):
         p, g, (v, rhs, q) = self.p, self.p.grid, fields
-        rhss = np.empty((2,) + s.y.shape)
-        bd, cdd = rhss
+        # [v, Vd, v2] and [rhs, bd, cdd], each stacked in one array for _gram
+        sols, rhss = np.empty((2, 3) + s.y.shape)
+        sols[0], rhss[0] = v, rhs
+        bd, cdd = rhss[1:]
         cross = _line_convection(s.y, d[0], g, out=cdd)
         np.multiply(laplace(d[0], g), p.nu, out=bd)
         bd -= cross
         bd -= grad_pressure(d[1], g)
-        sols = poisson_solve(g, rhss)
-        gram = _gram([v, *sols], [rhs, *rhss], g)
+        poisson_solve(g, rhss[1:], out=sols[1:])
+        gram = _gram(sols, rhss, g)
         qd = div_part(d[0], d[1], g, p.epsilon)
         coef = (-gram[0, 1] - space_inner(q, qd, g),
                 0.5 * (gram[1, 1] + space_inner(qd, qd, g)) - gram[0, 2],
                 gram[1, 2], 0.5 * gram[2, 2])
-        return coef, [sols, rhss, ()]
+        return coef, [sols[1:], rhss[1:], ()]
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):

@@ -40,7 +40,8 @@ from .discretization import (
     div,
     div_part,
     dt_sq_integral,
-    grad,
+    dx,
+    dy,
     grad_pressure,
     grad_pressure_transpose,
     laplace,
@@ -284,40 +285,54 @@ def apply_T(p: ControlProblem, d: Triplet):
     return _lift(p, _direction_rhs(p, d.y, d.pi, d.f)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=None):
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=None,
+                out=None):
     """Riesz representative of E'(s) in the increment metric.
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support
     (global sign SIGMA, resolved by the finite-difference oracle).  The
     velocity component solves the metric problem with the H^-1 term
-    when metric='a0_exact'.  q is div y + eps*pi of s, if known.
+    when metric='a0_exact'.  q is div y + eps*pi of s, if known.  out,
+    if given, is a (y, pi, f) tuple of C-contiguous arrays shaped like
+    s's parts that receives the gradient: every element is written, so
+    they may hold anything (the descent passes its line's spent fields).
     """
     grid = p.grid
     v = (corr or corrector(p, s)).v
     area = grid.hx * grid.hy
     w = grid.time_weights()[:, None, None, None]
+    sl = level_slice(grid, p.fixed_traces)
 
-    g = Triplet.zeros(grid)
+    if out is None:
+        out = (np.empty(s.y.shape), np.empty(s.pi.shape), np.empty(s.f.shape))
+    g = Triplet.unchecked(grid, *out)
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = SIGMA * (-grad_pressure_transpose(v, grid))
+    pibar = grad_pressure_transpose(v, grid, out=g.pi)
+    pibar *= -SIGMA
     if p.epsilon:
-        pibar = pibar + p.epsilon * q
-    g.pi = remove_slice_means(pibar)
+        pibar += p.epsilon * q
+    remove_slice_means(pibar, out=pibar)
     if p.mode == "null_control":
-        g.f = SIGMA * (p.mask_array() * v)
+        np.multiply(p.mask_array(), v, out=g.f)
+        g.f *= SIGMA
+    else:
+        g.f.fill(0.0)  # the control is frozen
 
     rvec = _scaled(laplace(v, grid), p.nu * area * w)
     rvec -= _dt_adjoint_vector(v, grid)
-    rvec -= _scaled(grad(q, grid), area * w)
-    sl = level_slice(grid, p.fixed_traces)
-    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric)
-    g.y[sl] = ybar
+    for k, dq in enumerate((dx, dy)):  # grad q, one component at a time
+        rvec[:, k] -= _scaled(dq(q, grid), area * w[:, 0])
+    g.y[:sl.start] = 0.0  # the fixed traces
+    g.y[sl.stop:] = 0.0
+    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric, out=g.y[sl])
 
     if not return_norm:
         return g
-    norm_sq = float(np.sum(rvec[sl] * ybar))
+    ry = rvec[sl]
+    ry *= ybar  # in place: rvec is spent
+    norm_sq = float(np.sum(ry))
     norm_sq += st_inner(g.pi, g.pi, grid) + st_inner(g.f, g.f, grid)
     return g, max(norm_sq, 0.0)
 
@@ -365,6 +380,9 @@ class _StokesLine:
     def __init__(self, p):
         self.p = p
         self.inner_q = partial(st_inner, grid=p.grid)
+        # the last line's (Vd, qd, bd), spent once the rule has applied them:
+        # shaped as the gradient's (y, pi, f), the next gradient is written there
+        self.spent = None
 
     def fields(self, s):
         corr = corrector(self.p, s)
@@ -376,7 +394,9 @@ class _StokesLine:
 
     def measure(self, s, fields, pairings):
         v, rhs, q = fields
-        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), return_norm=True, q=q)
+        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), return_norm=True, q=q,
+                               out=self.spent)
+        self.spent = None
         div_sq = pairings[1]
         if self.p.epsilon:
             dv = q - self.p.epsilon * s.pi
@@ -390,6 +410,7 @@ class _StokesLine:
         qd = div_part(d[0], d[1], grid, p.epsilon)
         coef = (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
                 0.5 * (float(np.vdot(Vd, bd)) + st_inner(qd, qd, grid)), 0.0, 0.0)
+        self.spent = Vd, qd, bd
         return coef, [(Vd,), (bd,), (qd,)]
 
 

@@ -112,6 +112,24 @@ class TestParseConfig:
             parse_config("stokes-control", None,
                          ["--control.omega=0,0.5,0,1,0.2,1.5"])
 
+    @pytest.mark.parametrize("omega", ["0,1,0,1,0,0.5", "0,0.3333333333333333,0,1"])
+    def test_manufactured_direct_rejects_a_partial_support(self, tmp_path, omega):
+        # the frozen forcing would act on the support only while l2_error is
+        # taken against the whole-domain solution (1.06 for the time window)
+        code = main(["stokes-direct", "--problem.manufactured=true", f"--control.omega={omega}",
+                     "--grid.nx=4", "--grid.ny=4", "--grid.nt=4", f"--io.out_dir={tmp_path}/o"])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ConfigError) as exc:
+            parse_config("stokes-direct", None, ["--problem.manufactured=true",
+                                                 f"--control.omega={omega}"])
+        assert exc.value.key == "control.omega"
+        for sub, flags in (("stokes-direct", ["--control.omega=0,1,0,1"]),
+                           ("stokes-direct", [f"--control.omega={omega}"]),
+                           ("stokes-control", ["--problem.manufactured=true",
+                                               f"--control.omega={omega}"])):
+            assert parse_config(sub, None, flags)["control.omega"]
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("stokes-control", None, ["--grid.nz=3"])

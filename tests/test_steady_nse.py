@@ -410,7 +410,7 @@ class TestExactStep:
         (v, rhs), (sols, rhss, *_) = fields[:2], line_polynomial(rule, record, fields)[1]
         g = rule.state.grid
         V = [v, *sols]
-        G = steady_nse._gram(V, [rhs, *rhss], g)
+        G = steady_nse._gram(np.stack(V), np.stack([rhs, *rhss]), g)
         for i in range(3):
             for j in range(3):
                 assert G[i, j] == pytest.approx(h1_pairing(V[i], V[j], g), rel=1e-12), (i, j)
