@@ -415,7 +415,8 @@ def _steady(cfg: RunConfig):
 
     def summary(state, rep):
         return {"mode": "steady", "residual_norm_last": float(rep.extras["residual_norms"][-1]),
-                "div_norm_last": float(rep.extras["div_norms"][-1])}
+                "div_norm_last": float(rep.extras["div_norms"][-1]),
+                "small_data_ratio": rep.extras["small_data_ratio"]}
 
     def l2_error(state):
         dy = state.y - exact

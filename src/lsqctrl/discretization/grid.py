@@ -92,6 +92,13 @@ class SpaceTimeGrid:
         w[-1] *= 0.5
         w.flags.writeable = False
         object.__setattr__(self, "_time_weights", w)
+        object.__setattr__(self, "_hash", hash((self.nx, self.ny, self.nt, self.Lx, self.Ly,
+                                                self.T_final)))
+
+    def __hash__(self):
+        # hashed once: the solvers' lru-cached operators and bases look the
+        # grid up several times per iteration
+        return self._hash
 
     @property
     def hx(self):

@@ -28,6 +28,17 @@ Two flavours of first derivative coexist:
   rounded entries -3/(2h), 4/(2h), -1/(2h) would leave up to 1e-14 on
   the constant 1 at spacings such as h = 0.7/6.
 
+``dx``, ``dy``, ``laplace``, ``grad_pressure`` and its transpose take a
+``scale`` factor, so a caller that weights the result (the unsteady
+residual folds in nu*hx*hy*ht) pays no pass over the field for it.  It
+is folded into a scaled copy of the (n, n) matrix D or L, while G2 stays
+the integer stencil and the pressure products are scaled in the one pass
+that follows them, so the constants G2 annihilates still map to exact
+zeros.  At scale 1 every result is bit for bit the unscaled one.
+
+``st_inner`` sums the interior time levels and the two end levels as
+three dot products, so a pairing makes no field-sized temporary.
+
 All functions accept arrays whose trailing axes are (ny, nx); leading
 axes (time level, component) are broadcast over.
 """
@@ -93,14 +104,23 @@ def _operators(n: int, h: float):
     return ops
 
 
-def dx(a, grid):
-    """Centered x-derivative with homogeneous Dirichlet padding."""
-    return a @ _operators(grid.nx, grid.hx).DT
+def _times(M, scale):
+    """The (n, n) operator matrix M times scale, formed per call (n^2
+    multiplications against n^3 per level for the product), or M itself
+    at scale 1.  Not cached: copies cached during a solve are small,
+    long-lived blocks that split the heap's field-sized free chunks
+    (+2 MB peak RSS on a 64^3 run)."""
+    return M if scale == 1.0 else M * scale
 
 
-def dy(a, grid):
-    """Centered y-derivative with homogeneous Dirichlet padding."""
-    return _operators(grid.ny, grid.hy).D @ a
+def dx(a, grid, scale=1.0):
+    """Centered x-derivative with homogeneous Dirichlet padding, times scale."""
+    return a @ _times(_operators(grid.nx, grid.hx).DT, scale)
+
+
+def dy(a, grid, scale=1.0):
+    """Centered y-derivative with homogeneous Dirichlet padding, times scale."""
+    return _times(_operators(grid.ny, grid.hy).D, scale) @ a
 
 
 def grad(s, grid):
@@ -125,39 +145,42 @@ def curl(s, grid):
     return np.stack([dy(s, grid), -dx(s, grid)], axis=-3)
 
 
-def laplace(a, grid):
-    """5-point discrete Laplacian: consistent up to the wall for Dirichlet
-    fields, and the operator behind the Poisson and corrector solves."""
-    out = a @ _operators(grid.nx, grid.hx).L
-    out += _operators(grid.ny, grid.hy).L @ a
+def laplace(a, grid, scale=1.0):
+    """5-point discrete Laplacian, times scale: consistent up to the wall
+    for Dirichlet fields, and the operator behind the Poisson and
+    corrector solves."""
+    out = a @ _times(_operators(grid.nx, grid.hx).L, scale)
+    out += _times(_operators(grid.ny, grid.hy).L, scale) @ a
     return out
 
 
-def grad_pressure(s, grid):
-    """Gradient of a boundary-value-free scalar (pressure).
+def grad_pressure(s, grid, scale=1.0):
+    """Gradient of a boundary-value-free scalar (pressure), times scale.
 
     One-sided second-order rows next to each wall, centered inside;
     constants are in the kernel (exactly for a constant such as 1, see
-    the module docstring).
+    the module docstring).  Each component is the integer product over
+    2h / scale.
     """
     s = np.asarray(s)
     out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
     gx, gy = out[..., 0, :, :], out[..., 1, :, :]
     np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=gx)
     np.matmul(_operators(grid.ny, grid.hy).G2, s, out=gy)
-    gx /= 2.0 * grid.hx
-    gy /= 2.0 * grid.hy
+    gx /= 2.0 * grid.hx / scale
+    gy /= 2.0 * grid.hy / scale
     return out
 
 
-def grad_pressure_transpose(v, grid, out=None):
-    """Exact matrix transpose of grad_pressure applied to a vector field;
-    into out, if given (a scalar field shaped like a component of v)."""
+def grad_pressure_transpose(v, grid, out=None, scale=1.0):
+    """Exact matrix transpose of grad_pressure applied to a vector field,
+    times scale; into out, if given (a scalar field shaped like a
+    component of v).  scale = -1 negates the result exactly."""
     v = np.asarray(v)
     tx = np.matmul(v[..., 0, :, :], _operators(grid.nx, grid.hx).G2, out=out)
-    tx /= 2.0 * grid.hx
+    tx /= 2.0 * grid.hx / scale
     ty = _operators(grid.ny, grid.hy).G2T @ v[..., 1, :, :]
-    ty /= 2.0 * grid.hy
+    ty /= 2.0 * grid.hy / scale
     tx += ty
     return tx
 
@@ -174,11 +197,12 @@ def space_inner(a, b, grid):
 
 
 def st_inner(a, b, grid):
-    """Trapezoid-in-time, nodal-in-space inner product over Q_T."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    prod = (a * b).reshape(grid.nt + 1, -1).sum(axis=1)
-    return grid.hx * grid.hy * float(prod @ grid.time_weights())
+    """Trapezoid-in-time, nodal-in-space inner product over Q_T of two
+    fields of one shape: the interior levels and the two end levels
+    (half weight) as three dot products, without a product array."""
+    ends = float(np.vdot(a[0], b[0])) + float(np.vdot(a[-1], b[-1]))
+    w = grid.hx * grid.hy * grid.ht
+    return w * float(np.vdot(a[1:-1], b[1:-1])) + 0.5 * w * ends
 
 
 def _edge_diffs(a, grid):
@@ -247,9 +271,11 @@ def dt_sq_integral(v, grid):
 
 
 def slice_means(pi):
-    """Per-time-slice nodal means of a scalar space-time field."""
+    """Per-time-slice nodal means of a scalar space-time field.  The sum
+    over the count is what ndarray.mean computes, to the bit, without
+    its Python-level wrapper."""
     pi = np.asarray(pi)
-    return pi.reshape(pi.shape[0], -1).mean(axis=1)
+    return pi.reshape(pi.shape[0], -1).sum(axis=1) / pi[0].size
 
 
 def remove_slice_means(pi, out=None):
@@ -257,5 +283,5 @@ def remove_slice_means(pi, out=None):
     out, if given (an array shaped like pi, or pi itself)."""
     pi = np.asarray(pi)
     if pi.ndim == 2:
-        return np.subtract(pi, pi.mean(), out=out)
+        return np.subtract(pi, pi.sum() / pi.size, out=out)
     return np.subtract(pi, slice_means(pi)[:, None, None], out=out)

@@ -307,11 +307,13 @@ def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=No
     roundoff stops that, the run ends on ``line_search_stall``, reported,
     not raised (``abstract_descent.ExactLineRule``).  ``observer(record,
     s)`` sees every iterate (see ``run_descent``); records carry
-    ``residual_norm`` and ``div_norm``.
+    ``residual_norm`` and ``div_norm``.  The report's extras carry the
+    ``small_data_ratio`` nu^-2 ||f||_-1 of ``check_small_data``.
     """
-    p.check_small_data()
+    ratio = p.check_small_data()
     rule = ExactLineRule(_SteadyLine(p), (s_init or SteadyState.zeros(p.grid)).copy(),
                          cfg.algorithm == "cg")
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer=observer)
+    report.extras["small_data_ratio"] = ratio
     return rule.state, report

@@ -186,19 +186,28 @@ def _dt_adjoint_vector(v, grid):
 
 
 def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
-    """Assembled momentum residual functional r(s)[w] over all levels.
+    """Assembled momentum residual functional r(s)[w] over all levels,
 
-    r = y_t pairing + nu grad:grad + pressure gradient - control; the
-    corrector right-hand side is b = -r.
+        r = B y - nu hx hy W L y + hx hy W G pi - hx hy W mask f,
+
+    B the time pairing (``_dt_matrix``), W the trapezoid weights, L the
+    5-point Laplacian and G the pressure gradient.  The weights add no
+    pass over the Laplacian and pressure terms: -nu hx hy ht is folded
+    into cached copies of L's 1-D matrices, and the integer pressure
+    products are scaled by hx hy ht in the one pass after them (so the
+    constants G2 annihilates stay exact zeros).  The trapezoid's end
+    weights are two halvings of the end levels.  The corrector
+    right-hand side is b = -r.
     """
     grid = p.grid
-    area = grid.hx * grid.hy
-    w = grid.time_weights()[:, None, None, None]
-    r = _dt_weak_vector(y, grid)
-    r -= _scaled(laplace(y, grid), p.nu * area * w)
-    r += _scaled(grad_pressure(pi, grid), area * w)
+    c = grid.hx * grid.hy * grid.ht
+    r = laplace(y, grid, scale=-p.nu * c)
+    r += grad_pressure(pi, grid, scale=c)
     if include_control:
-        r -= _scaled(p.mask_array() * f, area * w)
+        r -= _scaled(p.mask_array() * f, c)
+    r[0] *= 0.5
+    r[-1] *= 0.5
+    r += _dt_weak_vector(y, grid)
     return r
 
 
@@ -300,8 +309,7 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     """
     grid = p.grid
     v = (corr or corrector(p, s)).v
-    area = grid.hx * grid.hy
-    w = grid.time_weights()[:, None, None, None]
+    c = grid.hx * grid.hy * grid.ht
     sl = level_slice(grid, p.fixed_traces)
 
     if out is None:
@@ -309,30 +317,31 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     g = Triplet.unchecked(grid, *out)
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = grad_pressure_transpose(v, grid, out=g.pi)
-    pibar *= -SIGMA
+    pibar = grad_pressure_transpose(v, grid, out=g.pi, scale=-SIGMA)
     if p.epsilon:
         pibar += p.epsilon * q
     remove_slice_means(pibar, out=pibar)
     if p.mode == "null_control":
         np.multiply(p.mask_array(), v, out=g.f)
-        g.f *= SIGMA
+        if SIGMA < 0:
+            np.negative(g.f, out=g.f)
     else:
         g.f.fill(0.0)  # the control is frozen
 
-    rvec = _scaled(laplace(v, grid), p.nu * area * w)
+    # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q; of the
+    # two half-weight end levels only the last, in direct mode, is unknown
+    rvec = laplace(v, grid, scale=p.nu * c)
+    rvec[:, 0] -= dx(q, grid, scale=c)
+    rvec[:, 1] -= dy(q, grid, scale=c)
+    rvec[-1] *= 0.5
     rvec -= _dt_adjoint_vector(v, grid)
-    for k, dq in enumerate((dx, dy)):  # grad q, one component at a time
-        rvec[:, k] -= _scaled(dq(q, grid), area * w[:, 0])
     g.y[:sl.start] = 0.0  # the fixed traces
     g.y[sl.stop:] = 0.0
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric, out=g.y[sl])
 
     if not return_norm:
         return g
-    ry = rvec[sl]
-    ry *= ybar  # in place: rvec is spent
-    norm_sq = float(np.sum(ry))
+    norm_sq = float(np.vdot(rvec[sl], ybar))
     norm_sq += st_inner(g.pi, g.pi, grid) + st_inner(g.f, g.f, grid)
     return g, max(norm_sq, 0.0)
 

@@ -25,6 +25,7 @@ from lsqctrl.cli import (
     write_raw,
 )
 from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid
+from lsqctrl.oracles import default_steady_case, manufactured_steady
 
 
 # 8^3 CG null-control run of 40 iterations: with a field dump every 7
@@ -225,6 +226,13 @@ class TestRuns:
                             ("div_norm_last", "div_norm")):
             assert summary[key] == last[header.index(column)] > 0.0, key
         assert summary["wall_s"] > 0.0 and summary["ms_per_iter"] > 0.0
+        # the uniqueness heuristic nu^-2 ||f||_-1 of the warning; the built-in
+        # case lies outside the small-data regime
+        g = SpatialGrid(6, 6)
+        _, _, f = manufactured_steady(default_steady_case(), g, nu=1.0)
+        ratio = sn.SteadyProblem(g, 1.0, f).forcing_dual_norm()
+        assert summary["small_data_ratio"] == ratio
+        assert 18.0 < ratio < 19.0
 
     def test_unsteady_summary_carries_absolute_end_values(self, tmp_path, monkeypatch):
         reports = []

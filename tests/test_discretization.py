@@ -1,5 +1,8 @@
 """Grid calculus, quadrature and the exact elliptic solves."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,37 @@ class TestStencils:
         lhs = space_inner(grad_pressure(s, g), v, g)
         rhs = space_inner(s, grad_pressure_transpose(v, g), g)
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("components", [(), (2,)], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("nt", [2, 3, 16])
+    def test_st_inner_matches_the_per_level_sum(self, nt, components):
+        # Sum_j w_j hx hy Sum a_j b_j level by level, summed exactly, against
+        # the three dot products; nt = 2 has one interior level.  Positive
+        # fields, so that no cancellation hides the comparison.
+        g = SpaceTimeGrid(5, 4, nt, Lx=0.7, T_final=1.3)
+        a, b = np.random.default_rng(nt).uniform(0.5, 1.5, (2, nt + 1, *components, g.ny, g.nx))
+        for x, y in ((a, b), (a, a)):
+            ref = math.fsum(w * g.hx * g.hy * math.fsum((xj * yj).ravel())
+                            for w, xj, yj in zip(g.time_weights(), x, y))
+            assert st_inner(x, y, g) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_st_inner_makes_no_field_temporary(self):
+        # the product a * b would be one field (230 kB here); the dot
+        # products allocate less than one time level of it
+        g = SpaceTimeGrid(24, 24, 24)
+        a, b = np.random.default_rng(0).standard_normal((2, g.nt + 1, 2, g.ny, g.nx))
+        st_inner(a, b, g)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            st_inner(a, b, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < a[0].nbytes
 
 
 class TestPoisson:

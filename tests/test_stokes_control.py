@@ -13,10 +13,16 @@ from lsqctrl.discretization import (
     SpaceTimeGrid,
     SupportMask,
     Triplet,
+    a0_velocity_riesz,
     curl,
     div,
     dt_sq_integral,
+    dx,
+    dy,
+    grad_pressure,
+    grad_pressure_transpose,
     inner_a0,
+    laplace,
     level_slice,
     remove_slice_means,
     slice_means,
@@ -201,6 +207,86 @@ class TestTimePairing:
         assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1.0)
         # a field constant in time has no time derivative, exactly
         assert not sc._dt_weak_vector(np.ones_like(y), g).any()
+
+
+ASSEMBLY_CASES = {
+    "null": dict(),
+    "eps": dict(epsilon=0.01),
+    "direct": dict(mode="direct"),
+    "window": dict(mask=SupportMask(0.0, 0.5, 0.25, 1.0, t0=0.3, t1=0.7)),
+}
+
+
+def written_out_residual(p, y, pi, f, include_control=True):
+    """B y - nu hx hy W L y + hx hy W G pi - hx hy W mask f, each term
+    formed unscaled and weighted afterwards (B from the oracle)."""
+    from lsqctrl.oracles import _time_ops
+
+    g = p.grid
+    aw = g.hx * g.hy * g.time_weights()[:, None, None, None]
+    B = g.hx * g.hy * _time_ops(g)[1]
+    r = np.einsum("kl,l...->k...", B, y) - p.nu * aw * laplace(y, g) + aw * grad_pressure(pi, g)
+    return r - aw * p.mask_array() * f if include_control else r
+
+
+class TestWeightFoldedAssembly:
+    @staticmethod
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_residual_matches_the_written_out_formula(self, case):
+        p = small_problem(n=7, **ASSEMBLY_CASES[case])
+        s = perturbed_state(p, np.random.default_rng(5))
+        s.f = np.random.default_rng(6).standard_normal(s.f.shape)
+        for include_control in (True, False):
+            assert self.close(sc._residual_vector(p, s.y, s.pi, s.f, include_control),
+                              written_out_residual(p, s.y, s.pi, s.f, include_control))
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_gradient_matches_the_written_out_adjoint(self, case):
+        # pi-bar = -SIGMA G^T v + eps q without slice means, f-bar = SIGMA mask v
+        # (0 in direct mode), and the velocity the Riesz solve of
+        # nu hx hy W L v - B^T v - hx hy W grad q on the unknown levels
+        from lsqctrl.oracles import _time_ops
+
+        p = small_problem(n=7, **ASSEMBLY_CASES[case])
+        grid = p.grid
+        s = perturbed_state(p, np.random.default_rng(7))
+        g, gn_sq = sc.gradient_a0(p, s, return_norm=True)
+        v = sc.corrector(p, s).v
+        q = div(s.y, grid) + p.epsilon * s.pi
+        aw = grid.hx * grid.hy * grid.time_weights()[:, None, None, None]
+        pibar = remove_slice_means(-sc.SIGMA * grad_pressure_transpose(v, grid) + p.epsilon * q)
+        fbar = sc.SIGMA * p.mask_array() * v if p.mode == "null_control" else 0 * v
+        B = grid.hx * grid.hy * _time_ops(grid)[1]
+        rvec = (p.nu * aw * laplace(v, grid) - np.einsum("lk,l...->k...", B, v)
+                - aw * np.stack([dx(q, grid), dy(q, grid)], axis=1))
+        sl = level_slice(grid, p.fixed_traces)
+        ybar = np.zeros_like(v)
+        ybar[sl] = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces)
+        assert self.close(g.pi, pibar) and self.close(g.y, ybar)
+        assert np.array_equal(g.f, fbar) if p.mode == "direct" else self.close(g.f, fbar)
+        norm_sq = np.vdot(rvec[sl], ybar[sl]) + st_inner(pibar, pibar, grid) \
+            + st_inner(fbar, fbar, grid)
+        assert gn_sq == pytest.approx(norm_sq, rel=1e-13, abs=0)
+
+    def test_per_slice_constant_pressure_has_zero_residual(self):
+        # G2 stays the integer stencil, so the weights do not spoil its kernel
+        p = small_problem(n=7, mode="direct")
+        pi = np.arange(p.grid.nt + 1)[:, None, None] - 2.5 + np.zeros((p.grid.ny, p.grid.nx))
+        zero = np.zeros((p.grid.nt + 1, 2, p.grid.ny, p.grid.nx))
+        assert not sc._residual_vector(p, zero, pi, zero).any()
+
+    def test_negative_sigma_flips_pressure_and_control(self, monkeypatch):
+        p = small_problem(n=7)
+        s = perturbed_state(p, np.random.default_rng(8))
+        g = sc.gradient_a0(p, s)
+        monkeypatch.setattr(sc, "SIGMA", -1.0)
+        flipped = sc.gradient_a0(p, s)
+        assert np.array_equal(flipped.pi, -g.pi) and np.array_equal(flipped.f, -g.f)
+        assert np.array_equal(flipped.y, g.y)
+        assert g.f.any() and g.pi.any()
 
 
 class TestEnergy:
@@ -569,14 +655,20 @@ class TestRecycledFields:
         for name in ("y", "pi", "f"):
             assert np.array_equal(getattr(s_ref, name), getattr(s, name)), name
 
-    def test_descent_peak_memory(self):
+    @pytest.mark.parametrize("mode, epsilon", [("null_control", 0.0), ("null_control", 0.01),
+                                               ("direct", 0.0)])
+    def test_descent_peak_memory(self, mode, epsilon):
         # tracemalloc peak of a short CG descent at 24^3, in vector fields
         # ((nt+1, 2, ny, nx) float64, 230 kB here): 14.29 while each gradient
         # took new arrays and the line's were freed, 12.23 with the line's
-        # spent fields reused and the Riesz solve writing into the gradient.
-        # A field-sized buffer kept on top fails the bound.
+        # spent fields reused and the Riesz solve writing into the gradient
+        # (12.27 in direct mode), 12.15 (12.23) with the weights folded into
+        # the operators.  A field-sized buffer kept on top fails the bound,
+        # and so does a per-component temporary kept alive while the next
+        # one is formed.
         g = SpaceTimeGrid(24, 24, 24)
-        p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0))
+        p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0), mode=mode,
+                              epsilon=epsilon)
         cfg = sc.SolveConfig(max_iter=4, algorithm="cg")
         sc.descend(p, cfg)  # the cached operators and bases are built here, not measured
         tracemalloc.start()
