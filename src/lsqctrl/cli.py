@@ -28,8 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretization import METRICS
-
 __all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config", "run", "main"]
 
 SUBCOMMANDS = ("stokes-control", "stokes-direct", "steady-nse", "abstract-demo")
@@ -80,7 +78,6 @@ REGISTRY = {
     "solver.tol_grad": (float, 0.0, "gradient target relative to start "
                                     "(absolute for abstract-demo)"),
     "solver.tol_kernel": (float, 0.0, "kernel-ratio stopping threshold"),
-    "solver.metric": (str, METRICS[0], f"increment metric: {' | '.join(METRICS)}"),
     "solver.epsilon": (float, 0.0, "quasi-incompressibility weight"),
     "solver.algorithm": (str, "steepest", "steepest | cg"),
     "io.out_dir": (str, "out", "output directory"),
@@ -138,8 +135,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("control.omega", "rectangle must lie inside the domain")
     if len(om) == 6 and not (0.0 <= om[4] < om[5] <= v["time.T"]):
         raise ConfigError("control.omega", "time window must lie inside [0, T]")
-    if v["solver.metric"] not in METRICS:
-        raise ConfigError("solver.metric", f"must be {' or '.join(METRICS)}")
     if v["solver.algorithm"] not in ("steepest", "cg"):
         raise ConfigError("solver.algorithm", "must be steepest or cg")
     if v["solver.algorithm"] != "steepest" and cfg.subcommand == "abstract-demo":
@@ -354,10 +349,8 @@ def _unsteady(cfg: RunConfig, mode):
     with _blame("control.omega"):
         mask.validate(grid)
     with _blame("problem.amplitude"):  # the one input left that can make y0 non-finite
-        problem = sc.ControlProblem(
-            grid, v["physics.nu"], y0, mask, mode=mode,
-            epsilon=v["solver.epsilon"], metric=v["solver.metric"],
-        )
+        problem = sc.ControlProblem(grid, v["physics.nu"], y0, mask, mode=mode,
+                                    epsilon=v["solver.epsilon"])
     scfg = sc.SolveConfig(
         max_iter=v["solver.max_iter"], tol_energy=v["solver.tol_energy"],
         tol_energy_rel=v["solver.tol_energy_rel"], tol_grad=v["solver.tol_grad"],

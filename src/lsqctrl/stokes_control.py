@@ -32,7 +32,6 @@ import numpy as np
 
 from .abstract_descent import DescentDivergence, ExactLineRule, run_descent
 from .discretization import (
-    METRICS,
     SpaceTimeGrid,
     SupportMask,
     Triplet,
@@ -94,7 +93,6 @@ class ControlProblem:
     mask: SupportMask
     mode: str = "null_control"
     epsilon: float = 0.0
-    metric: str = "a0_exact"
 
     def __post_init__(self):
         if not (self.nu > 0):
@@ -103,8 +101,6 @@ class ControlProblem:
             raise ValueError("epsilon must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (2, self.grid.ny, self.grid.nx):
             raise ValueError("y0 must be a velocity slice (2, ny, nx)")
@@ -185,30 +181,31 @@ def _dt_adjoint_vector(v, grid):
     return (_dt_matrix(grid).T @ v.reshape(len(v), -1)).reshape(v.shape)
 
 
-def _residual_vector(p: ControlProblem, y, pi, f, include_control=True):
-    """Assembled momentum residual functional r(s)[w] over all levels,
+def _negated_residual(p: ControlProblem, y, pi, f, include_control=True):
+    """The corrector right-hand side b = -r: the negated momentum
+    residual functional r(s)[w] over all levels,
 
         r = B y - nu hx hy W L y + hx hy W G pi - hx hy W mask f,
 
     B the time pairing (``_dt_matrix``), W the trapezoid weights, L the
-    5-point Laplacian and G the pressure gradient.  The weights add no
-    pass over the Laplacian and pressure terms: -nu hx hy ht is folded
-    into cached copies of L's 1-D matrices, and the integer pressure
-    products are scaled by hx hy ht in the one pass after them (so the
-    constants G2 annihilates stay exact zeros).  The trapezoid's end
-    weights are two halvings of the end levels.  The corrector
-    right-hand side is b = -r.
+    5-point Laplacian and G the pressure gradient.  The sign and the
+    weights add no pass over the Laplacian and pressure terms: nu hx hy ht
+    scales L's 1-D matrices, formed per call (``stencils._times``), and
+    the integer pressure products are scaled by -hx hy ht in the one pass
+    after them (so the constants G2 annihilates stay exact zeros).  The
+    trapezoid's end weights are two halvings of the end levels.  Every
+    term is the exact negation of its term in r.
     """
     grid = p.grid
     c = grid.hx * grid.hy * grid.ht
-    r = laplace(y, grid, scale=-p.nu * c)
-    r += grad_pressure(pi, grid, scale=c)
+    b = laplace(y, grid, scale=p.nu * c)
+    b += grad_pressure(pi, grid, scale=-c)
     if include_control:
-        r -= _scaled(p.mask_array() * f, c)
-    r[0] *= 0.5
-    r[-1] *= 0.5
-    r += _dt_weak_vector(y, grid)
-    return r
+        b += _scaled(p.mask_array() * f, c)
+    b[0] *= 0.5
+    b[-1] *= 0.5
+    b -= _dt_weak_vector(y, grid)
+    return b
 
 
 def _scaled(a, c):
@@ -220,14 +217,12 @@ def _scaled(a, c):
 def _direction_rhs(p, y, pi, f):
     """Corrector right-hand side of a direction (y, pi, f): its negated
     residual without the data, and without a frozen control."""
-    b = _residual_vector(p, y, pi, f, include_control=p.mode == "null_control")
-    return np.negative(b, out=b)
+    return _negated_residual(p, y, pi, f, include_control=p.mode == "null_control")
 
 
 def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
     """Space-time corrector of s: the elliptic lift of the weak residual."""
-    b = _residual_vector(p, s.y, s.pi, s.f)
-    return _lift(p, np.negative(b, out=b))
+    return _lift(p, _negated_residual(p, s.y, s.pi, s.f))
 
 
 def _lift(p, b):
@@ -294,18 +289,18 @@ def apply_T(p: ControlProblem, d: Triplet):
     return _lift(p, _direction_rhs(p, d.y, d.pi, d.f)), div_part(d.y, d.pi, p.grid, p.epsilon)
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=None,
-                out=None):
-    """Riesz representative of E'(s) in the increment metric.
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
+    """Riesz representative g of E'(s) in the increment metric, returned
+    with its squared metric norm as (g, norm_sq).
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support
     (global sign SIGMA, resolved by the finite-difference oracle).  The
-    velocity component solves the metric problem with the H^-1 term
-    when metric='a0_exact'.  q is div y + eps*pi of s, if known.  out,
-    if given, is a (y, pi, f) tuple of C-contiguous arrays shaped like
-    s's parts that receives the gradient: every element is written, so
-    they may hold anything (the descent passes its line's spent fields).
+    velocity component solves the metric problem with the H^-1 term.  q
+    is div y + eps*pi of s, if known.  out, if given, is a (y, pi, f)
+    tuple of C-contiguous arrays shaped like s's parts that receives the
+    gradient: every element is written, so they may hold anything (the
+    descent passes its line's spent fields).
     """
     grid = p.grid
     v = (corr or corrector(p, s)).v
@@ -337,10 +332,8 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, return_norm=False, q=N
     rvec -= _dt_adjoint_vector(v, grid)
     g.y[:sl.start] = 0.0  # the fixed traces
     g.y[sl.stop:] = 0.0
-    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, p.metric, out=g.y[sl])
+    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, out=g.y[sl])
 
-    if not return_norm:
-        return g
     norm_sq = float(np.vdot(rvec[sl], ybar))
     norm_sq += st_inner(g.pi, g.pi, grid) + st_inner(g.f, g.f, grid)
     return g, max(norm_sq, 0.0)
@@ -403,8 +396,7 @@ class _StokesLine:
 
     def measure(self, s, fields, pairings):
         v, rhs, q = fields
-        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), return_norm=True, q=q,
-                               out=self.spent)
+        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), q=q, out=self.spent)
         self.spent = None
         div_sq = pairings[1]
         if self.p.epsilon:

@@ -25,12 +25,14 @@ MODULES = (
 # the splitting scheme and the helpers only it or the tests used, the
 # slice kernels that the cached operator matrices replaced, and the two
 # step rules (with their helpers) that ExactLineRule replaced, and the
-# sympy path of the manufactured cases that the closed forms replaced
+# sympy path of the manufactured cases that the closed forms replaced, and
+# the second increment metric with the switches that selected it
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search",),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
-                               "div_parts", "trace_norms"),
-    "lsqctrl.discretization.a0": ("velocity_a0_inner",),
+                               "div_parts", "trace_norms", "METRICS"),
+    "lsqctrl.discretization.a0": ("velocity_a0_inner", "METRICS", "_check_metric",
+                                  "_simplified_denominator", "_DENOMINATORS"),
     "lsqctrl.discretization.elliptic": ("shifted_poisson_solve",),
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
@@ -61,14 +63,19 @@ def test_removed_names_are_gone(name):
 def test_removed_options_are_gone():
     from lsqctrl import cli, oracles
     from lsqctrl import stokes_control as sc
-    from lsqctrl.discretization import stencils
+    from lsqctrl.discretization import a0, stencils
 
     fields = {f.name for f in dataclasses.fields(sc.SolveConfig)}
     assert fields.isdisjoint({"inner_max_iter", "inner_tol_grad"})
-    assert "frozen_pressure" not in inspect.signature(sc.gradient_a0).parameters
+    assert "metric" not in {f.name for f in dataclasses.fields(sc.ControlProblem)}
+    for fn in (a0.inner_a0, a0.a0_velocity_riesz):
+        assert "metric" not in inspect.signature(fn).parameters
+    gradient_params = inspect.signature(sc.gradient_a0).parameters
+    assert "frozen_pressure" not in gradient_params and "return_norm" not in gradient_params
     assert "_frozen_pressure" not in inspect.signature(sc.descend).parameters
     assert "compact" not in inspect.signature(stencils.laplace).parameters
-    assert set(cli.REGISTRY).isdisjoint({"solver.inner_max_iter", "solver.inner_tol_grad"})
+    assert set(cli.REGISTRY).isdisjoint({"solver.inner_max_iter", "solver.inner_tol_grad",
+                                         "solver.metric"})
     assert not {"velocity_exprs", "forcing_exprs_unsteady",
                 "forcing_exprs_steady"} & set(dir(oracles.ManufacturedCase))
 

@@ -88,7 +88,6 @@ def thread_probe(threads):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config("stokes-control")
-        assert cfg["solver.metric"] == "a0_exact"
         assert cfg["solver.epsilon"] == 0.0
         assert cfg["solver.algorithm"] == "steepest"
         assert cfg["grid.nx"] == 12
@@ -135,6 +134,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config("stokes-control", None, ["--grid.nz=3"])
         assert exc.value.key == "grid.nz"
+
+    def test_old_config_with_the_metric_key_names_it(self, tmp_path, capsys):
+        # config.txt files written while solver.metric existed carry it
+        text = emit_config(parse_config("stokes-control", None, ["--grid.nx=4"]))
+        old = tmp_path / "config.txt"
+        old.write_text(text.replace("solver.epsilon", "solver.metric = a0_exact\nsolver.epsilon"))
+        assert main(["stokes-control", "--config", str(old), f"--io.out_dir={tmp_path}/o"]) == 2
+        assert "solver.metric: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        old.write_text(text)
+        assert parse_config("stokes-control", old)["grid.nx"] == 4
 
     @pytest.mark.parametrize("flag,key", [
         ("--grid.nx=1", "grid.nx"),

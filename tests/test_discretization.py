@@ -449,14 +449,12 @@ class TestTimeBasis:
         from lsqctrl.discretization import a0, elliptic
 
         g = SpaceTimeGrid(5, 4, 6, Lx=1.3, T_final=0.7)
-        area, ht2 = g.hx * g.hy, g.ht**2
+        area = g.hx * g.hy
         # the per-mode rules as written before the denominators were cached
         cases = [
             (elliptic._weak_denominator, ["none"], lambda lm, lamx: area * (lm + lamx)),
-            (a0._DENOMINATORS["a0_exact"], ["initial", "both"],
+            (a0._exact_denominator, ["initial", "both"],
              lambda lm, lamx: area * (1.0 + lamx + lm / lamx)),
-            (a0._DENOMINATORS["simplified"], ["initial", "both"],
-             lambda lm, lamx: area * (1.0 + lamx + ht2 * lm)),
         ]
         lamx = sine_eigenvalues(g)
         for rule, constraints, old in cases:
@@ -468,7 +466,7 @@ class TestTimeBasis:
                 assert mode_denominators(g, fixed, rule) is got
 
 
-def dense_a0_gram(g, metric="a0_exact"):
+def dense_a0_gram(g):
     """Independent dense assembly of the A0 velocity Gram (all levels)."""
     import scipy.linalg as sla
 
@@ -481,11 +479,7 @@ def dense_a0_gram(g, metric="a0_exact"):
     W = np.diag(g.time_weights())
     N = g.n_space
     area = g.hx * g.hy
-    if metric == "a0_exact":
-        M = np.kron(W, np.eye(N) + L) + np.kron(K, sla.inv(L))
-    else:
-        M = np.kron(W, np.eye(N) + L) + g.ht**2 * np.kron(K, np.eye(N))
-    return area * M
+    return area * (np.kron(W, np.eye(N) + L) + np.kron(K, sla.inv(L)))
 
 
 class TestA0Metric:
@@ -503,17 +497,16 @@ class TestA0Metric:
         expected = st_inner(u.f, u.f, g) + st_inner(u.pi, u.pi, g)
         assert inner_a0(u, u) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("metric", ["a0_exact", "simplified"])
-    def test_dense_gram_agreement(self, metric):
+    def test_dense_gram_agreement(self):
         g = SpaceTimeGrid(4, 4, 4)
-        M = dense_a0_gram(g, metric)
+        M = dense_a0_gram(g)
         rng = np.random.default_rng(13)
         for _ in range(5):
             u1 = Triplet.zeros(g)
             u2 = Triplet.zeros(g)
             u1.y = rng.standard_normal(u1.y.shape)
             u2.y = rng.standard_normal(u2.y.shape)
-            val = inner_a0(u1, u2, metric=metric)
+            val = inner_a0(u1, u2)
             ref = sum(
                 u1.y[:, c].reshape(-1) @ M @ u2.y[:, c].reshape(-1) for c in range(2)
             )
@@ -530,10 +523,9 @@ class TestA0Metric:
             assert inner_a0(u, u) > 0.0
 
     @pytest.mark.parametrize("fixed", ["both", "initial"])
-    @pytest.mark.parametrize("metric", ["a0_exact", "simplified"])
-    def test_velocity_riesz_solves_dense_system(self, fixed, metric):
+    def test_velocity_riesz_solves_dense_system(self, fixed):
         g = SpaceTimeGrid(4, 4, 4)
-        M = dense_a0_gram(g, metric)
+        M = dense_a0_gram(g)
         sl = level_slice(g, fixed)
         N = g.n_space
         idx = np.concatenate(
@@ -543,18 +535,12 @@ class TestA0Metric:
         rng = np.random.default_rng(15)
         m = len(range(*sl.indices(g.nt + 1)))
         rvec = rng.standard_normal((m, 2, g.ny, g.nx))
-        ybar = a0_velocity_riesz(g, rvec, fixed, metric)
+        ybar = a0_velocity_riesz(g, rvec, fixed)
         for c in range(2):
             ref = np.linalg.solve(Msub, rvec[:, c].reshape(-1))
             assert np.abs(ybar[:, c].reshape(-1) - ref).max() <= 1e-10 * max(
                 1.0, np.abs(ref).max()
             )
-
-    def test_metric_mismatch_rejected(self):
-        g = SpaceTimeGrid(4, 4, 4)
-        u = Triplet.zeros(g)
-        with pytest.raises(ValueError):
-            inner_a0(u, u, metric="bogus")
 
     def test_different_grids_rejected(self):
         u1 = Triplet.zeros(SpaceTimeGrid(4, 4, 4))
