@@ -142,8 +142,9 @@ class DescentReport:
     iterates_count: int
     energies: np.ndarray
     grad_norms: np.ndarray
-    converged: bool
-    reason: str  # energy_tol | grad_tol | max_iter | kernel_stall | line_search_stall
+    # the stop: energy_tol | grad_tol | max_iter | kernel_stall | line_search_stall;
+    # the CLI maps it to the exit code (cli._exit_code)
+    reason: str
     steps: np.ndarray = None
     kernel_ratios: np.ndarray = None
     extras: dict = field(default_factory=dict)
@@ -275,20 +276,15 @@ def descend(p: LsqProblem, u_init, cfg: DescentConfig, observer=None):
 
     The energy is non-increasing to roundoff and, if u_init lies in
     A-perp, so does every iterate.  This is the dense reference, so its
-    tolerances are absolute and a kernel stall is not convergence.
-    ``observer(record, u)`` is called as in ``run_descent``.  Returns
-    (u, DescentReport), u the last iterate.
+    tolerances are absolute.  ``observer(record, u)`` is called as in
+    ``run_descent``.  Returns (u, DescentReport), u the last iterate.
     """
     rule = _ExactSteepestRule(p, p._check_u(u_init).copy(), cfg.tol_grad)
     report = run_descent(rule, cfg.max_iter, tol_energy=cfg.tol_energy, observer=observer)
     # the gradient test comes before the budget, also at the last iterate
     if report.reason == "max_iter" and report.grad_norms[-1] <= cfg.tol_grad:
         report.reason = "grad_tol"
-    report.converged = report.reason in ("energy_tol", "grad_tol")
     return rule.state, report
-
-
-_CONVERGED = ("energy_tol", "grad_tol", "kernel_stall")
 
 
 def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0,
@@ -344,7 +340,6 @@ def run_descent(rule, max_iter, tol_energy=0.0, tol_energy_rel=0.0, tol_grad=0.0
         iterates_count=len(history),
         energies=np.array([r["E"] for r in history]),
         grad_norms=np.array([r["grad_norm"] for r in history]),
-        converged=reason in _CONVERGED,
         reason=reason,
         steps=np.array([r["step"] for r in history[:-1]]),
         kernel_ratios=np.array(ratios) if rule.kernel_ratios else None,

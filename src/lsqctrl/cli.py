@@ -121,11 +121,9 @@ def _validate(cfg: RunConfig):
         if v[key] < 2:
             raise ConfigError(key, "must be an integer >= 2")
     for key in ("solver.tol_energy", "solver.tol_energy_rel", "solver.tol_grad",
-                "solver.tol_kernel", "solver.epsilon"):
+                "solver.tol_kernel", "solver.epsilon", "problem.error_bound",
+                "solver.max_iter", "io.dump_every", "seed"):
         if not (v[key] >= 0):
-            raise ConfigError(key, "must be nonnegative")
-    for key in ("solver.max_iter", "io.dump_every"):
-        if v[key] < 0:
             raise ConfigError(key, "must be nonnegative")
     om = v["control.omega"]
     if len(om) not in (4, 6):
@@ -222,7 +220,7 @@ def _trace_observer(path, header, dump_every=0, dump=None):
         yield observe
 
 
-def write_vtk_slice(path, grid, velocity=None, pressure=None, title="fields"):
+def write_vtk_slice(path, grid, velocity, pressure, title="fields"):
     """Legacy BINARY STRUCTURED_POINTS snapshot of one time slice.
 
     After the text header each field is one block of big-endian float64,
@@ -241,13 +239,11 @@ def write_vtk_slice(path, grid, velocity=None, pressure=None, title="fields"):
     ]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        if velocity is not None:
-            vec = np.zeros((grid.ny, grid.nx, 3), dtype=">f8")
-            vec[..., :2] = np.moveaxis(velocity, 0, -1)
-            fh.write(b"VECTORS velocity double\n" + vec.tobytes() + b"\n")
-        if pressure is not None:
-            fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-            fh.write(np.asarray(pressure, dtype=">f8").tobytes() + b"\n")
+        vec = np.zeros((grid.ny, grid.nx, 3), dtype=">f8")
+        vec[..., :2] = np.moveaxis(velocity, 0, -1)
+        fh.write(b"VECTORS velocity double\n" + vec.tobytes() + b"\n")
+        fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        fh.write(np.asarray(pressure, dtype=">f8").tobytes() + b"\n")
 
 
 def write_raw(path, array):

@@ -39,7 +39,6 @@ __all__ = [
     "time_basis",
     "mode_denominators",
     "level_slice",
-    "spacetime_elliptic_solve",
     "spacetime_solve_weak",
     "spacetime_weak_residual",
 ]
@@ -137,23 +136,21 @@ class TimeBasis:
     Z: np.ndarray
     lam: np.ndarray
 
-    def to_modes(self, a, out=None):
-        """Mode coefficients Z^T a over the leading (level) axis.  out, if
-        given, is a C-contiguous array shaped like a, not a itself, that
-        receives them and is returned."""
+    def to_modes(self, a, out):
+        """Mode coefficients Z^T a over the leading (level) axis, written
+        to out, a C-contiguous array shaped like a, not a itself, which
+        is returned."""
         return _level_product(self.Z.T, a, out)
 
-    def from_modes(self, c, out=None):
+    def from_modes(self, c, out):
         """The levels a = Z c of mode coefficients c (Z^{-1} = Z^T W, so
         synthesis uses Z itself); out as in to_modes."""
         return _level_product(self.Z, c, out)
 
 
 def _level_product(M, a, out):
-    """M applied over the leading axis of a, into out if given."""
+    """M applied over the leading axis of a, into out."""
     rows = a.reshape(len(a), -1)
-    if out is None:
-        return (M @ rows).reshape(a.shape)
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     np.matmul(M, rows, out=out.reshape(rows.shape))
@@ -240,22 +237,6 @@ def spacetime_solve_weak(grid, bvec):
     shape (nt+1, ..., ny, nx).
     """
     return _st_solve(grid, bvec, _weak_denominator, "none")
-
-
-def spacetime_elliptic_solve(grid, rhs):
-    """Solve -v_tt - lap v = rhs on Q_T (field form).
-
-    Lateral homogeneous Dirichlet, weak v_t = 0 at t in {0, T}.  The
-    right-hand side is given pointwise on the nt+1 levels; it is tested
-    with the trapezoid weights to form the weak problem.  Reference
-    harness of the tests: the solvers assemble dual vectors themselves.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.isfinite(rhs).all():
-        raise ValueError("spacetime_elliptic_solve: rhs contains non-finite values")
-    w = grid.time_weights().reshape((-1,) + (1,) * (rhs.ndim - 1))
-    bvec = grid.hx * grid.hy * w * rhs
-    return spacetime_solve_weak(grid, bvec)
 
 
 def spacetime_weak_residual(grid, v, bvec):

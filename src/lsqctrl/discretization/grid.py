@@ -25,8 +25,36 @@ __all__ = [
 ]
 
 
+class _Rectangle:
+    """The interior nodes of (0,Lx) x (0,Ly), for the frozen dataclasses
+    below, which hold nx, ny, Lx and Ly."""
+
+    @property
+    def hx(self):
+        return self.Lx / (self.nx + 1)
+
+    @property
+    def hy(self):
+        return self.Ly / (self.ny + 1)
+
+    @property
+    def n_space(self):
+        return self.nx * self.ny
+
+    def xs(self):
+        """Interior node abscissae, shape (nx,)."""
+        return self.hx * np.arange(1, self.nx + 1)
+
+    def ys(self):
+        return self.hy * np.arange(1, self.ny + 1)
+
+    def meshgrid(self):
+        """X, Y arrays of shape (ny, nx) over the interior nodes."""
+        return np.meshgrid(self.xs(), self.ys(), indexing="xy")
+
+
 @dataclass(frozen=True)
-class SpatialGrid:
+class SpatialGrid(_Rectangle):
     """Interior nodes of (0,Lx) x (0,Ly), Dirichlet boundary eliminated.
 
     Shares the slice-level conventions of SpaceTimeGrid; used by the
@@ -44,30 +72,9 @@ class SpatialGrid:
         if min(self.Lx, self.Ly) <= 0:
             raise ValueError("domain lengths must be positive")
 
-    @property
-    def hx(self):
-        return self.Lx / (self.nx + 1)
-
-    @property
-    def hy(self):
-        return self.Ly / (self.ny + 1)
-
-    @property
-    def n_space(self):
-        return self.nx * self.ny
-
-    def xs(self):
-        return self.hx * np.arange(1, self.nx + 1)
-
-    def ys(self):
-        return self.hy * np.arange(1, self.ny + 1)
-
-    def meshgrid(self):
-        return np.meshgrid(self.xs(), self.ys(), indexing="xy")
-
 
 @dataclass(frozen=True)
-class SpaceTimeGrid:
+class SpaceTimeGrid(_Rectangle):
     """Uniform tensor grid on (0,Lx) x (0,Ly) x (0,T_final).
 
     nx, ny count interior spatial nodes per axis (Dirichlet boundary
@@ -101,38 +108,11 @@ class SpaceTimeGrid:
         return self._hash
 
     @property
-    def hx(self):
-        return self.Lx / (self.nx + 1)
-
-    @property
-    def hy(self):
-        return self.Ly / (self.ny + 1)
-
-    @property
     def ht(self):
         return self.T_final / self.nt
 
-    @property
-    def n_levels(self):
-        return self.nt + 1
-
-    @property
-    def n_space(self):
-        return self.nx * self.ny
-
-    def xs(self):
-        """Interior node abscissae, shape (nx,)."""
-        return self.hx * np.arange(1, self.nx + 1)
-
-    def ys(self):
-        return self.hy * np.arange(1, self.ny + 1)
-
     def ts(self):
         return self.ht * np.arange(self.nt + 1)
-
-    def meshgrid(self):
-        """X, Y arrays of shape (ny, nx) over the interior nodes."""
-        return np.meshgrid(self.xs(), self.ys(), indexing="xy")
 
     def time_weights(self):
         """Trapezoidal quadrature weights over the nt+1 levels: one
@@ -194,10 +174,10 @@ class SupportMask:
 
 def _check_values(grid, values, components):
     arr = np.asarray(values, dtype=float)
-    space = (grid.ny, grid.nx)
-    core = (components, *space) if components else space
-    if arr.shape not in (core, (grid.nt + 1, *core)):
-        raise ValueError(f"field shape {arr.shape} does not match grid {core} or (nt+1,)+{core}")
+    core = (components,) if components else ()
+    shape = (grid.nt + 1, *core, grid.ny, grid.nx)
+    if arr.shape != shape:
+        raise ValueError(f"field shape {arr.shape} does not match grid {shape}")
     if not np.isfinite(arr).all():
         raise ValueError("field contains non-finite values")
     return arr

@@ -279,8 +279,9 @@ def slice_means(pi):
 
 
 def remove_slice_means(pi, out=None):
-    """Project a scalar field onto zero nodal mean per time slice; into
-    out, if given (an array shaped like pi, or pi itself)."""
+    """Project a scalar field onto zero nodal mean per time slice (a 2-D
+    field is one slice); into out, if given (an array shaped like pi, or
+    pi itself)."""
     pi = np.asarray(pi)
     if pi.ndim == 2:
         return np.subtract(pi, pi.sum() / pi.size, out=out)

@@ -254,7 +254,6 @@ class DenseAssembly:
     """
 
     grid: SpaceTimeGrid
-    n_levels: int
     mask_nodes: np.ndarray
     pressure_basis: np.ndarray
     h_levels: slice
@@ -262,40 +261,36 @@ class DenseAssembly:
 
     @property
     def dims(self):
-        n = self.grid.n_space
+        n, nlev = self.grid.n_space, self.grid.nt + 1
         nmask = int(self.mask_nodes.sum())
-        dy = self.n_levels * 2 * n
-        dpi = self.n_levels * (n - 1)
-        df = self.n_levels * 2 * nmask
-        return dy, dpi, df
+        return nlev * 2 * n, nlev * (n - 1), nlev * 2 * nmask
 
     def pack(self, s: Triplet):
         n = self.grid.n_space
         parts = [s.y.reshape(-1)]
-        parts.append((s.pi.reshape(self.n_levels, n) @ self.pressure_basis).reshape(-1))
-        parts.append(
-            s.f.reshape(self.n_levels, 2, n)[:, :, self.mask_nodes].reshape(-1)
-        )
+        parts.append((s.pi.reshape(-1, n) @ self.pressure_basis).reshape(-1))
+        parts.append(s.f.reshape(-1, 2, n)[:, :, self.mask_nodes].reshape(-1))
         return np.concatenate(parts)
 
     def unpack(self, x):
         g = self.grid
         n = g.n_space
         dy, dpi, _ = self.dims
-        y = x[:dy].reshape(self.n_levels, 2, g.ny, g.nx).copy()
-        pic = x[dy : dy + dpi].reshape(self.n_levels, n - 1)
-        pi = (pic @ self.pressure_basis.T).reshape(self.n_levels, g.ny, g.nx)
-        f = np.zeros((self.n_levels, 2, n))
-        f[:, :, self.mask_nodes] = x[dy + dpi :].reshape(self.n_levels, 2, -1)
-        return Triplet(g, y, pi, f.reshape(self.n_levels, 2, g.ny, g.nx))
+        y = x[:dy].reshape(-1, 2, g.ny, g.nx).copy()
+        pic = x[dy : dy + dpi].reshape(-1, n - 1)
+        pi = (pic @ self.pressure_basis.T).reshape(-1, g.ny, g.nx)
+        f = np.zeros((len(y), 2, n))
+        f[:, :, self.mask_nodes] = x[dy + dpi :].reshape(len(y), 2, -1)
+        return Triplet(g, y, pi, f.reshape(y.shape))
 
     def h_columns(self):
         """Indices of X coordinates spanning the zero-trace subspace H."""
         n = self.grid.n_space
         dy, dpi, df = self.dims
         keep = np.ones(dy + dpi + df, dtype=bool)
-        lo, hi = self.h_levels.indices(self.n_levels)[:2]
-        for k in list(range(0, lo)) + list(range(hi, self.n_levels)):
+        nlev = self.grid.nt + 1
+        lo, hi = self.h_levels.indices(nlev)[:2]
+        for k in list(range(0, lo)) + list(range(hi, nlev)):
             keep[k * 2 * n : (k + 1) * 2 * n] = False
         return np.flatnonzero(keep)
 
@@ -335,7 +330,6 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
 
     asm = DenseAssembly(
         grid=grid,
-        n_levels=nlev,
         mask_nodes=mask_nodes,
         pressure_basis=Ub,
         h_levels=level_slice(grid, p.fixed_traces),

@@ -43,6 +43,7 @@ from .discretization import (
     h1_seminorm_sq,
     laplace,
     poisson_solve,
+    remove_slice_means,
     space_inner,
 )
 
@@ -106,14 +107,18 @@ class SteadyState:
             raise ValueError("y must be (2, ny, nx)")
         if self.pi.shape != (self.grid.ny, self.grid.nx):
             raise ValueError("pi must be (ny, nx)")
-        self.pi = self.pi - self.pi.mean()
+        self.pi = remove_slice_means(self.pi)
 
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros((2, grid.ny, grid.nx)), np.zeros((grid.ny, grid.nx)))
 
     def copy(self):
-        return SteadyState(self.grid, self.y.copy(), self.pi.copy())
+        """The state in new arrays, as they are: its pressure mean is not
+        removed a second time, which could change the last bits."""
+        c = object.__new__(SteadyState)
+        c.grid, c.y, c.pi = self.grid, self.y.copy(), self.pi.copy()
+        return c
 
 
 @dataclass
@@ -200,7 +205,7 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     pibar = -grad_pressure_transpose(v, g)
     if p.epsilon:
         pibar = pibar + p.epsilon * q
-    pibar = pibar - pibar.mean()
+    remove_slice_means(pibar, out=pibar)
 
     gv = _grad_tensor(v, g)
     shear = gv[0][1] + gv[1][0]

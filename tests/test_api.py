@@ -26,14 +26,16 @@ MODULES = (
 # slice kernels that the cached operator matrices replaced, and the two
 # step rules (with their helpers) that ExactLineRule replaced, and the
 # sympy path of the manufactured cases that the closed forms replaced, and
-# the second increment metric with the switches that selected it
+# the second increment metric with the switches that selected it, and the
+# test-only surface: the report's converged flag and a field-form solve
 REMOVED = {
-    "lsqctrl.abstract_descent": ("armijo_search",),
+    "lsqctrl.abstract_descent": ("armijo_search", "_CONVERGED"),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
-                               "div_parts", "trace_norms", "METRICS"),
+                               "div_parts", "trace_norms", "METRICS",
+                               "spacetime_elliptic_solve"),
     "lsqctrl.discretization.a0": ("velocity_a0_inner", "METRICS", "_check_metric",
                                   "_simplified_denominator", "_DENOMINATORS"),
-    "lsqctrl.discretization.elliptic": ("shifted_poisson_solve",),
+    "lsqctrl.discretization.elliptic": ("shifted_poisson_solve", "spacetime_elliptic_solve"),
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
                                         "_swap_xy", "div_parts", "trace_norms"),
@@ -61,9 +63,9 @@ def test_removed_names_are_gone(name):
 
 
 def test_removed_options_are_gone():
-    from lsqctrl import cli, oracles
+    from lsqctrl import abstract_descent, cli, oracles
     from lsqctrl import stokes_control as sc
-    from lsqctrl.discretization import a0, stencils
+    from lsqctrl.discretization import SpaceTimeGrid, a0, stencils
 
     fields = {f.name for f in dataclasses.fields(sc.SolveConfig)}
     assert fields.isdisjoint({"inner_max_iter", "inner_tol_grad"})
@@ -78,6 +80,8 @@ def test_removed_options_are_gone():
                                          "solver.metric"})
     assert not {"velocity_exprs", "forcing_exprs_unsteady",
                 "forcing_exprs_steady"} & set(dir(oracles.ManufacturedCase))
+    assert "converged" not in {f.name for f in dataclasses.fields(abstract_descent.DescentReport)}
+    assert not hasattr(SpaceTimeGrid, "n_levels")
 
 
 def test_benchmark_tracer_targets_resolve():

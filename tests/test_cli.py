@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lsqctrl
 from lsqctrl import abstract_descent as ad
@@ -18,6 +18,7 @@ from lsqctrl import stokes_control as sc
 from lsqctrl.cli import (
     SUBCOMMANDS,
     ConfigError,
+    _exit_code,
     emit_config,
     main,
     parse_config,
@@ -163,7 +164,8 @@ class TestParseConfig:
     def test_error_bound_may_be_infinite(self):
         assert parse_config("stokes-direct", None,
                             ["--problem.error_bound=inf"])["problem.error_bound"] == float("inf")
-        for flag in ("--problem.error_bound=nan", "--problem.error_bound=-inf"):
+        for flag in ("--problem.error_bound=nan", "--problem.error_bound=-inf",
+                     "--problem.error_bound=-1"):
             with pytest.raises(ConfigError) as exc:
                 parse_config("stokes-direct", None, [flag])
             assert exc.value.key == "problem.error_bound"
@@ -428,6 +430,8 @@ class TestProcessLevel:
         # the dense engine has only the exact steepest step
         ["abstract-demo", "--solver.algorithm=cg"],
         ["abstract-demo", "--solver.algorithm=split"],
+        # numpy's generator takes no negative seed
+        ["abstract-demo", "--seed=-1"],
         # the algorithm and the keys of the removed splitting scheme
         ["stokes-control", "--solver.algorithm=split"],
         ["stokes-control", "--solver.inner_max_iter=5"],
@@ -542,6 +546,13 @@ BROKEN = {
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("reason, code", [
+        ("energy_tol", 0), ("grad_tol", 0), ("kernel_stall", 0), ("line_search_stall", 0),
+        ("max_iter", 3), ("no_such_reason", 4)])
+    def test_stop_reason_maps_to_exit_code(self, reason, code):
+        # the one rule for which stops succeed
+        assert _exit_code(reason) == code
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
     def test_overflowing_steady_data_is_a_solver_failure(self, tmp_path, capsys):
         # the forcing a L + a^2 C passes the checks, then the energy overflows in
@@ -590,10 +601,16 @@ class TestExitCodeContract:
             "solver.max_iter": st.integers(0, 5),
             "solver.algorithm": st.sampled_from(["steepest", "cg"]),
             "problem.manufactured": st.sampled_from(["true", "false"]),
+            "seed": st.integers(-3, 10),
         }),
         broken=st.one_of(st.none(), st.sampled_from(sorted(BROKEN)).flatmap(
             lambda key: st.tuples(st.just(key), st.sampled_from(BROKEN[key])))),
     )
+    # a negative seed, drawn or not: numpy's generator rejects it in the run
+    @example(sub="abstract-demo", sizes=(2, 2, 2), broken=None, values={
+        "physics.nu": 1.0, "time.T": 1.0, "problem.amplitude": 1.0, "control.omega": "0,1,0,1",
+        "solver.max_iter": 5, "solver.algorithm": "steepest", "problem.manufactured": "false",
+        "seed": -1})
     def test_exit_code_and_strict_summary(self, sub, sizes, values, broken):
         if broken:
             values[broken[0]] = broken[1]

@@ -27,7 +27,6 @@ from lsqctrl.discretization import (
     sine_eigenvalues,
     sine_transform,
     space_inner,
-    spacetime_elliptic_solve,
     spacetime_solve_weak,
     st_h1_pairing,
     st_h1_seminorm_sq,
@@ -153,6 +152,8 @@ class TestStencils:
             Triplet(g, z.y, z.pi, np.full_like(z.f, np.inf))
         with pytest.raises(ValueError, match="shape"):
             Triplet(g, z.y[:, :1], z.pi, z.f)
+        with pytest.raises(ValueError, match="shape"):  # one slice is no space-time field
+            Triplet(g, z.y[0], z.pi[0], z.f[0])
 
     def test_h1_pairings_match_padded_diff_formulas(self):
         # the edge differences are built without a padded copy, and a
@@ -365,7 +366,7 @@ class TestSineTransform:
 class TestSpacetimeSolve:
     def test_zero_rhs(self):
         g = SpaceTimeGrid(4, 4, 4)
-        v = spacetime_elliptic_solve(g, g.vector_zeros())
+        v = spacetime_solve_weak(g, g.vector_zeros())
         assert np.abs(v).max() == 0.0
 
     def test_analytic_solution_second_order(self):
@@ -376,7 +377,9 @@ class TestSpacetimeSolve:
             t = g.ts()[:, None, None]
             mode = np.sin(np.pi * X) * np.sin(np.pi * Y) * np.cos(np.pi * t / g.T_final)
             rhs = ((np.pi / g.T_final) ** 2 + 2 * np.pi**2) * mode
-            v = spacetime_elliptic_solve(g, np.stack([rhs, 0 * rhs], axis=1))
+            # -v_tt - lap v = rhs, tested with the trapezoid weights
+            w = g.time_weights()[:, None, None]
+            v = spacetime_solve_weak(g, g.hx * g.hy * np.stack([w * rhs, 0 * rhs], axis=1))
             errs.append(np.abs(v[:, 0] - mode).max())
         assert errs[0] / errs[1] >= 3.3 and errs[1] / errs[2] >= 3.3
 
@@ -384,8 +387,8 @@ class TestSpacetimeSolve:
         g = SpaceTimeGrid(7, 7, 5)
         rng = np.random.default_rng(8)
         r = rng.standard_normal((2, g.ny, g.nx))
-        rhs = np.broadcast_to(r, (g.nt + 1, 2, g.ny, g.nx)).copy()
-        v = spacetime_elliptic_solve(g, rhs)
+        w = g.time_weights()[:, None, None, None]
+        v = spacetime_solve_weak(g, g.hx * g.hy * w * r)
         slice_sol = poisson_solve(g, r)
         for k in range(g.nt + 1):
             assert np.abs(v[k] - slice_sol).max() <= 1e-10 * np.abs(slice_sol).max()
@@ -404,8 +407,8 @@ class TestSpacetimeSolve:
         rng = np.random.default_rng(10)
         r1 = rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
         r2 = rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
-        lhs = spacetime_elliptic_solve(g, 1.5 * r1 + 0.5 * r2)
-        rhs = 1.5 * spacetime_elliptic_solve(g, r1) + 0.5 * spacetime_elliptic_solve(g, r2)
+        lhs = spacetime_solve_weak(g, 1.5 * r1 + 0.5 * r2)
+        rhs = 1.5 * spacetime_solve_weak(g, r1) + 0.5 * spacetime_solve_weak(g, r2)
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 
@@ -439,8 +442,8 @@ class TestTimeBasis:
         m = len(tb.lam)
         a = np.random.default_rng(16).standard_normal((m, *components, g.ny, g.nx))
         for got, ref in (
-            (tb.to_modes(a), np.einsum("km,k...->m...", tb.Z, a)),
-            (tb.from_modes(a), np.einsum("km,m...->k...", tb.Z, a)),
+            (tb.to_modes(a, np.empty_like(a)), np.einsum("km,k...->m...", tb.Z, a)),
+            (tb.from_modes(a, np.empty_like(a)), np.einsum("km,m...->k...", tb.Z, a)),
         ):
             assert got.shape == a.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

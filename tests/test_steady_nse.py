@@ -585,7 +585,7 @@ class TestDescendSteady:
         g = SpatialGrid(6, 6)
         p = SteadyProblem(g, 1.0, np.zeros((2, g.ny, g.nx)))
         s, rep = descend_steady(p, SteadyConfig(max_iter=5, tol_energy=0.0))
-        assert rep.converged and rep.iterates_count == 1
+        assert rep.reason == "energy_tol" and rep.iterates_count == 1
         assert np.abs(s.y).max() == 0.0
 
     def test_manufactured_recovery_order(self):
@@ -656,6 +656,20 @@ class TestDescendSteady:
         assert np.array_equal(s0.y, s1.y) and np.array_equal(s0.pi, s1.pi)
         assert [r["iter"] for r in records] == list(range(rep1.iterates_count))
         assert np.array_equal([r["step"] for r in records if "step" in r], rep1.steps)
+
+    def test_copy_and_start_keep_the_state_bit_for_bit(self):
+        # the pressure mean is removed once, at construction: a copy, and
+        # the start of a run from the state, keep the state's bits
+        g = SpatialGrid(12, 12)
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            s = SteadyState(g, rng.standard_normal((2, g.ny, g.nx)),
+                            rng.standard_normal((g.ny, g.nx)))
+            c = s.copy()
+            assert np.array_equal(c.y, s.y) and np.array_equal(c.pi, s.pi)
+            assert c.y is not s.y and c.pi is not s.pi
+        s0, _ = descend_steady(small_data_problem(g), SteadyConfig(max_iter=0), s_init=s)
+        assert np.array_equal(s0.y, s.y) and np.array_equal(s0.pi, s.pi)
 
     def test_small_data_warning_threshold(self):
         g = SpatialGrid(8, 8)

@@ -66,7 +66,7 @@ def random_direction(p, rng, with_control=None):
 
 def assert_same_report(a, b):
     """Two descent reports agree bit for bit."""
-    assert (a.iterates_count, a.reason, a.converged) == (b.iterates_count, b.reason, b.converged)
+    assert (a.iterates_count, a.reason) == (b.iterates_count, b.reason)
     for name in ("energies", "grad_norms", "steps", "kernel_ratios"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("div_norms", "yT_norms", "f_norms"):
@@ -484,7 +484,7 @@ class TestDescend:
         g = SpaceTimeGrid(5, 5, 5)
         p = sc.ControlProblem(g, 1.0, np.zeros((2, 5, 5)), SupportMask(0, 1, 0, 1))
         s, rep = sc.descend(p, sc.SolveConfig(max_iter=10, tol_energy=0.0))
-        assert rep.converged and rep.reason == "energy_tol"
+        assert rep.reason == "energy_tol"
         assert rep.iterates_count == 1 and rep.energies[0] == 0.0
 
     def test_direct_manufactured_recovery_order(self):
@@ -544,7 +544,7 @@ class TestDescend:
         p = small_problem()
         s, rep = sc.descend(p, sc.SolveConfig(max_iter=2000, tol_kernel=0.05,
                                               algorithm="cg"))
-        assert rep.converged and rep.reason == "kernel_stall"
+        assert rep.reason == "kernel_stall"
         assert rep.kernel_ratios[-1] <= 0.05
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
