@@ -18,13 +18,13 @@ discretization
     Structured-grid calculus, quadrature and exact sine/eigenbasis
     solvers for the Poisson, space-time elliptic and metric problems.
 stokes_control
-    The unsteady solver: corrector, energy, metric gradient, descent
-    and diagnostics.
+    The unsteady solver: corrector, metric gradient and descent.
 steady_nse
     The steady Navier-Stokes direct problem by the same approach.
 oracles
-    Manufactured solutions, independent dense assembly, FD ladders and
-    an independent Newton solve for verification.
+    Manufactured solutions, independent dense assembly, FD ladders, an
+    independent Newton solve, and the unsteady energy, first variation
+    and increment metric evaluated in full, for verification.
 cli
     Batch front end (``lsqctrl`` console script).  Import it as
     ``lsqctrl.cli``; ``import lsqctrl`` does not load it, so that

@@ -28,19 +28,16 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SpaceTimeGrid
-from .stencils import laplace
 
 __all__ = [
     "sine_eigenvalues",
     "sine_transform",
     "poisson_solve",
-    "time_stiffness",
     "TimeBasis",
     "time_basis",
     "mode_denominators",
     "level_slice",
     "spacetime_solve_weak",
-    "spacetime_weak_residual",
 ]
 
 
@@ -94,22 +91,6 @@ def poisson_solve(grid, rhs, out=None):
         raise ValueError("poisson_solve: rhs contains non-finite values")
     lam = sine_eigenvalues(grid)
     return sine_transform(sine_transform(rhs) / lam, out=out)
-
-
-def time_stiffness(grid):
-    """(nt+1)^2 matrix of int v_t w_t for piecewise-linear fields.
-
-    Dense reference for the tests and ``spacetime_weak_residual``; the
-    solves use the closed-form ``time_basis`` instead.
-    """
-    n = grid.nt + 1
-    K = np.zeros((n, n))
-    main = np.full(n, 2.0)
-    main[0] = main[-1] = 1.0
-    K[np.arange(n), np.arange(n)] = main
-    K[np.arange(n - 1), np.arange(1, n)] = -1.0
-    K[np.arange(1, n), np.arange(n - 1)] = -1.0
-    return K / grid.ht
 
 
 def level_slice(grid, fixed):
@@ -237,21 +218,3 @@ def spacetime_solve_weak(grid, bvec):
     shape (nt+1, ..., ny, nx).
     """
     return _st_solve(grid, bvec, _weak_denominator, "none")
-
-
-def spacetime_weak_residual(grid, v, bvec):
-    """Relative residual ||A v - b|| / ||b|| of the weak system.
-
-    Oracle of the tests: applies A by stencils, not by the eigenbasis.
-    """
-    area = grid.hx * grid.hy
-    K = time_stiffness(grid)
-    w = grid.time_weights()
-    Kv = np.einsum("kl,l...->k...", K, v)
-    Lv = -laplace(v, grid)
-    wl = w.reshape((-1,) + (1,) * (v.ndim - 1))
-    Av = area * (Kv + wl * Lv)
-    nb = np.linalg.norm(bvec.ravel())
-    if nb == 0.0:
-        return float(np.linalg.norm(Av.ravel()))
-    return float(np.linalg.norm((Av - bvec).ravel()) / nb)

@@ -1,11 +1,17 @@
-"""Independent ground-truth generators for the PDE solvers.
+"""Ground-truth generators and reference evaluations for the PDE solvers.
 
-Everything here is deliberately assembled through its own code path --
-explicit matrices built entrywise/kron-wise, manufactured fields
-differentiated in closed form, pseudoinverse and Newton solves --
-sharing nothing with the production stencil and transform code beyond
-the grid container, so agreement between the two paths is meaningful
-evidence.  The closed forms are checked against sympy in the tests.
+The manufactured solutions, the dense assembly, the finite-difference
+ladder and the Newton solve are assembled through their own code paths
+-- explicit matrices built entrywise/kron-wise, fields differentiated in
+closed form, pseudoinverse and Newton solves -- sharing nothing with the
+production stencil and transform code beyond the grid container, so
+agreement between the two paths is meaningful evidence.  The closed
+forms are checked against sympy in the tests.
+
+The matrix-free references of the unsteady solver are the exception:
+``energy``, ``first_variation`` and ``apply_T`` reuse the production
+corrector, and ``inner_a0`` the production reductions and Poisson solve.
+The tests check them against the dense assembly and finite differences.
 """
 
 from __future__ import annotations
@@ -16,7 +22,20 @@ from functools import lru_cache
 import numpy as np
 
 from .abstract_descent import InnerProductSpace, LsqProblem
-from .discretization import SpaceTimeGrid, SpatialGrid, Triplet, level_slice
+from .discretization import (
+    SpaceTimeGrid,
+    SpatialGrid,
+    Triplet,
+    div_part,
+    dt_sq_integral,
+    level_slice,
+    poisson_solve,
+    spacetime_solve_weak,
+    st_h1_pairing,
+    st_h1_seminorm_sq,
+    st_inner,
+)
+from .stokes_control import ControlProblem, CorrectorField, _direction_rhs, corrector, lift_sA
 
 __all__ = [
     "Separable",
@@ -25,6 +44,10 @@ __all__ = [
     "default_steady_case",
     "manufactured_stokes",
     "manufactured_steady",
+    "energy",
+    "first_variation",
+    "apply_T",
+    "inner_a0",
     "DenseAssembly",
     "dense_assemble",
     "fd_check",
@@ -229,6 +252,14 @@ def _time_ops(grid):
     return K, B, w
 
 
+def _weak_operator(grid):
+    """The corrector operator hx hy (K (x) I + W (x) L) of one velocity
+    component, on all time levels."""
+    L = _space_ops(grid)[0]
+    K, _, w = _time_ops(grid)
+    return grid.hx * grid.hy * (np.kron(K, np.eye(grid.n_space)) + np.kron(np.diag(w), L))
+
+
 def _mean_free_basis(N):
     """Orthonormal basis of the zero-mean subspace (deterministic)."""
     A = np.eye(N) - np.full((N, N), 1.0 / N)
@@ -310,8 +341,6 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
     energies and gradients of the abstract engine on this assembly must
     match the matrix-free solver on corresponding triplets.
     """
-    from .stokes_control import lift_sA  # deferred import, avoids a cycle
-
     grid = p.grid
     if p.mask.t0 is not None:
         raise ValueError("dense assembly supports spatial masks only")
@@ -339,7 +368,7 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
     if dim_x > size_cap:
         raise ValueError(f"dense assembly size {dim_x} exceeds cap {size_cap}")
 
-    A1 = area * (np.kron(K, Iv) + np.kron(W, L))  # corrector operator, one component
+    A1 = _weak_operator(grid)
     A_inv = np.linalg.inv(A1)
 
     Svel = [_comp_selector(nlev, n, c) for c in range(2)]
@@ -380,6 +409,75 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
     u0 = asm.pack(lift_sA(p))
     asm.problem = LsqProblem(X, Yspace, T, H_basis, u0)
     return asm
+
+
+# ---------------------------------------------------------------------------
+# matrix-free references of the unsteady solver
+# ---------------------------------------------------------------------------
+
+def energy(p: ControlProblem, s: Triplet, corr: CorrectorField | None = None):
+    """E(s) >= 0; zero iff the corrector vanishes and div y + eps*pi = 0."""
+    corr = corr or corrector(p, s)
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    return 0.5 * (
+        dt_sq_integral(corr.v, p.grid)
+        + st_h1_seminorm_sq(corr.v, p.grid)
+        + st_inner(q, q, p.grid)
+    )
+
+
+def _check_direction(p, d: Triplet):
+    sl = level_slice(p.grid, p.fixed_traces)
+    lo, hi = sl.indices(p.grid.nt + 1)[:2]
+    if np.abs(d.y[:lo]).max(initial=0.0) > 0 or np.abs(d.y[hi:]).max(initial=0.0) > 0:
+        raise ValueError("direction must have homogeneous velocity traces")
+
+
+def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
+    """<E'(s), d> evaluated with s's corrector only (no solve for d).
+
+    Expands to the boundary-free pairing of the direction against the
+    corrector plus the divergence coupling; algebraically identical to
+    b(d) . v(s) + <div y + eps pi, div Y + eps Pi>.
+    """
+    _check_direction(p, d)
+    corr = corr or corrector(p, s)
+    bd = _direction_rhs(p, d.y, d.pi, d.f)
+    val = float(np.sum(bd * corr.v))
+    q = div_part(s.y, s.pi, p.grid, p.epsilon)
+    qd = div_part(d.y, d.pi, p.grid, p.epsilon)
+    return val + st_inner(q, qd, p.grid)
+
+
+def apply_T(p: ControlProblem, d: Triplet):
+    """Image of a direction: its corrector paired with div Y + eps*Pi.
+
+    The descent computes the same image inline.
+    """
+    _check_direction(p, d)
+    bd = _direction_rhs(p, d.y, d.pi, d.f)
+    qd = div_part(d.y, d.pi, p.grid, p.epsilon)
+    return CorrectorField(spacetime_solve_weak(p.grid, bd), bd), qd
+
+
+def _dt_slopes(y, grid):
+    return np.diff(y, axis=0) / grid.ht
+
+
+def inner_a0(u1: Triplet, u2: Triplet):
+    """Full A0 inner product of two triplet directions on one grid.
+
+    The descent never forms it, it solves ``a0_velocity_riesz`` instead.
+    """
+    if u1.grid != u2.grid:
+        raise ValueError("triplets live on different grids")
+    grid, y1, y2 = u1.grid, u1.y, u2.y
+    val = st_inner(y1, y2, grid) + st_h1_pairing(y1, y2, grid)
+    g1 = poisson_solve(grid, _dt_slopes(y1, grid))
+    val += grid.ht * grid.hx * grid.hy * float(np.sum(g1 * _dt_slopes(y2, grid)))
+    val += st_inner(u1.f, u2.f, grid)
+    val += st_inner(u1.pi, u2.pi, grid)
+    return val
 
 
 # ---------------------------------------------------------------------------

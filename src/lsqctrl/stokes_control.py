@@ -36,9 +36,7 @@ from .discretization import (
     SupportMask,
     Triplet,
     a0_velocity_riesz,
-    div,
     div_part,
-    dt_sq_integral,
     dx,
     dy,
     grad_pressure,
@@ -46,10 +44,8 @@ from .discretization import (
     laplace,
     level_slice,
     remove_slice_means,
-    slice_means,
     space_inner,
     spacetime_solve_weak,
-    st_h1_seminorm_sq,
     st_inner,
 )
 
@@ -60,21 +56,11 @@ __all__ = [
     "DescentDivergence",
     "lift_sA",
     "corrector",
-    "energy",
-    "first_variation",
     "gradient_a0",
-    "apply_T",
     "descend",
-    "diagnostics",
 ]
 
 MODES = ("null_control", "direct")
-
-# global sign of the Riesz gradient components relative to the corrector:
-# pi-bar = SIGMA * (adjoint divergence of v) and f-bar = SIGMA * v|_omega.
-# Fixed once by the finite-difference oracle (tests/fixtures records the
-# resolution); the descent diverges immediately if it were flipped.
-SIGMA = +1.0
 
 
 @dataclass
@@ -222,11 +208,7 @@ def _direction_rhs(p, y, pi, f):
 
 def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
     """Space-time corrector of s: the elliptic lift of the weak residual."""
-    return _lift(p, _negated_residual(p, s.y, s.pi, s.f))
-
-
-def _lift(p, b):
-    """The corrector of the right-hand side b."""
+    b = _negated_residual(p, s.y, s.pi, s.f)
     return CorrectorField(spacetime_solve_weak(p.grid, b), b)
 
 
@@ -246,56 +228,12 @@ def lift_sA(p: ControlProblem) -> Triplet:
     return s
 
 
-def energy(p: ControlProblem, s: Triplet, corr: CorrectorField | None = None):
-    """E(s) >= 0; zero iff the corrector vanishes and div y + eps*pi = 0."""
-    corr = corr or corrector(p, s)
-    q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    return 0.5 * (
-        dt_sq_integral(corr.v, p.grid)
-        + st_h1_seminorm_sq(corr.v, p.grid)
-        + st_inner(q, q, p.grid)
-    )
-
-
-def _check_direction(p, d: Triplet):
-    sl = level_slice(p.grid, p.fixed_traces)
-    lo, hi = sl.indices(p.grid.nt + 1)[:2]
-    if np.abs(d.y[:lo]).max(initial=0.0) > 0 or np.abs(d.y[hi:]).max(initial=0.0) > 0:
-        raise ValueError("direction must have homogeneous velocity traces")
-
-
-def first_variation(p: ControlProblem, s: Triplet, d: Triplet, corr=None):
-    """<E'(s), d> evaluated with s's corrector only (no solve for d).
-
-    Expands to the boundary-free pairing of the direction against the
-    corrector plus the divergence coupling; algebraically identical to
-    b(d) . v(s) + <div y + eps pi, div Y + eps Pi>.
-    """
-    _check_direction(p, d)
-    corr = corr or corrector(p, s)
-    bd = _direction_rhs(p, d.y, d.pi, d.f)
-    val = float(np.sum(bd * corr.v))
-    q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    qd = div_part(d.y, d.pi, p.grid, p.epsilon)
-    return val + st_inner(q, qd, p.grid)
-
-
-def apply_T(p: ControlProblem, d: Triplet):
-    """Image of a direction: its corrector paired with div Y + eps*Pi.
-
-    Oracle of the tests: the descent computes the same image inline.
-    """
-    _check_direction(p, d)
-    return _lift(p, _direction_rhs(p, d.y, d.pi, d.f)), div_part(d.y, d.pi, p.grid, p.epsilon)
-
-
 def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
     """Riesz representative g of E'(s) in the increment metric, returned
     with its squared metric norm as (g, norm_sq).
 
     Pressure and control components are closed-form: the adjoint
-    divergence of the corrector and its restriction to the support
-    (global sign SIGMA, resolved by the finite-difference oracle).  The
+    divergence of the corrector and its restriction to the support.  The
     velocity component solves the metric problem with the H^-1 term.  q
     is div y + eps*pi of s, if known.  out, if given, is a (y, pi, f)
     tuple of C-contiguous arrays shaped like s's parts that receives the
@@ -312,14 +250,12 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
     g = Triplet.unchecked(grid, *out)
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = grad_pressure_transpose(v, grid, out=g.pi, scale=-SIGMA)
+    pibar = grad_pressure_transpose(v, grid, out=g.pi, scale=-1.0)
     if p.epsilon:
         pibar += p.epsilon * q
     remove_slice_means(pibar, out=pibar)
     if p.mode == "null_control":
         np.multiply(p.mask_array(), v, out=g.f)
-        if SIGMA < 0:
-            np.negative(g.f, out=g.f)
     else:
         g.f.fill(0.0)  # the control is frozen
 
@@ -337,31 +273,6 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
     norm_sq = float(np.vdot(rvec[sl], ybar))
     norm_sq += st_inner(g.pi, g.pi, grid) + st_inner(g.f, g.f, grid)
     return g, max(norm_sq, 0.0)
-
-
-def _state_norms(s, grid, div_sq):
-    """Record diagnostics of an iterate (div_sq: ||div y||^2): ||div y||,
-    ||y(T)||, ||f||."""
-    yT = s.y[-1]
-    return {"div_norm": np.sqrt(div_sq), "yT_norm": np.sqrt(space_inner(yT, yT, grid)),
-            "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
-
-
-def diagnostics(p: ControlProblem, s: Triplet, corr=None):
-    """Constraint and residual norms of a candidate triplet."""
-    grid = p.grid
-    corr = corr or corrector(p, s)
-    dv = div(s.y, grid)
-    norms = _state_norms(s, grid, st_inner(dv, dv, grid))
-    err0 = s.y[0] - p.y0
-    return {
-        "div_norm": norms["div_norm"],
-        "trace0_error": np.sqrt(space_inner(err0, err0, grid)),
-        "traceT_norm": norms["yT_norm"],
-        "weak_residual": corr.weak_residual_norm,
-        "f_norm": norms["f_norm"],
-        "pressure_means": slice_means(s.pi),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +313,10 @@ class _StokesLine:
         if self.p.epsilon:
             dv = q - self.p.epsilon * s.pi
             div_sq = st_inner(dv, dv, self.p.grid)
-        return [g.y, g.pi, g.f], None, gn_sq, _state_norms(s, self.p.grid, div_sq)
+        grid, yT = self.p.grid, s.y[-1]
+        return [g.y, g.pi, g.f], None, gn_sq, {
+            "div_norm": np.sqrt(div_sq), "yT_norm": np.sqrt(space_inner(yT, yT, grid)),
+            "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
     def line(self, s, fields, d):
         p, grid, (v, _, q) = self.p, self.p.grid, fields

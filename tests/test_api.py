@@ -1,5 +1,7 @@
-"""Public API: every exported name resolves, and removed names stay gone."""
+"""Public API: every exported name resolves, removed names stay gone, and
+no module keeps an import it does not use."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -7,6 +9,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lsqctrl"
 
 MODULES = (
     "lsqctrl",
@@ -27,15 +31,20 @@ MODULES = (
 # step rules (with their helpers) that ExactLineRule replaced, and the
 # sympy path of the manufactured cases that the closed forms replaced, and
 # the second increment metric with the switches that selected it, and the
-# test-only surface: the report's converged flag and a field-form solve
+# test-only surface: the report's converged flag, a field-form solve, the
+# gradient-sign switch, the diagnostics bundle and the second temporal
+# stiffness; the unsteady oracles moved to lsqctrl.oracles
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search", "_CONVERGED"),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
                                "div_parts", "trace_norms", "METRICS",
-                               "spacetime_elliptic_solve"),
+                               "spacetime_elliptic_solve", "inner_a0", "time_stiffness",
+                               "spacetime_weak_residual"),
     "lsqctrl.discretization.a0": ("velocity_a0_inner", "METRICS", "_check_metric",
-                                  "_simplified_denominator", "_DENOMINATORS"),
-    "lsqctrl.discretization.elliptic": ("shifted_poisson_solve", "spacetime_elliptic_solve"),
+                                  "_simplified_denominator", "_DENOMINATORS", "inner_a0",
+                                  "_dt_slopes"),
+    "lsqctrl.discretization.elliptic": ("shifted_poisson_solve", "spacetime_elliptic_solve",
+                                        "time_stiffness", "spacetime_weak_residual"),
     "lsqctrl.discretization.stencils": ("quadrature_l2", "_space_quad_weights", "_lap1d_x",
                                         "_lap1d_y", "_dx1_onesided", "_dx1_onesided_T",
                                         "_swap_xy", "div_parts", "trace_norms"),
@@ -45,7 +54,9 @@ REMOVED = {
     "lsqctrl.stokes_control": ("split_iteration", "pressure_update_step",
                                "pressure_stationary_point", "_PressureRule",
                                "_heat_forward", "_div_cost", "_pressure_cost_gradient",
-                               "_MetricGradientRule", "_corrector_rhs"),
+                               "_MetricGradientRule", "_corrector_rhs", "SIGMA",
+                               "diagnostics", "_state_norms", "energy", "first_variation",
+                               "apply_T", "_check_direction", "_lift"),
 }
 
 
@@ -62,6 +73,25 @@ def test_removed_names_are_gone(name):
     assert [attr for attr in REMOVED[name] if hasattr(module, attr)] == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_module_level_imports(path):
+    """Every name a module-level import binds is read in the module or
+    listed in its __all__ (a re-export); __future__ imports are exempt."""
+    tree = ast.parse(path.read_text())
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert [name for name in bound if name not in used | exported] == []
+
+
 def test_removed_options_are_gone():
     from lsqctrl import abstract_descent, cli, oracles
     from lsqctrl import stokes_control as sc
@@ -70,7 +100,7 @@ def test_removed_options_are_gone():
     fields = {f.name for f in dataclasses.fields(sc.SolveConfig)}
     assert fields.isdisjoint({"inner_max_iter", "inner_tol_grad"})
     assert "metric" not in {f.name for f in dataclasses.fields(sc.ControlProblem)}
-    for fn in (a0.inner_a0, a0.a0_velocity_riesz):
+    for fn in (oracles.inner_a0, a0.a0_velocity_riesz):
         assert "metric" not in inspect.signature(fn).parameters
     gradient_params = inspect.signature(sc.gradient_a0).parameters
     assert "frozen_pressure" not in gradient_params and "return_norm" not in gradient_params

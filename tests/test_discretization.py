@@ -19,7 +19,6 @@ from lsqctrl.discretization import (
     grad_pressure_transpose,
     h1_pairing,
     h1_seminorm_sq,
-    inner_a0,
     laplace,
     level_slice,
     poisson_solve,
@@ -32,7 +31,6 @@ from lsqctrl.discretization import (
     st_h1_seminorm_sq,
     st_inner,
     time_basis,
-    time_stiffness,
 )
 from lsqctrl.discretization import stencils
 from lsqctrl.discretization.elliptic import _sine_matrix, mode_denominators
@@ -398,9 +396,11 @@ class TestSpacetimeSolve:
         rng = np.random.default_rng(9)
         bvec = rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
         v = spacetime_solve_weak(g, bvec)
-        from lsqctrl.discretization import spacetime_weak_residual
-
-        assert spacetime_weak_residual(g, v, bvec) <= 1e-10
+        A1 = oracles._weak_operator(g)  # one velocity component, levels outermost
+        for c in range(2):
+            Av = A1 @ v[:, c].reshape(-1)
+            b = bvec[:, c].reshape(-1)
+            assert np.linalg.norm(Av - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_linearity(self):
         g = SpaceTimeGrid(4, 5, 3)
@@ -424,7 +424,7 @@ class TestTimeBasis:
         g = SpaceTimeGrid(4, 4, nt, T_final=0.7)
         tb = time_basis(g, fixed)
         sl = level_slice(g, fixed)
-        K = time_stiffness(g)[sl, sl]
+        K = oracles._time_ops(g)[0][sl, sl]
         W = np.diag(g.time_weights()[sl])
         lam_ref = sla.eigh(K, W, eigvals_only=True)
         assert np.abs(tb.lam - lam_ref).max() <= 1e-13 * lam_ref.max()
@@ -478,7 +478,7 @@ def dense_a0_gram(g):
                 - np.diag(np.ones(n - 1), -1)) / h**2
 
     L = np.kron(lap1d(g.ny, g.hy), np.eye(g.nx)) + np.kron(np.eye(g.ny), lap1d(g.nx, g.hx))
-    K = time_stiffness(g)
+    K = oracles._time_ops(g)[0]
     W = np.diag(g.time_weights())
     N = g.n_space
     area = g.hx * g.hy
@@ -489,7 +489,7 @@ class TestA0Metric:
     def test_zero_directions(self):
         g = SpaceTimeGrid(4, 4, 4)
         z = Triplet.zeros(g)
-        assert inner_a0(z, z) == 0.0
+        assert oracles.inner_a0(z, z) == 0.0
 
     def test_velocity_free_triplet_reduces_to_plain_quadrature(self):
         g = SpaceTimeGrid(4, 4, 4)
@@ -498,7 +498,7 @@ class TestA0Metric:
         u.pi = rng.standard_normal(u.pi.shape)
         u.f = rng.standard_normal(u.f.shape)
         expected = st_inner(u.f, u.f, g) + st_inner(u.pi, u.pi, g)
-        assert inner_a0(u, u) == pytest.approx(expected, rel=1e-13)
+        assert oracles.inner_a0(u, u) == pytest.approx(expected, rel=1e-13)
 
     def test_dense_gram_agreement(self):
         g = SpaceTimeGrid(4, 4, 4)
@@ -509,7 +509,7 @@ class TestA0Metric:
             u2 = Triplet.zeros(g)
             u1.y = rng.standard_normal(u1.y.shape)
             u2.y = rng.standard_normal(u2.y.shape)
-            val = inner_a0(u1, u2)
+            val = oracles.inner_a0(u1, u2)
             ref = sum(
                 u1.y[:, c].reshape(-1) @ M @ u2.y[:, c].reshape(-1) for c in range(2)
             )
@@ -523,7 +523,7 @@ class TestA0Metric:
             u.y = rng.standard_normal(u.y.shape)
             u.pi = remove_slice_means(rng.standard_normal(u.pi.shape))
             u.f = rng.standard_normal(u.f.shape)
-            assert inner_a0(u, u) > 0.0
+            assert oracles.inner_a0(u, u) > 0.0
 
     @pytest.mark.parametrize("fixed", ["both", "initial"])
     def test_velocity_riesz_solves_dense_system(self, fixed):
@@ -549,4 +549,4 @@ class TestA0Metric:
         u1 = Triplet.zeros(SpaceTimeGrid(4, 4, 4))
         u2 = Triplet.zeros(SpaceTimeGrid(5, 4, 4))
         with pytest.raises(ValueError):
-            inner_a0(u1, u2)
+            oracles.inner_a0(u1, u2)

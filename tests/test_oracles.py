@@ -23,7 +23,9 @@ from lsqctrl.oracles import (
     default_steady_case,
     default_unsteady_case,
     dense_assemble,
+    energy,
     fd_check,
+    first_variation,
     manufactured_steady,
     manufactured_stokes,
 )
@@ -200,7 +202,7 @@ class TestDenseAssembly:
         p_zero = sc.ControlProblem(p.grid, 1.0, np.zeros((2, 4, 4)), p.mask)
         asm = dense_assemble(p_zero)
         assert ad.energy(asm.problem, np.zeros(asm.problem.dim_H)) == 0.0
-        assert sc.energy(p_zero, Triplet.zeros(p.grid)) == 0.0
+        assert energy(p_zero, Triplet.zeros(p.grid)) == 0.0
 
     # (2, 3, 2): two x nodes, where grad_pressure takes its 2-node rows
     @pytest.mark.parametrize("eps, shape", [
@@ -220,7 +222,7 @@ class TestDenseAssembly:
             d.f = p.mask_array() * rng.standard_normal(d.f.shape)
             s = sc.lift_sA(p)
             s.axpy(1.0, d)
-            e_pde = sc.energy(p, s)
+            e_pde = energy(p, s)
             e_dense = ad.energy(asm.problem, asm.pack_H(d))
             assert e_dense == pytest.approx(e_pde, rel=1e-10)
 
@@ -247,8 +249,8 @@ class TestDenseAssembly:
         u = P_A @ rng.standard_normal(asm.problem.dim_H)
         a = asm.unpack_H(u)
         s = sc.lift_sA(p)
-        e0 = sc.energy(p, s)
-        e1 = sc.energy(p, s.copy().axpy(1.0, a))
+        e0 = energy(p, s)
+        e1 = energy(p, s.copy().axpy(1.0, a))
         assert e1 == pytest.approx(e0, rel=1e-8)
 
     def test_size_guard(self):
@@ -319,8 +321,8 @@ class TestFdCheck:
         sl = level_slice(p.grid, p.fixed_traces)
         rng = np.random.default_rng(6)
         d.y[sl] = rng.standard_normal(d.y[sl].shape)
-        ref = sc.first_variation(p, s, d)
-        rep = fd_check(lambda t: sc.energy(p, t), s, d, [1e-5], reference=ref)
+        ref = first_variation(p, s, d)
+        rep = fd_check(lambda t: energy(p, t), s, d, [1e-5], reference=ref)
         assert rep.best_rel <= 1e-8
 
     def test_consecutive_agreement_without_reference(self):

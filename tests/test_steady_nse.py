@@ -23,6 +23,7 @@ from lsqctrl.discretization import (
 )
 from lsqctrl.oracles import (
     default_steady_case,
+    energy,
     manufactured_steady,
     newton_nse,
 )
@@ -124,9 +125,8 @@ class TestCorrectorSteady:
     def test_zero_state_zero_forcing(self):
         g = SpatialGrid(8, 8)
         p = SteadyProblem(g, 1.0, np.zeros((2, g.ny, g.nx)))
-        v, info = corrector_steady(p, SteadyState.zeros(g))
-        assert np.abs(v).max() == 0.0
-        assert info["v_h1"] == 0.0
+        v, _ = corrector_steady(p, SteadyState.zeros(g))
+        assert not v.any()
 
     def test_manufactured_h1_convergence(self):
         case = default_steady_case()
@@ -312,7 +312,7 @@ class StokesKit:
         return [d.y, d.pi, d.f]
 
     def energy(self, s):
-        return sc.energy(self.p, s)
+        return energy(self.p, s)
 
     def corrector(self, s):
         corr = sc.corrector(self.p, s)

@@ -21,7 +21,6 @@ from lsqctrl.discretization import (
     dy,
     grad_pressure,
     grad_pressure_transpose,
-    inner_a0,
     laplace,
     level_slice,
     remove_slice_means,
@@ -29,7 +28,14 @@ from lsqctrl.discretization import (
     st_h1_seminorm_sq,
     st_inner,
 )
-from lsqctrl.oracles import default_unsteady_case, manufactured_stokes
+from lsqctrl.oracles import (
+    apply_T,
+    default_unsteady_case,
+    energy,
+    first_variation,
+    inner_a0,
+    manufactured_stokes,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -245,7 +251,7 @@ class TestWeightFoldedAssembly:
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_gradient_matches_the_written_out_adjoint(self, case):
-        # pi-bar = -SIGMA G^T v + eps q without slice means, f-bar = SIGMA mask v
+        # pi-bar = -G^T v + eps q without slice means, f-bar = mask v
         # (0 in direct mode), and the velocity the Riesz solve of
         # nu hx hy W L v - B^T v - hx hy W grad q on the unknown levels
         from lsqctrl.oracles import _time_ops
@@ -257,8 +263,8 @@ class TestWeightFoldedAssembly:
         v = sc.corrector(p, s).v
         q = div(s.y, grid) + p.epsilon * s.pi
         aw = grid.hx * grid.hy * grid.time_weights()[:, None, None, None]
-        pibar = remove_slice_means(-sc.SIGMA * grad_pressure_transpose(v, grid) + p.epsilon * q)
-        fbar = sc.SIGMA * p.mask_array() * v if p.mode == "null_control" else 0 * v
+        pibar = remove_slice_means(-grad_pressure_transpose(v, grid) + p.epsilon * q)
+        fbar = p.mask_array() * v if p.mode == "null_control" else 0 * v
         B = grid.hx * grid.hy * _time_ops(grid)[1]
         rvec = (p.nu * aw * laplace(v, grid) - np.einsum("lk,l...->k...", B, v)
                 - aw * np.stack([dx(q, grid), dy(q, grid)], axis=1))
@@ -278,22 +284,12 @@ class TestWeightFoldedAssembly:
         zero = np.zeros((p.grid.nt + 1, 2, p.grid.ny, p.grid.nx))
         assert not sc._negated_residual(p, zero, pi, zero).any()
 
-    def test_negative_sigma_flips_pressure_and_control(self, monkeypatch):
-        p = small_problem(n=7)
-        s = perturbed_state(p, np.random.default_rng(8))
-        g, _ = sc.gradient_a0(p, s)
-        monkeypatch.setattr(sc, "SIGMA", -1.0)
-        flipped, _ = sc.gradient_a0(p, s)
-        assert np.array_equal(flipped.pi, -g.pi) and np.array_equal(flipped.f, -g.f)
-        assert np.array_equal(flipped.y, g.y)
-        assert g.f.any() and g.pi.any()
-
 
 class TestEnergy:
     def test_zero_data(self):
         g = SpaceTimeGrid(5, 5, 5)
         p = sc.ControlProblem(g, 1.0, np.zeros((2, 5, 5)), SupportMask(0, 1, 0, 1))
-        assert sc.energy(p, Triplet.zeros(g)) == 0.0
+        assert energy(p, Triplet.zeros(g)) == 0.0
 
     def test_manufactured_fourth_order(self):
         case = default_unsteady_case()
@@ -303,7 +299,7 @@ class TestEnergy:
             trip, _ = manufactured_stokes(case, g, nu=1.0)
             p = sc.ControlProblem(g, 1.0, trip.y[0].copy(), SupportMask(0, 1, 0, 1),
                                   mode="direct")
-            vals.append(sc.energy(p, trip))
+            vals.append(energy(p, trip))
         assert vals[0] / vals[1] >= 10.0
         assert vals[1] / vals[2] >= 10.0
 
@@ -315,7 +311,7 @@ class TestEnergy:
         p = sc.ControlProblem(g, 1.0, bump_y0(g, 0.5)[:, : g.ny, : g.nx],
                               SupportMask(0, 1, 0, 1))
         s = perturbed_state(p, rng)
-        e0 = sc.energy(p, s)
+        e0 = energy(p, s)
         sl = level_slice(g, p.fixed_traces)
         psi = np.zeros((g.nt + 1, g.ny, g.nx))
         psi[sl] = rng.standard_normal(psi[sl].shape)
@@ -327,7 +323,7 @@ class TestEnergy:
         a.f = -_negated_residual(p, a.y, a.pi, np.zeros_like(a.f),
                                  include_control=False) / area_w
         assert np.abs(div(a.y, g)).max() <= 1e-12
-        e1 = sc.energy(p, s.copy().axpy(1.0, a))
+        e1 = energy(p, s.copy().axpy(1.0, a))
         assert e1 == pytest.approx(e0, rel=1e-12)
 
     def test_two_evaluations_agree(self):
@@ -338,7 +334,7 @@ class TestEnergy:
         from lsqctrl.stokes_control import _negated_residual
 
         corr = sc.corrector(p, s)
-        e_quad = sc.energy(p, s, corr)
+        e_quad = energy(p, s, corr)
         q = div(s.y, p.grid) + p.epsilon * s.pi
         e_op = 0.5 * (float(np.sum(corr.v * _negated_residual(p, s.y, s.pi, s.f)))
                       + st_inner(q, q, p.grid))
@@ -349,7 +345,7 @@ class TestFirstVariation:
     def test_zero_direction(self):
         p = small_problem()
         s = sc.lift_sA(p)
-        assert sc.first_variation(p, s, Triplet.zeros(p.grid)) == 0.0
+        assert first_variation(p, s, Triplet.zeros(p.grid)) == 0.0
 
     @pytest.mark.parametrize("mode,epsilon", [("null_control", 0.0),
                                               ("null_control", 0.01),
@@ -359,10 +355,10 @@ class TestFirstVariation:
         p = small_problem(mode=mode, epsilon=epsilon)
         s = perturbed_state(p, rng)
         d = random_direction(p, rng)
-        fv = sc.first_variation(p, s, d)
+        fv = first_variation(p, s, d)
         eps = 1e-5
-        ep = sc.energy(p, s.copy().axpy(eps, d))
-        em = sc.energy(p, s.copy().axpy(-eps, d))
+        ep = energy(p, s.copy().axpy(eps, d))
+        em = energy(p, s.copy().axpy(-eps, d))
         fd = (ep - em) / (2 * eps)
         assert fd == pytest.approx(fv, rel=1e-8)
 
@@ -376,14 +372,14 @@ class TestFirstVariation:
         for _ in range(5):
             d = random_direction(p, rng)
             nd = np.sqrt(inner_a0(d, d))
-            assert abs(sc.first_variation(p, s, d)) <= 1e-8 * g0 * nd
+            assert abs(first_variation(p, s, d)) <= 1e-8 * g0 * nd
 
     def test_inhomogeneous_direction_rejected(self):
         p = small_problem()
         d = Triplet.zeros(p.grid)
         d.y[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            sc.first_variation(p, sc.lift_sA(p), d)
+            first_variation(p, sc.lift_sA(p), d)
 
 
 class TestGradient:
@@ -403,18 +399,16 @@ class TestGradient:
         for _ in range(20):
             d = random_direction(p, rng)
             lhs = inner_a0(gdir, d)
-            rhs = sc.first_variation(p, s, d, corr)
+            rhs = first_variation(p, s, d, corr)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
-    def test_gradient_sign_fixture(self):
-        # the recorded global sign: <E'(s), gradient> must be positive
-        sigma = json.loads((FIXTURES / "gradient_sign.json").read_text())["sigma"]
-        assert sc.SIGMA == sigma
+    def test_gradient_is_an_ascent_direction(self):
+        # <E'(s), gradient> is its squared metric norm, so positive
         rng = np.random.default_rng(10)
         p = small_problem()
         s = perturbed_state(p, rng)
         gdir, gn_sq = sc.gradient_a0(p, s)
-        fv = sc.first_variation(p, s, gdir)
+        fv = first_variation(p, s, gdir)
         assert fv > 0
         assert fv == pytest.approx(gn_sq, rel=1e-10)
 
@@ -447,7 +441,7 @@ class TestGradient:
 class TestApplyT:
     def test_zero(self):
         p = small_problem()
-        corr, q = sc.apply_T(p, Triplet.zeros(p.grid))
+        corr, q = apply_T(p, Triplet.zeros(p.grid))
         assert np.abs(corr.v).max() == 0 and np.abs(q).max() == 0
 
     def test_linearity(self):
@@ -459,9 +453,9 @@ class TestApplyT:
         comb.y = 2.0 * d1.y - 0.5 * d2.y
         comb.pi = 2.0 * d1.pi - 0.5 * d2.pi
         comb.f = 2.0 * d1.f - 0.5 * d2.f
-        ca, qa = sc.apply_T(p, comb)
-        c1, q1 = sc.apply_T(p, d1)
-        c2, q2 = sc.apply_T(p, d2)
+        ca, qa = apply_T(p, comb)
+        c1, q1 = apply_T(p, d1)
+        c2, q2 = apply_T(p, d2)
         scale = max(np.abs(ca.v).max(), 1e-30)
         assert np.abs(ca.v - (2 * c1.v - 0.5 * c2.v)).max() <= 1e-10 * scale
         assert np.abs(qa - (2 * q1 - 0.5 * q2)).max() <= 1e-10 * max(np.abs(qa).max(), 1e-30)
@@ -471,11 +465,11 @@ class TestApplyT:
         p = small_problem(epsilon=0.01)
         s = perturbed_state(p, rng)
         d = random_direction(p, rng)
-        corr_d, q_d = sc.apply_T(p, d)
+        corr_d, q_d = apply_T(p, d)
         td_sq = corr_d.weak_residual_norm**2 + st_inner(q_d, q_d, p.grid)
-        e_s = sc.energy(p, s)
-        e_sd = sc.energy(p, s.copy().axpy(1.0, d))
-        fv = sc.first_variation(p, s, d)
+        e_s = energy(p, s)
+        e_sd = energy(p, s.copy().axpy(1.0, d))
+        fv = first_variation(p, s, d)
         assert td_sq == pytest.approx(2 * (e_sd - e_s - fv), rel=1e-9)
 
 
@@ -559,7 +553,7 @@ class TestDescend:
 
         def check(rec, s):
             dv = div(s.y, p.grid)
-            assert rec["E"] == pytest.approx(sc.energy(p, s), rel=1e-10), rec["iter"]
+            assert rec["E"] == pytest.approx(energy(p, s), rel=1e-10), rec["iter"]
             assert rec["div_norm"] == pytest.approx(np.sqrt(st_inner(dv, dv, p.grid)),
                                                     rel=1e-10), rec["iter"]
             seen.append(rec["iter"])
@@ -696,19 +690,22 @@ class TestQuadraticLine:
 
 
 class TestDiagnostics:
+    """The norms the descent records at each iterate, and its corrector's residual."""
+
     def test_lift_diagnostics(self):
         p = small_problem()
-        d = sc.diagnostics(p, sc.lift_sA(p))
-        assert d["traceT_norm"] == 0.0
-        assert d["trace0_error"] == 0.0
-        assert d["f_norm"] == 0.0
+        s, rep = sc.descend(p, sc.SolveConfig(max_iter=0))
+        assert np.array_equal(s.y[0], p.y0)
+        assert rep.extras["yT_norms"][0] == 0.0
+        assert rep.extras["f_norms"][0] == 0.0
 
     def test_zero_triplet(self):
         g = SpaceTimeGrid(5, 5, 4)
         p = sc.ControlProblem(g, 1.0, np.zeros((2, 5, 5)), SupportMask(0, 1, 0, 1))
-        d = sc.diagnostics(p, Triplet.zeros(g))
-        for key in ("div_norm", "trace0_error", "traceT_norm", "weak_residual", "f_norm"):
-            assert d[key] == 0.0
+        _, rep = sc.descend(p, sc.SolveConfig(max_iter=0), s_init=Triplet.zeros(g))
+        for key in ("div_norms", "yT_norms", "f_norms"):
+            assert rep.extras[key][0] == 0.0
+        assert rep.extras["corrector"].weak_residual_norm == 0.0
 
     def test_manufactured_residual_second_order(self):
         case = default_unsteady_case()
@@ -718,13 +715,21 @@ class TestDiagnostics:
             trip, _ = manufactured_stokes(case, g, nu=1.0)
             p = sc.ControlProblem(g, 1.0, trip.y[0].copy(), SupportMask(0, 1, 0, 1),
                                   mode="direct")
-            vals.append(sc.diagnostics(p, trip)["weak_residual"])
+            vals.append(sc.corrector(p, trip).weak_residual_norm)
         assert vals[0] / vals[1] >= 3.4
 
 
 class TestDivergenceGuard:
     def test_flipped_sign_raises(self, monkeypatch):
         p = small_problem()
-        monkeypatch.setattr(sc, "SIGMA", -1.0)
+        original = sc.gradient_a0
+
+        def negated(*args, **kwargs):
+            g, gn_sq = original(*args, **kwargs)
+            for a in (g.y, g.pi, g.f):
+                np.negative(a, out=a)
+            return g, gn_sq
+
+        monkeypatch.setattr(sc, "gradient_a0", negated)
         with pytest.raises(sc.DescentDivergence):
             sc.descend(p, sc.SolveConfig(max_iter=10))
