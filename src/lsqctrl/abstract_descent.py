@@ -400,9 +400,20 @@ class ExactLineRule:
       ``pairings`` are the energy's ``inner_v(v, rhs)`` and ``inner_q(q,
       q)``, for diagnostics to read off;
     * ``line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
-      state - eta d, and per field F the increments of F - eta F1 - eta^2 F2.
-      The rule scales the increments in place as it applies them and
-      keeps none: once applied, they are the line's to reuse.
+      state - eta d, and per field F the increments of F - eta F1 - eta^2 F2;
+    * ``scratch(b)`` lends an array shaped like b for the step's product
+      ``step * b``, or gives None for a new one.
+
+    Who writes into which array, and when: the state, the fields and the
+    direction are the rule's.  The line writes the fields only in
+    ``fields``, ``refresh`` and ``reform``, and never the direction.  The
+    gradient is the line's until ``choose``: the rule then builds the
+    direction in place in its last direction, or takes the gradient's
+    arrays as the direction, and drops the gradient unless a PR+ pairing
+    reads it later (it has a dual).  The rule scales the increments in
+    place as it applies them and keeps none: once applied, they are the
+    line's to reuse, and a lent scratch array is the line's again once
+    ``advance`` returns.
 
     No argmin, or no drop in E there, ends the run on
     ``line_search_stall``.  Without a dual, PR+ takes successive gradients
@@ -505,6 +516,6 @@ class ExactLineRule:
 
     def advance(self, record):
         for a, b in zip(self.line.parts(self.state), self.dir):
-            a -= record["step"] * b
+            a -= np.multiply(b, record["step"], out=self.line.scratch(b))
         if not self.cg:
             self.dir = None

@@ -21,6 +21,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -361,9 +363,12 @@ def _unsteady(cfg: RunConfig, mode):
         return sc.descend(problem, scfg, s_init=s_init, observer=observer)
 
     def summary(s, rep):
+        ratios = rep.kernel_ratios
         return {"mode": mode, "div_last": float(rep.extras["div_norms"][-1]),
                 "yT_last": float(rep.extras["yT_norms"][-1]),
-                "residual_norm_last": float(rep.extras["corrector"].weak_residual_norm)}
+                "residual_norm_last": float(rep.extras["corrector"].weak_residual_norm),
+                "f_norm_last": float(rep.extras["f_norms"][-1]),
+                "kernel_ratio_last": float(ratios[-1]) if len(ratios) else None}
 
     def l2_error(s):
         dy = s.y - exact.y
@@ -433,6 +438,15 @@ def _abstract_demo(cfg: RunConfig):
     return ABSTRACT_HEADER, solve, None, summary, None
 
 
+def _environment():
+    """What a rerun needs to reproduce trace.csv bit for bit: the thread
+    settings in force (None where unset) and the Python and numpy
+    versions."""
+    env = {var: os.environ.get(var) for var in ("LSQCTRL_THREADS", "OPENBLAS_NUM_THREADS",
+                                               "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**env, "python": platform.python_version(), "numpy": np.__version__}
+
+
 _BUILDERS = {
     "stokes-control": lambda cfg: _unsteady(cfg, "null_control"),
     "stokes-direct": lambda cfg: _unsteady(cfg, "direct"),
@@ -450,10 +464,10 @@ def run(cfg: RunConfig):
     summary fields ``summary(state, report)`` and the manufactured
     ``l2_error(state)`` or None.  Every summary gets the fields all
     families share, read off the report: ``iterations``, ``reason``,
-    ``E_first``, ``E_last`` and ``grad_norm_last``, and the wall time of
-    the solve call, ``wall_s``, and ``ms_per_iter`` over its iterates;
-    the times stay out of ``trace.csv``, which reruns reproduce bit for
-    bit.
+    ``E_first``, ``E_last`` and ``grad_norm_last``, the run's
+    ``environment`` (``_environment``), and the wall time of the solve
+    call, ``wall_s``, and ``ms_per_iter`` over its iterates; the times
+    stay out of ``trace.csv``, which reruns reproduce bit for bit.
     A solver failure (a ValueError of the solve too) or a non-finite
     summary value exits 4.
     """
@@ -478,7 +492,8 @@ def run(cfg: RunConfig):
     summary = {"iterations": rep.iterates_count, "reason": rep.reason,
                "E_first": float(rep.energies[0]), "E_last": float(rep.energies[-1]),
                "grad_norm_last": float(rep.grad_norms[-1]), **summary_of(state, rep),
-               "wall_s": wall_s, "ms_per_iter": 1e3 * wall_s / rep.iterates_count}
+               "environment": _environment(), "wall_s": wall_s,
+               "ms_per_iter": 1e3 * wall_s / rep.iterates_count}
     code = _exit_code(rep.reason)
     if l2_error is not None:
         summary["l2_error"] = err = l2_error(state)

@@ -22,13 +22,13 @@ def _exact_denominator(grid, lam_t, lam_x):
     return grid.hx * grid.hy * (1.0 + lam_x + lam_t / lam_x)
 
 
-def a0_velocity_riesz(grid, rvec, fixed, out=None):
+def a0_velocity_riesz(grid, rvec, fixed, out=None, work=None):
     """Solve M ybar = rvec for the velocity block of the A0 metric.
 
     rvec is an assembled dual vector on the unknown time levels (shape
     (m, 2, ny, nx)); the trace constraint 'fixed' selects those levels.
-    Returns the representer on the same levels: in out, if given (a
-    C-contiguous array shaped like rvec, not rvec itself; the solve also
-    uses it as work space), else in a new array.
+    Returns the representer on the same levels: in out, if given, else
+    in a new array.  work, if given, holds the modes (see _st_solve:
+    out and work are C-contiguous arrays shaped like rvec, not rvec).
     """
-    return _st_solve(grid, rvec, _exact_denominator, fixed, out)
+    return _st_solve(grid, rvec, _exact_denominator, fixed, out, work)

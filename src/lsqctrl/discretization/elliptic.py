@@ -185,20 +185,24 @@ def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
     return out
 
 
-def _st_solve(grid, bvec, rule, fixed, out=None):
+def _st_solve(grid, bvec, rule, fixed, out=None, work=None):
     """Diagonalized solve of a space-time operator on the given levels.
 
     bvec: dual vector shaped (m_levels, ..., ny, nx).  rule is the
     operator's denominator rule, see mode_denominators.  The transforms
-    ping-pong between two arrays shaped like bvec: the modes and out (a
-    C-contiguous array, not bvec, or a new one), which holds the
-    solution at the end and is returned.
+    ping-pong between two arrays shaped like bvec: the modes, in work,
+    and out, which holds the solution at the end and is returned.  Each
+    is a new array unless given.  The caller owns out and work and lends
+    them for the call: they must be C-contiguous, distinct, and neither
+    may be bvec, which is only read.  Both are written before they are
+    read, so they may hold anything, such as a field the caller has
+    spent; after the call work holds nothing the caller needs.
     """
     bvec = np.asarray(bvec, dtype=float)
     tb = time_basis(grid, fixed)
     if out is None:
         out = np.empty(bvec.shape)
-    chat = tb.to_modes(bvec, out=np.empty(bvec.shape))
+    chat = tb.to_modes(bvec, out=np.empty(bvec.shape) if work is None else work)
     sine_transform(chat, out=chat, work=out)
     denom = mode_denominators(grid, fixed, rule)
     # broadcast the per-mode (ny, nx) denominators across component axes
@@ -210,11 +214,12 @@ def _weak_denominator(grid, lam_t, lam_x):
     return grid.hx * grid.hy * (lam_t + lam_x)
 
 
-def spacetime_solve_weak(grid, bvec):
+def spacetime_solve_weak(grid, bvec, out=None, work=None):
     """Solve the space-time operator in dual form: A v = bvec.
 
     A = hx*hy*(K (x) I + W (x) L) over all nt+1 levels (weak Neumann in
     time, Dirichlet walls); bvec is an assembled functional vector of
-    shape (nt+1, ..., ny, nx).
+    shape (nt+1, ..., ny, nx).  v goes to out, and the modes to work, if
+    given (see _st_solve).
     """
-    return _st_solve(grid, bvec, _weak_denominator, "none")
+    return _st_solve(grid, bvec, _weak_denominator, "none", out, work)

@@ -39,6 +39,17 @@ zeros.  At scale 1 every result is bit for bit the unscaled one.
 ``st_inner`` sums the interior time levels and the two end levels as
 three dot products, so a pairing makes no field-sized temporary.
 
+``dx``, ``dy``, ``laplace``, ``grad_pressure``, its transpose and
+``div_part`` take ``out=``, and those that form a second term take
+``work=`` for it.  Unset, each is a new array, as in a plain call.  The
+caller owns both and lends them for the call: C-contiguous arrays of the
+result's shape (the transposed pressure pair's work is a scalar field),
+neither the input nor each other.  A kernel writes them before it reads
+them, so they may hold anything, such as a field the caller has spent,
+and work holds nothing the caller needs once the call returns.  The
+unsteady descent runs its whole iteration in arrays lent this way
+(``stokes_control._StokesLine``).
+
 All functions accept arrays whose trailing axes are (ny, nx); leading
 axes (time level, component) are broadcast over.
 """
@@ -113,14 +124,14 @@ def _times(M, scale):
     return M if scale == 1.0 else M * scale
 
 
-def dx(a, grid, scale=1.0):
+def dx(a, grid, scale=1.0, out=None):
     """Centered x-derivative with homogeneous Dirichlet padding, times scale."""
-    return a @ _times(_operators(grid.nx, grid.hx).DT, scale)
+    return np.matmul(a, _times(_operators(grid.nx, grid.hx).DT, scale), out=out)
 
 
-def dy(a, grid, scale=1.0):
+def dy(a, grid, scale=1.0, out=None):
     """Centered y-derivative with homogeneous Dirichlet padding, times scale."""
-    return _times(_operators(grid.ny, grid.hy).D, scale) @ a
+    return np.matmul(_times(_operators(grid.ny, grid.hy).D, scale), a, out=out)
 
 
 def grad(s, grid):
@@ -130,14 +141,19 @@ def grad(s, grid):
 
 def div(v, grid):
     """Divergence of a vector field (component axis at -3)."""
-    v = np.asarray(v)
-    return dx(v[..., 0, :, :], grid) + dy(v[..., 1, :, :], grid)
+    return div_part(v, None, grid)
 
 
-def div_part(y, pi, grid, epsilon=0.0):
-    """div y + epsilon*pi: the divergence term of the least-squares energies."""
-    dv = div(y, grid)
-    return dv + epsilon * pi if epsilon else dv
+def div_part(y, pi, grid, epsilon=0.0, out=None, work=None):
+    """div y + epsilon*pi: the divergence term of the least-squares energies.
+    Into out, with the dy and epsilon terms formed in work, if given
+    (arrays shaped like pi)."""
+    y = np.asarray(y)
+    dv = dx(y[..., 0, :, :], grid, out=out)
+    dv += dy(y[..., 1, :, :], grid, out=work)
+    if epsilon:
+        dv += np.multiply(pi, epsilon, out=work)
+    return dv
 
 
 def curl(s, grid):
@@ -145,25 +161,27 @@ def curl(s, grid):
     return np.stack([dy(s, grid), -dx(s, grid)], axis=-3)
 
 
-def laplace(a, grid, scale=1.0):
+def laplace(a, grid, scale=1.0, out=None, work=None):
     """5-point discrete Laplacian, times scale: consistent up to the wall
     for Dirichlet fields, and the operator behind the Poisson and
-    corrector solves."""
-    out = a @ _times(_operators(grid.nx, grid.hx).L, scale)
-    out += _times(_operators(grid.ny, grid.hy).L, scale) @ a
+    corrector solves.  Into out, with the y product formed in work, if
+    given."""
+    out = np.matmul(a, _times(_operators(grid.nx, grid.hx).L, scale), out=out)
+    out += np.matmul(_times(_operators(grid.ny, grid.hy).L, scale), a, out=work)
     return out
 
 
-def grad_pressure(s, grid, scale=1.0):
+def grad_pressure(s, grid, scale=1.0, out=None):
     """Gradient of a boundary-value-free scalar (pressure), times scale.
 
     One-sided second-order rows next to each wall, centered inside;
     constants are in the kernel (exactly for a constant such as 1, see
     the module docstring).  Each component is the integer product over
-    2h / scale.
+    2h / scale.  Into out, if given (a vector field).
     """
     s = np.asarray(s)
-    out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
+    if out is None:
+        out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
     gx, gy = out[..., 0, :, :], out[..., 1, :, :]
     np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=gx)
     np.matmul(_operators(grid.ny, grid.hy).G2, s, out=gy)
@@ -172,14 +190,15 @@ def grad_pressure(s, grid, scale=1.0):
     return out
 
 
-def grad_pressure_transpose(v, grid, out=None, scale=1.0):
+def grad_pressure_transpose(v, grid, out=None, scale=1.0, work=None):
     """Exact matrix transpose of grad_pressure applied to a vector field,
-    times scale; into out, if given (a scalar field shaped like a
-    component of v).  scale = -1 negates the result exactly."""
+    times scale; into out, with the y product formed in work, if given
+    (scalar fields shaped like a component of v).  scale = -1 negates
+    the result exactly."""
     v = np.asarray(v)
     tx = np.matmul(v[..., 0, :, :], _operators(grid.nx, grid.hx).G2, out=out)
     tx /= 2.0 * grid.hx / scale
-    ty = _operators(grid.ny, grid.hy).G2T @ v[..., 1, :, :]
+    ty = np.matmul(_operators(grid.ny, grid.hy).G2T, v[..., 1, :, :], out=work)
     ty /= 2.0 * grid.hy / scale
     tx += ty
     return tx

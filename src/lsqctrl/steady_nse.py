@@ -157,11 +157,11 @@ def _momentum_residual(p: SteadyProblem, s: SteadyState):
 def corrector_steady(p: SteadyProblem, s: SteadyState):
     """Corrector v (zero on the walls) of the momentum residual.
 
-    Returns (v, info): info["rhs"] is the right-hand side of the solve,
-    minus the momentum residual (v = P(rhs)).
+    Returns (v, rhs): rhs is the right-hand side of the solve, minus the
+    momentum residual (v = P(rhs)).
     """
     rhs = -_momentum_residual(p, s)
-    return poisson_solve(p.grid, rhs), {"rhs": rhs}
+    return poisson_solve(p.grid, rhs), rhs
 
 
 def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None):
@@ -256,14 +256,15 @@ class _SteadyLine:
 
     diagnostics = ("residual_norm", "div_norm")
     parts = staticmethod(attrgetter("y", "pi"))
+    scratch = staticmethod(lambda b: None)  # a 2-D step product is a new array
 
     def __init__(self, p):
         self.p = p
         self.inner_v = self.inner_q = partial(space_inner, grid=p.grid)
 
     def fields(self, s):
-        v, info = corrector_steady(self.p, s)
-        return [v, info["rhs"], div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
+        v, rhs = corrector_steady(self.p, s)
+        return [v, rhs, div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
     def reform(self, s, d, eta, fields):
         """q at s - eta d afresh: carried, it would drift by roundoff.

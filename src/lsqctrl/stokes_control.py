@@ -93,13 +93,17 @@ class ControlProblem:
         if not np.isfinite(self.y0).all():
             raise ValueError("y0 contains non-finite values")
         self.mask.validate(self.grid)
-        self._mask_arr = self.mask.indicator(self.grid)
+        ind = self.mask.indicator(self.grid)
+        self._mask_arr = ind[:1].copy() if (ind == ind[:1]).all() else ind
 
     @property
     def fixed_traces(self):
         return "both" if self.mode == "null_control" else "initial"
 
     def mask_array(self):
+        """The support's 0/1 node weights, broadcastable onto vector
+        fields: (nt+1, 1, ny, nx), or one (1, 1, ny, nx) slice of them
+        when the support is the same at every level."""
         return self._mask_arr
 
 
@@ -156,18 +160,29 @@ def _dt_matrix(grid):
     return B
 
 
-def _dt_weak_vector(y, grid):
+def _dt_weak_vector(y, grid, out):
     """Dual vector in the test function w of int y_t . w: one product
-    with B over the level axis."""
-    return (_dt_matrix(grid) @ y.reshape(len(y), -1)).reshape(y.shape)
+    with B over the level axis, into out (C-contiguous, shaped like y)."""
+    np.matmul(_dt_matrix(grid), y.reshape(len(y), -1), out=out.reshape(len(y), -1))
+    return out
 
 
-def _dt_adjoint_vector(v, grid):
-    """Dual vector in the direction Y of int Y_t . v (exact transpose)."""
-    return (_dt_matrix(grid).T @ v.reshape(len(v), -1)).reshape(v.shape)
+def _dt_adjoint_vector(v, grid, out):
+    """Dual vector in the direction Y of int Y_t . v (exact transpose),
+    into out (C-contiguous, shaped like v)."""
+    np.matmul(_dt_matrix(grid).T, v.reshape(len(v), -1), out=out.reshape(len(v), -1))
+    return out
 
 
-def _negated_residual(p: ControlProblem, y, pi, f, include_control=True):
+def _scalar_part(W):
+    """The first (nt+1, ny, nx) elements of a C-contiguous vector field
+    W, as a C-contiguous scalar field: the scratch of scalar terms."""
+    n, _, ny, nx = W.shape
+    return W.reshape(-1)[:n * ny * nx].reshape(n, ny, nx)
+
+
+def _negated_residual(p: ControlProblem, y, pi, f, include_control=True, out=None,
+                      work=None):
     """The corrector right-hand side b = -r: the negated momentum
     residual functional r(s)[w] over all levels,
 
@@ -180,36 +195,39 @@ def _negated_residual(p: ControlProblem, y, pi, f, include_control=True):
     the integer pressure products are scaled by -hx hy ht in the one pass
     after them (so the constants G2 annihilates stay exact zeros).  The
     trapezoid's end weights are two halvings of the end levels.  Every
-    term is the exact negation of its term in r.
+    term is the exact negation of its term in r.  b goes to out, if
+    given; each term after the first is formed in work, a C-contiguous
+    vector field (a new one unless given), before it is added.
     """
     grid = p.grid
     c = grid.hx * grid.hy * grid.ht
-    b = laplace(y, grid, scale=p.nu * c)
-    b += grad_pressure(pi, grid, scale=-c)
+    if work is None:
+        work = np.empty(y.shape)
+    b = laplace(y, grid, scale=p.nu * c, out=out, work=work)
+    b += grad_pressure(pi, grid, scale=-c, out=work)
     if include_control:
-        b += _scaled(p.mask_array() * f, c)
+        np.multiply(p.mask_array(), f, out=work)
+        work *= c
+        b += work
     b[0] *= 0.5
     b[-1] *= 0.5
-    b -= _dt_weak_vector(y, grid)
+    b -= _dt_weak_vector(y, grid, work)
     return b
 
 
-def _scaled(a, c):
-    """a *= c in place, returning a: unnamed in the caller, a is freed once spent."""
-    a *= c
-    return a
-
-
-def _direction_rhs(p, y, pi, f):
+def _direction_rhs(p, y, pi, f, out=None, work=None):
     """Corrector right-hand side of a direction (y, pi, f): its negated
     residual without the data, and without a frozen control."""
-    return _negated_residual(p, y, pi, f, include_control=p.mode == "null_control")
+    return _negated_residual(p, y, pi, f, p.mode == "null_control", out, work)
 
 
-def corrector(p: ControlProblem, s: Triplet) -> CorrectorField:
-    """Space-time corrector of s: the elliptic lift of the weak residual."""
-    b = _negated_residual(p, s.y, s.pi, s.f)
-    return CorrectorField(spacetime_solve_weak(p.grid, b), b)
+def corrector(p: ControlProblem, s: Triplet, out=None, work=None) -> CorrectorField:
+    """Space-time corrector of s: the elliptic lift of the weak residual.
+    out, if given, is a (v, rhs) pair of C-contiguous vector fields that
+    receives it, and work a vector field for the terms and the modes."""
+    v, b = (None, None) if out is None else out
+    b = _negated_residual(p, s.y, s.pi, s.f, out=b, work=work)
+    return CorrectorField(spacetime_solve_weak(p.grid, b, out=v, work=work), b)
 
 
 def lift_sA(p: ControlProblem) -> Triplet:
@@ -223,12 +241,11 @@ def lift_sA(p: ControlProblem) -> Triplet:
         eta = 1.0 - grid.ts() / grid.T_final
     else:
         eta = np.ones(grid.nt + 1)
-    s = Triplet.zeros(grid)
-    s.y = eta[:, None, None, None] * p.y0[None]
-    return s
+    y = eta[:, None, None, None] * p.y0[None]
+    return Triplet.unchecked(grid, y, grid.scalar_zeros(), grid.vector_zeros())
 
 
-def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
+def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work=None):
     """Riesz representative g of E'(s) in the increment metric, returned
     with its squared metric norm as (g, norm_sq).
 
@@ -237,8 +254,12 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
     velocity component solves the metric problem with the H^-1 term.  q
     is div y + eps*pi of s, if known.  out, if given, is a (y, pi, f)
     tuple of C-contiguous arrays shaped like s's parts that receives the
-    gradient: every element is written, so they may hold anything (the
-    descent passes its line's spent fields).
+    gradient, and work a C-contiguous vector field; each is new unless
+    given.  The velocity's dual is formed in work, and g.pi and g.f hold
+    its terms and the Riesz solve's modes before their own values are
+    written.  Every element of out is written, and work before it is
+    read, so all may hold anything (the descent passes its line's spent
+    fields and scratch).
     """
     grid = p.grid
     v = (corr or corrector(p, s)).v
@@ -248,29 +269,32 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None):
     if out is None:
         out = (np.empty(s.y.shape), np.empty(s.pi.shape), np.empty(s.f.shape))
     g = Triplet.unchecked(grid, *out)
+    rvec = np.empty(v.shape) if work is None else work
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = grad_pressure_transpose(v, grid, out=g.pi, scale=-1.0)
+
+    # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q; of the
+    # two half-weight end levels only the last, in direct mode, is unknown
+    laplace(v, grid, scale=p.nu * c, out=rvec, work=g.f)
+    rvec[:, 0] -= dx(q, grid, scale=c, out=g.pi)
+    rvec[:, 1] -= dy(q, grid, scale=c, out=g.pi)
+    rvec[-1] *= 0.5
+    rvec -= _dt_adjoint_vector(v, grid, g.f)
+    g.y[:sl.start] = 0.0  # the fixed traces
+    g.y[sl.stop:] = 0.0
+    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, out=g.y[sl], work=g.f[sl])
+    norm_sq = float(np.vdot(rvec[sl], ybar))
+
+    # rvec is spent: it holds the scalar terms of the pressure
+    ws = _scalar_part(rvec)
+    pibar = grad_pressure_transpose(v, grid, out=g.pi, scale=-1.0, work=ws)
     if p.epsilon:
-        pibar += p.epsilon * q
+        pibar += np.multiply(q, p.epsilon, out=ws)
     remove_slice_means(pibar, out=pibar)
     if p.mode == "null_control":
         np.multiply(p.mask_array(), v, out=g.f)
     else:
         g.f.fill(0.0)  # the control is frozen
-
-    # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q; of the
-    # two half-weight end levels only the last, in direct mode, is unknown
-    rvec = laplace(v, grid, scale=p.nu * c)
-    rvec[:, 0] -= dx(q, grid, scale=c)
-    rvec[:, 1] -= dy(q, grid, scale=c)
-    rvec[-1] *= 0.5
-    rvec -= _dt_adjoint_vector(v, grid)
-    g.y[:sl.start] = 0.0  # the fixed traces
-    g.y[sl.stop:] = 0.0
-    ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, out=g.y[sl])
-
-    norm_sq = float(np.vdot(rvec[sl], ybar))
     norm_sq += st_inner(g.pi, g.pi, grid) + st_inner(g.f, g.f, grid)
     return g, max(norm_sq, 0.0)
 
@@ -283,7 +307,22 @@ class _StokesLine:
     """The unsteady line builder for ``ExactLineRule``.  Along s - eta d
     the corrector is v - eta Vd (Vd = A^-1 bd, bd the direction's
     right-hand side, an assembled dual vector) and q is q - eta qd, so
-    E(s - eta d) - E(s) = -eta (v.bd + <q, qd>) + eta^2 (Vd.bd + <qd, qd>) / 2."""
+    E(s - eta d) - E(s) = -eta (v.bd + <q, qd>) + eta^2 (Vd.bd + <qd, qd>) / 2.
+
+    The line allocates the run's workspace once, here: the carried
+    fields [v, rhs, q], which ``fields`` and ``refresh`` write; two
+    storage triplets shaped as (y, pi, f); and one vector field W of
+    scratch, with Ws its first scalar field.  A storage triplet holds a
+    gradient, which the rule may make its direction, or a line's (Vd,
+    qd, bd), which the rule scales and spends.  A gradient is written
+    into the last line's spent triplet.  A line writes into the triplet
+    that is not the direction: it is free then, because the rule keeps
+    no gradient beside its direction on this line (it gets no dual), and
+    the direction it replaces is no longer read.  So CG runs on its
+    direction and one storage triplet, and steepest descent alternates
+    between the two.  W holds nothing between calls: each use writes it
+    before reading it, and ``scratch`` lends it to the rule's step.
+    """
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
     parts = staticmethod(attrgetter("y", "pi", "f"))
@@ -291,41 +330,54 @@ class _StokesLine:
     inner_v = staticmethod(lambda a, b: float(np.vdot(a, b)))
 
     def __init__(self, p):
+        grid = p.grid
+        vector, scalar = (grid.nt + 1, 2, grid.ny, grid.nx), (grid.nt + 1, grid.ny, grid.nx)
         self.p = p
-        self.inner_q = partial(st_inner, grid=p.grid)
-        # the last line's (Vd, qd, bd), spent once the rule has applied them:
-        # shaped as the gradient's (y, pi, f), the next gradient is written there
-        self.spent = None
+        self.inner_q = partial(st_inner, grid=grid)
+        self.W = np.empty(vector)
+        self.Ws = _scalar_part(self.W)
+        self.carried = [np.empty(vector), np.empty(vector), np.empty(scalar)]
+        self.store = [(np.empty(vector), np.empty(scalar), np.empty(vector)) for _ in range(2)]
+        self.spent = self.store[0]  # the triplet the next gradient is written into
+        # y(T), once formed: in null-control mode every direction vanishes there
+        self.yT_norm = None
 
     def fields(self, s):
-        corr = corrector(self.p, s)
-        return [corr.v, corr.rhs, div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
+        v, rhs, q = self.carried
+        corrector(self.p, s, out=(v, rhs), work=self.W)
+        div_part(s.y, s.pi, self.p.grid, self.p.epsilon, out=q, work=self.Ws)
+        return [v, rhs, q]
 
     def refresh(self, s):
-        s.pi = remove_slice_means(s.pi)
+        remove_slice_means(s.pi, out=s.pi)
         return self.fields(s)
 
+    def scratch(self, a):
+        """W, lent for one product shaped like a (a vector or scalar field)."""
+        return self.W if a.ndim == self.W.ndim else self.Ws
+
     def measure(self, s, fields, pairings):
-        v, rhs, q = fields
-        g, gn_sq = gradient_a0(self.p, s, CorrectorField(v, rhs), q=q, out=self.spent)
-        self.spent = None
+        p, grid, (v, rhs, q) = self.p, self.p.grid, fields
+        g, gn_sq = gradient_a0(p, s, CorrectorField(v, rhs), q=q, out=self.spent, work=self.W)
         div_sq = pairings[1]
-        if self.p.epsilon:
-            dv = q - self.p.epsilon * s.pi
-            div_sq = st_inner(dv, dv, self.p.grid)
-        grid, yT = self.p.grid, s.y[-1]
+        if p.epsilon:
+            dv = np.multiply(s.pi, p.epsilon, out=self.Ws)
+            np.subtract(q, dv, out=dv)
+            div_sq = st_inner(dv, dv, grid)
+        if self.yT_norm is None or p.mode == "direct":
+            self.yT_norm = np.sqrt(space_inner(s.y[-1], s.y[-1], grid))
         return [g.y, g.pi, g.f], None, gn_sq, {
-            "div_norm": np.sqrt(div_sq), "yT_norm": np.sqrt(space_inner(yT, yT, grid)),
+            "div_norm": np.sqrt(div_sq), "yT_norm": self.yT_norm,
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
     def line(self, s, fields, d):
         p, grid, (v, _, q) = self.p, self.p.grid, fields
-        bd = _direction_rhs(p, *d)
-        Vd = spacetime_solve_weak(grid, bd)
-        qd = div_part(d[0], d[1], grid, p.epsilon)
+        Vd, qd, bd = self.spent = next(t for t in self.store if t[0] is not d[0])
+        _direction_rhs(p, *d, out=bd, work=self.W)
+        spacetime_solve_weak(grid, bd, out=Vd, work=self.W)
+        div_part(d[0], d[1], grid, p.epsilon, out=qd, work=self.Ws)
         coef = (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
                 0.5 * (float(np.vdot(Vd, bd)) + st_inner(qd, qd, grid)), 0.0, 0.0)
-        self.spent = Vd, qd, bd
         return coef, [(Vd,), (bd,), (qd,)]
 
 
@@ -345,8 +397,9 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     ``run_descent``); records carry ``kernel_ratio``, ``div_norm``,
     ``yT_norm`` and ``f_norm``.
     """
-    rule = ExactLineRule(_StokesLine(p), (s_init or lift_sA(p)).copy(), cfg.algorithm == "cg",
-                         cfg.refresh_every, cfg.tol_kernel)
+    s = lift_sA(p) if s_init is None else s_init.copy()
+    rule = ExactLineRule(_StokesLine(p), s, cfg.algorithm == "cg", cfg.refresh_every,
+                         cfg.tol_kernel)
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
     report.extras["corrector"] = CorrectorField(*rule.fields[:2])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -270,6 +271,30 @@ class TestRuns:
             assert summary["grad_norm_last"] == last[header.index("grad_norm")] > 0.0, run
             residual = rep.extras["corrector"].weak_residual_norm
             assert summary["residual_norm_last"] == residual > 0.0, run
+            # the control's size, and the last kernel ratio (the trace's last
+            # row, where no step is taken, reads 0.0)
+            assert summary["f_norm_last"] == last[header.index("f_norm")] > 0.0, run
+            assert summary["kernel_ratio_last"] == rep.kernel_ratios[-1] > 0.0, run
+
+    def test_unsteady_summary_without_a_step_has_no_kernel_ratio(self, tmp_path):
+        assert main(["stokes-control", f"--io.out_dir={tmp_path}", "--grid.nx=4",
+                     "--grid.ny=4", "--grid.nt=4", "--solver.max_iter=0"]) == 3
+        text = (tmp_path / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=_reject_constant)
+        assert summary["kernel_ratio_last"] is None and '"kernel_ratio_last": null' in text
+        assert summary["f_norm_last"] == 0.0  # the lift carries no control
+
+    def test_summary_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        for var in ("LSQCTRL_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert main(["abstract-demo", f"--io.out_dir={tmp_path}", "--solver.max_iter=3"]) == 3
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["environment"] == {
+            "LSQCTRL_THREADS": None, "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": None, "python": platform.python_version(),
+            "numpy": np.__version__}
 
     def test_steady_stops_on_relative_energy(self, tmp_path):
         code = main(["steady-nse", f"--io.out_dir={tmp_path}", "--grid.nx=6", "--grid.ny=6",

@@ -1,5 +1,6 @@
 """Unsteady solver: corrector, energy, gradients, descent."""
 
+import collections
 import json
 import tracemalloc
 from pathlib import Path
@@ -208,11 +209,12 @@ class TestTimePairing:
     def test_adjoint_is_the_exact_transpose(self, nt):
         g = SpaceTimeGrid(3, 5, nt, Lx=0.7)
         y, v = np.random.default_rng(nt).standard_normal((2, g.nt + 1, 2, g.ny, g.nx))
-        lhs = float(np.vdot(sc._dt_weak_vector(y, g), v))
-        rhs = float(np.vdot(y, sc._dt_adjoint_vector(v, g)))
+        out = np.empty_like(y)
+        lhs = float(np.vdot(sc._dt_weak_vector(y, g, out), v))
+        rhs = float(np.vdot(y, sc._dt_adjoint_vector(v, g, out)))
         assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1.0)
         # a field constant in time has no time derivative, exactly
-        assert not sc._dt_weak_vector(np.ones_like(y), g).any()
+        assert not sc._dt_weak_vector(np.ones_like(y), g, out).any()
 
 
 ASSEMBLY_CASES = {
@@ -601,15 +603,18 @@ class TestDescend:
 
 
 class TestRecycledFields:
-    """Each gradient is written into the fields its last line has spent."""
+    """The descent runs in the workspace its line allocates once: each
+    gradient is written into the fields its last line has spent."""
 
     @pytest.mark.parametrize("mode, epsilon", [("null_control", 0.0), ("null_control", 0.01),
                                                ("direct", 0.0)])
-    def test_poisoned_out_arrays_leave_the_run_bit_identical(self, monkeypatch, mode,
-                                                              epsilon):
-        # NaN in every element handed to gradient_a0: the fixed-trace levels,
-        # the frozen control of direct mode and the pressure means must all
-        # be overwritten, or the run would differ from an unpoisoned one
+    def test_poisoned_out_arrays_leave_the_run_bit_identical(self, monkeypatch, mode, epsilon):
+        # NaN in the whole workspace as the line allocates it, in W before
+        # each use, in the triplet each gradient is written into, and in
+        # every storage triplet but the direction before each line: the
+        # fixed-trace levels, the frozen control of direct mode and the
+        # pressure means must all be overwritten, and nothing read that a
+        # call before wrote, or the run would differ from an unpoisoned one
         g = SpaceTimeGrid(8, 8, 8)
         s0 = None
         if mode == "direct":
@@ -621,23 +626,46 @@ class TestRecycledFields:
         else:
             p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0),
                                   epsilon=epsilon)
-        cfg = sc.SolveConfig(max_iter=40, refresh_every=10, algorithm="cg")
-        s_ref, rep_ref = sc.descend(p, cfg, s_init=s0)
-        original, poisoned = sc.gradient_a0, []
+        line_cls, calls = sc._StokesLine, collections.Counter()
 
-        def poisoning(*args, out=None, **kwargs):
-            if out is not None:
-                for a in out:
-                    a.fill(np.nan)
-                poisoned.append(out)
-            return original(*args, out=out, **kwargs)
+        def poison(*arrays):
+            for a in arrays:
+                a.fill(np.nan)
 
-        monkeypatch.setattr(sc, "gradient_a0", poisoning)
-        s, rep = sc.descend(p, cfg, s_init=s0)
-        assert len(poisoned) == rep.iterates_count - 1 == 40  # every gradient but the first
-        assert_same_report(rep_ref, rep)
-        for name in ("y", "pi", "f"):
-            assert np.array_equal(getattr(s_ref, name), getattr(s, name)), name
+        def init(line, p):
+            original["__init__"](line, p)
+            poison(line.W, *line.carried, *(a for t in line.store for a in t))
+
+        def measure(line, s, fields, pairings):
+            calls["measure"] += 1
+            poison(line.W, *line.spent)
+            return original["measure"](line, s, fields, pairings)
+
+        def refresh(line, s):
+            calls["refresh"] += 1
+            poison(line.W)
+            return original["refresh"](line, s)
+
+        def line_(line, s, fields, d):
+            calls["line"] += 1
+            poison(line.W, *(a for t in line.store if t[0] is not d[0] for a in t))
+            return original["line"](line, s, fields, d)
+
+        original = {name: getattr(line_cls, name) for name in ("__init__", "measure",
+                                                               "refresh", "line")}
+        for algorithm in ("cg", "steepest"):
+            cfg = sc.SolveConfig(max_iter=40, refresh_every=10, algorithm=algorithm)
+            s_ref, rep_ref = sc.descend(p, cfg, s_init=s0)
+            with monkeypatch.context() as m:
+                for name, method in (("__init__", init), ("measure", measure),
+                                     ("refresh", refresh), ("line", line_)):
+                    m.setattr(line_cls, name, method)
+                calls.clear()
+                s, rep = sc.descend(p, cfg, s_init=s0)
+            assert calls == {"measure": 41, "refresh": 4, "line": 40}, algorithm
+            assert_same_report(rep_ref, rep)
+            for name in ("y", "pi", "f"):
+                assert np.array_equal(getattr(s_ref, name), getattr(s, name)), (algorithm, name)
 
     @pytest.mark.parametrize("mode, epsilon", [("null_control", 0.0), ("null_control", 0.01),
                                                ("direct", 0.0)])
@@ -647,9 +675,11 @@ class TestRecycledFields:
         # took new arrays and the line's were freed, 12.23 with the line's
         # spent fields reused and the Riesz solve writing into the gradient
         # (12.27 in direct mode), 12.15 (12.23) with the weights folded into
-        # the operators.  A field-sized buffer kept on top fails the bound,
-        # and so does a per-component temporary kept alive while the next
-        # one is formed.
+        # the operators, 11.59 with the run's workspace allocated once: the
+        # state, the carried fields, two storage triplets and the scratch W
+        # (11 fields), with the support kept as one slice.  A field-sized
+        # buffer kept on top fails the bound, and so does a per-component
+        # temporary kept alive while the next one is formed.
         g = SpaceTimeGrid(24, 24, 24)
         p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0), mode=mode,
                               epsilon=epsilon)
@@ -664,7 +694,43 @@ class TestRecycledFields:
         finally:
             tracemalloc.stop()
         assert rep.iterates_count == 5
-        assert peak <= 12.5 * g.vector_zeros().nbytes
+        assert peak <= 11.84 * g.vector_zeros().nbytes
+
+    @pytest.mark.parametrize("mode, epsilon", [("null_control", 0.0), ("null_control", 0.01),
+                                               ("direct", 0.0)])
+    @pytest.mark.parametrize("algorithm", ["cg", "steepest"])
+    def test_no_field_sized_temporary_after_the_first_iterate(self, mode, epsilon, algorithm):
+        # The tracemalloc peak between consecutive iterates, over the memory
+        # held at the first of them, with the pressure refreshed every third
+        # iterate.  numpy's ufunc buffers are held small for the measurement:
+        # at their default 8192 elements, the two that a strided in-place
+        # operation such as grad_pressure's division takes are 128 kB on any
+        # grid, more than one 24^3 scalar field (115 kB).
+        g = SpaceTimeGrid(24, 24, 24)
+        p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0), mode=mode,
+                              epsilon=epsilon)
+        cfg = sc.SolveConfig(max_iter=8, refresh_every=3, algorithm=algorithm)
+        sc.descend(p, cfg)  # the cached operators and bases are built here, not measured
+        rises, held = [], []
+
+        def observe(record, s):
+            rises.append(tracemalloc.get_traced_memory()[1] - held[-1])
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        bufsize = np.setbufsize(1024)
+        tracemalloc.start()
+        try:
+            held.append(tracemalloc.get_traced_memory()[0])
+            _, rep = sc.descend(p, cfg, observer=observe)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert rep.iterates_count == 9
+        vector, scalar = g.vector_zeros().nbytes, g.scalar_zeros().nbytes
+        # the first interval allocates the workspace: 11 vector fields
+        assert rises[0] >= 11 * vector
+        assert max(rises[1:]) < scalar
 
 
 class TestQuadraticLine:
