@@ -358,9 +358,9 @@ def _quartic_argmin(coef):
     evaluated as np.polyval does, the first of equal values winning as in
     np.argmin.  Built from Python floats, a cubic costs one 3x3 eigvals
     call, about 30 us on a 2-vCPU VM; np.roots and np.polyval around the
-    same call took 65 us.  Real parts of complex roots stay candidates:
-    a root close to a double root may come out as a complex pair, and
-    none can undercut the real root where E is lowest.
+    same call took 65 us.  The real part of a complex root stays a
+    candidate: a root close to a double root may come out as a complex
+    pair, and none can undercut the real root where E is lowest.
     """
     c0, c1, c2, c3, c4 = map(float, coef)
     if not (c3 or c4):
@@ -388,37 +388,32 @@ def _quartic_argmin(coef):
 class ExactLineRule:
     """Step rule of the PDE solvers for ``run_descent``: the exact step
     along the metric gradient, or its PR+ combination if cg, on a line
-    builder ``line`` that holds the problem:
+    builder ``line`` that holds the problem and every array of its line:
 
-    * ``fields(state)`` gives the carried [v, rhs, q], 2E = ``inner_v(v,
-      rhs) + inner_q(q, q)`` (v = A^-1 rhs); ``refresh(state)`` projects
-      the state first; ``reform(state, d, eta, fields)``, unless None,
-      forms fields at state - eta d in place of their carry;
-    * ``measure(state, fields, pairings)`` gives the Riesz gradient
-      (ordered as ``parts(state)``), its dual (summed ``inner_q`` with x
-      gives <g, x>; or None), its squared norm and the ``diagnostics``;
-      ``pairings`` are the energy's ``inner_v(v, rhs)`` and ``inner_q(q,
-      q)``, for diagnostics to read off;
-    * ``line(state, fields, d)`` gives c1..c4 of E(eta) - E(0) along
-      state - eta d, and per field F the increments of F - eta F1 - eta^2 F2;
-    * ``scratch(b)`` lends an array shaped like b for the step's product
-      ``step * b``, or gives None for a new one.
+    * ``reset(state)`` forms the line's fields afresh at the state: the
+      corrector v, its right-hand side and q, 2E = <v, rhs> + <q, q>;
+      ``refresh(state)``, called every refresh_every iterates, projects
+      the state first and forms them;
+    * ``energy()`` gives E of the fields and keeps both terms of 2E for
+      the diagnostics;
+    * ``measure(state)`` gives the Riesz gradient (ordered as the
+      state's y, pi and, if unsteady, f), its pairing ``pair(x) = <g,
+      x>`` or None, its squared norm and the values of the keys named in
+      ``diagnostics``;
+    * ``line(state, d)`` gives c1..c4 of E(eta) - E(0) along state - eta
+      d and keeps the fields' increments; ``step(state, d, eta)`` moves
+      the fields to state - eta d, spending them;
+    * ``advance(state, d, eta)`` moves the state to state - eta d.
 
-    Who writes into which array, and when: the state, the fields and the
-    direction are the rule's.  The line writes the fields only in
-    ``fields``, ``refresh`` and ``reform``, and never the direction.  The
-    gradient is the line's until ``choose``: the rule then builds the
-    direction in place in its last direction, or takes the gradient's
-    arrays as the direction, and drops the gradient unless a PR+ pairing
-    reads it later (it has a dual).  The rule scales the increments in
-    place as it applies them and keeps none: once applied, they are the
-    line's to reuse, and a lent scratch array is the line's again once
-    ``advance`` returns.
+    The rule writes one array, the direction: it builds it in place in
+    its last direction, or takes the gradient's arrays as the direction.
+    It drops the gradient unless a later PR+ pairing reads it (it has a
+    pairing); the line may write into what the rule no longer holds.
 
     No argmin, or no drop in E there, ends the run on
-    ``line_search_stall``.  Without a dual, PR+ takes successive gradients
-    as orthogonal (Fletcher-Reeves; exact search keeps them so on
-    quadratic lines) and keeps no gradient.  A gradient that does not
+    ``line_search_stall``.  Without a pairing, PR+ takes successive
+    gradients as orthogonal (Fletcher-Reeves; exact search keeps them so
+    on quadratic lines) and keeps no gradient.  A gradient that does not
     descend, or an energy rise beyond roundoff, raises DescentDivergence.
     With tol_kernel not None the records carry the kernel ratio ||T d|| /
     ||d||, and the run ends on ``kernel_stall`` at or below it.
@@ -428,34 +423,25 @@ class ExactLineRule:
         self.line, self.state, self.cg = line, state, cg
         self.refresh_every, self.tol_kernel = refresh_every, tol_kernel
         self.diagnostics, self.kernel_ratios = line.diagnostics, tol_kernel is not None
-        self.fields, self.e = line.fields(state), None  # e: the fields' energy, once known
+        line.reset(state)
+        self.e = None  # the energy of the line's fields, once known
         # the last direction, the squared norms of its gradient and itself, that gradient
         self.dir = self.gn_sq_prev = self.pn_sq_prev = self.gprev = None
-
-    def energy(self):
-        """E of the fields, keeping the two pairings 2E sums."""
-        v, rhs, q = self.fields
-        vv, qq = self.pairings = self.line.inner_v(v, rhs), self.line.inner_q(q, q)
-        return 0.5 * (vv + qq)
 
     def measure(self, history):
         it = len(history)
         if self.refresh_every and it and it % self.refresh_every == 0:
-            self.fields, self.e = self.line.refresh(self.state), None
-        e = self.energy() if self.e is None else self.e
+            self.line.refresh(self.state)
+            self.e = None
+        e = self.line.energy() if self.e is None else self.e
         if not history and not np.isfinite(e):
             raise DescentDivergence(f"non-finite initial energy: {e}")
         if history and not (e <= history[-1]["E"] * (1 + 1e-12)
                             + 1e-14 * max(history[0]["E"], 1e-300)):
             raise DescentDivergence(
                 f"energy increased at iteration {it}: {history[-1]['E']} -> {e}")
-        self.g, self.gdual, self.gn_sq, diagnostics = self.line.measure(
-            self.state, self.fields, self.pairings)
+        self.g, self.pair, self.gn_sq, diagnostics = self.line.measure(self.state)
         return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **diagnostics}
-
-    def _pairing(self, x):
-        """The metric pairing <g, x>, read off the gradient's dual."""
-        return sum(map(self.line.inner_q, self.gdual, x))
 
     def _direction(self):
         """The direction, built in place in the last one, and its squared
@@ -463,14 +449,14 @@ class ExactLineRule:
         g, gn_sq, gprev = self.g, self.gn_sq, self.gprev
         if not self.cg or self.dir is None:
             return g, gn_sq
-        beta = max(0.0, (gn_sq - (0.0 if gprev is None else self._pairing(gprev)))
+        beta = max(0.0, (gn_sq - (0.0 if gprev is None else self.pair(gprev)))
                    / self.gn_sq_prev)
         if not beta:
             return g, gn_sq
         for a, b in zip(self.dir, g):
             a *= beta
             a += b
-        if gprev is not None and self._pairing(self.dir) <= 1e-12 * gn_sq:
+        if gprev is not None and self.pair(self.dir) <= 1e-12 * gn_sq:
             return g, gn_sq
         return self.dir, gn_sq + beta**2 * self.pn_sq_prev
 
@@ -479,10 +465,9 @@ class ExactLineRule:
         # free before the line's solve: the last gradient, and this one
         # unless it is d or a later PR+ pairing reads it
         self.gprev = None
-        if d is not self.g and self.gdual is None:
+        if d is not self.g and self.pair is None:
             self.g = None
-        coef, incs = self.line.line(self.state, self.fields, d)
-        coef = (0.0, *coef)
+        coef = (0.0, *self.line.line(self.state, d))
         if not all(map(math.isfinite, coef)):
             raise ValueError("exact step: non-finite energy polynomial")
         if self.kernel_ratios:
@@ -495,27 +480,19 @@ class ExactLineRule:
         eta = _quartic_argmin(coef)
         if eta is None:
             return "line_search_stall"
-        for field, inc in zip(self.fields, incs):
-            for k, a in enumerate(inc, 1):
-                a *= eta**k  # in place: the increments are spent after this
-                field -= a
-        # spent, the increments go back to the line, which may write its next
-        # gradient into them (the unsteady line does), or let them be freed
-        del incs, inc, a
-        if self.line.reform:
-            self.line.reform(self.state, d, eta, self.fields)
-        self.e = self.energy()
+        self.line.step(self.state, d, eta)
+        self.e = self.line.energy()
         if not self.e < record["E"]:  # the roundoff floor
-            self.fields, self.e = self.line.fields(self.state), None
+            self.line.reset(self.state)
+            self.e = None
             return "line_search_stall"
         record["step"] = eta
         self.dir, self.gn_sq_prev, self.pn_sq_prev = d, self.gn_sq, pn_sq
-        self.gprev = self.g if self.cg and self.gdual is not None else None
-        self.g = self.gdual = None
+        self.gprev = self.g if self.cg and self.pair is not None else None
+        self.g = self.pair = None
         return None
 
     def advance(self, record):
-        for a, b in zip(self.line.parts(self.state), self.dir):
-            a -= np.multiply(b, record["step"], out=self.line.scratch(b))
+        self.line.advance(self.state, self.dir, record["step"])
         if not self.cg:
             self.dir = None

@@ -329,8 +329,7 @@ def _unsteady(cfg: RunConfig, mode):
     v = cfg.values
     grid = SpaceTimeGrid(v["grid.nx"], v["grid.ny"], v["grid.nt"],
                          v["domain.Lx"], v["domain.Ly"], v["time.T"])
-    om = v["control.omega"]
-    mask = SupportMask(*om[:4]) if len(om) == 4 else SupportMask(*om)
+    mask = SupportMask(*v["control.omega"])
     exact = None
     if mode == "direct" and v["problem.manufactured"]:
         case = default_unsteady_case(T_final=v["time.T"])

@@ -162,14 +162,15 @@ class SupportMask:
         return inside.astype(float)
 
     def indicator(self, grid: SpaceTimeGrid):
-        """(nt+1, 1, ny, nx) weights broadcastable onto vector fields."""
-        space = self.spatial_indicator(grid)
-        w = np.ones(grid.nt + 1)
-        if self.t0 is not None:
-            tol = 1e-12 * grid.T_final
-            ts = grid.ts()
-            w = ((ts >= self.t0 - tol) & (ts <= self.t1 + tol)).astype(float)
-        return w[:, None, None, None] * space[None, None, :, :]
+        """Weights broadcastable onto vector fields: one (1, 1, ny, nx)
+        slice without a time window, (nt+1, 1, ny, nx) with one."""
+        space = self.spatial_indicator(grid)[None, None]
+        if self.t0 is None:
+            return space
+        tol = 1e-12 * grid.T_final
+        ts = grid.ts()
+        w = ((ts >= self.t0 - tol) & (ts <= self.t1 + tol)).astype(float)
+        return w[:, None, None, None] * space
 
 
 def _check_values(grid, values, components):

@@ -50,6 +50,7 @@ __all__ = [
     "inner_a0",
     "DenseAssembly",
     "dense_assemble",
+    "dense_a0_gram",
     "fd_check",
     "FdReport",
     "newton_nse",
@@ -260,6 +261,16 @@ def _weak_operator(grid):
     return grid.hx * grid.hy * (np.kron(K, np.eye(grid.n_space)) + np.kron(np.diag(w), L))
 
 
+def dense_a0_gram(grid):
+    """The A0 velocity Gram hx hy (W (x) (I + L) + K (x) L^-1) of one
+    component on all time levels, L^-1 symmetrized."""
+    L = _space_ops(grid)[0]
+    K, _, w = _time_ops(grid)
+    Linv = np.linalg.inv(L)
+    return grid.hx * grid.hy * (np.kron(np.diag(w), np.eye(grid.n_space) + L)
+                                + np.kron(K, 0.5 * (Linv + Linv.T)))
+
+
 def _mean_free_basis(N):
     """Orthonormal basis of the zero-mean subspace (deterministic)."""
     A = np.eye(N) - np.full((N, N), 1.0 / N)
@@ -347,7 +358,7 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
     n = grid.n_space
     nlev = grid.nt + 1
     L, Dx, Dy, Gx, Gy = _space_ops(grid)
-    K, B, w = _time_ops(grid)
+    _, B, w = _time_ops(grid)
     area = grid.hx * grid.hy
     W = np.diag(w)
     Iv = np.eye(n)
@@ -396,8 +407,7 @@ def dense_assemble(p, size_cap=2000) -> DenseAssembly:
     GY[nyc : 2 * nyc, nyc : 2 * nyc] = A1
     GY[2 * nyc :, 2 * nyc :] = area * np.kron(W, Iv)
 
-    Linv = np.linalg.inv(L)
-    M1 = area * (np.kron(W, Iv + L) + np.kron(K, 0.5 * (Linv + Linv.T)))
+    M1 = dense_a0_gram(grid)
     GX = np.zeros((dim_x, dim_x))
     GX[:dy, :dy] = sum(S.T @ M1 @ S for S in Svel)
     GX[dy : dy + dpi, dy : dy + dpi] = area * np.kron(W, np.eye(n - 1))

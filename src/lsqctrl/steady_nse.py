@@ -22,13 +22,11 @@ a pairing with a solved field is read off its right-hand side.  So a
 run solves one corrector, carried with its right-hand side from step to
 step, and the quartic's coefficients come from one 3x3 Gram product of
 the line's fields [v, Vd, v2] with their right-hand sides.  The
-edge-form pairings stay the oracle (``energy_steady`` without ``rhs``).
+edge-form pairings stay the oracle (``energy_steady``).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -137,14 +135,21 @@ class SteadyConfig:
                 raise ValueError(f"{name} must be nonnegative")
 
 
+def _flux_divergence(f, grid):
+    """dx f[0] + dy f[1] over stacked x- and y-fluxes: one dx and one dy
+    product for every field in the stack."""
+    c = dx(f[0], grid)
+    c += dy(f[1], grid)
+    return c
+
+
 def convection(y, z, grid):
     """div(y (x) z) in divergence form, component i: d_j (y_i z_j)."""
     y = np.asarray(y)
-    z = np.asarray(z)
-    return np.stack(
-        [dx(y[0] * z[0], grid) + dy(y[0] * z[1], grid),
-         dx(y[1] * z[0], grid) + dy(y[1] * z[1], grid)]
-    )
+    f = np.empty((2,) + y.shape)  # [x, y] fluxes of both components
+    for fj, zj in zip(f, np.asarray(z)):
+        np.multiply(y, zj, out=fj)
+    return _flux_divergence(f, grid)
 
 
 def _momentum_residual(p: SteadyProblem, s: SteadyState):
@@ -164,24 +169,13 @@ def corrector_steady(p: SteadyProblem, s: SteadyState):
     return poisson_solve(p.grid, rhs), rhs
 
 
-def energy_steady(p: SteadyProblem, s: SteadyState, v=None, rhs=None):
-    """E at s, from its corrector v if given (else solved).
-
-    With v = P(rhs) and rhs given, the H_0^1 part is space_inner(v, rhs),
-    which equals h1_pairing(v, v) up to roundoff; without rhs it is the
-    edge form h1_seminorm_sq(v), the oracle.
-    """
+def energy_steady(p: SteadyProblem, s: SteadyState, v=None):
+    """E at s from the edge-form pairing h1_seminorm_sq of its corrector
+    v, if given (else solved): the oracle of the line's energy."""
     if v is None:
         v, _ = corrector_steady(p, s)
-    h1 = h1_seminorm_sq(v, p.grid) if rhs is None else space_inner(v, rhs, p.grid)
     q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    return 0.5 * (h1 + space_inner(q, q, p.grid))
-
-
-def _grad_tensor(v, grid):
-    """(dv_i/dx_j) entries with centered stencils: rows i, cols j."""
-    vx, vy = dx(v, grid), dy(v, grid)
-    return ((vx[0], vy[0]), (vx[1], vy[1]))
+    return 0.5 * (h1_seminorm_sq(v, p.grid) + space_inner(q, q, p.grid))
 
 
 def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
@@ -190,9 +184,9 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     Pressure component: adjoint divergence of the corrector (+ eps
     coupling), mean removed.  Velocity component: one Poisson solve of
     the assembled first-variation functional, ybar = P(r).  q is div y
-    + eps*pi of s, if known.  Returns (ybar, pibar, info): info["rhs"]
-    is r, so that h1_pairing(a, ybar) = space_inner(a, r), and
-    info["norm_sq"] the squared metric norm.
+    + eps*pi of s, if known.  Returns (ybar, pibar, r, norm_sq): r is the
+    solve's right-hand side, so that h1_pairing(a, ybar) = space_inner(a,
+    r), and norm_sq the squared metric norm.
     """
     g = p.grid
     if v is None:
@@ -204,13 +198,13 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
         pibar += p.epsilon * q
     remove_slice_means(pibar, out=pibar)
 
-    gv = _grad_tensor(v, g)
-    shear = gv[0][1] + gv[1][0]
+    vx, vy = dx(v, g), dy(v, g)  # (dv_i/dx_j): vx[i] is j = x, vy[i] j = y
+    shear = vy[0] + vx[1]
     sv = np.empty_like(s.y)
-    np.multiply(2 * gv[0][0], s.y[0], out=sv[0])
+    np.multiply(2 * vx[0], s.y[0], out=sv[0])
     sv[0] += shear * s.y[1]
     np.multiply(shear, s.y[0], out=sv[1])
-    sv[1] += 2 * gv[1][1] * s.y[1]
+    sv[1] += 2 * vy[1] * s.y[1]
     r = laplace(v, g)
     r *= p.nu
     r += sv
@@ -218,21 +212,18 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     r[1] -= dy(q, g)
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
-    return ybar, pibar, {"norm_sq": max(norm_sq, 0.0), "rhs": r}
+    return ybar, pibar, r, max(norm_sq, 0.0)
 
 
 def _line_convection(y, d, grid, out):
     """convection(y, d) + convection(d, y), returned, and convection(d, d),
-    written to out, from one dx pass over their stacked x-fluxes and one
-    dy pass over their y-fluxes (each convection call makes two of each
-    per component)."""
+    written to out, from one flux divergence of their stacked fluxes."""
     f = np.empty((2, 4) + y.shape[1:])  # [x, y] fluxes of [cross, dd]
     for fj, yj, dj in zip(f, y, d):
         np.multiply(y, dj, out=fj[:2])
         fj[:2] += d * yj
         np.multiply(d, dj, out=fj[2:])
-    c = dx(f[0], grid)
-    c += dy(f[1], grid)
+    c = _flux_divergence(f, grid)
     out[...] = c[2:]
     return c[:2]
 
@@ -251,40 +242,43 @@ class _SteadyLine:
     quadratic in y, so along s - eta d the corrector's right-hand side is
     rhs - eta bd - eta^2 cdd (bd: the negated linearized residual of d,
     cdd: the convection of d_y), the corrector v - eta Vd - eta^2 v2 with
-    [Vd, v2] = P([bd, cdd]), and E a quartic read off _gram([v, Vd, v2],
-    [rhs, bd, cdd]).  The gradient's dual is [r, pibar], ybar = P(r)."""
+    [Vd, v2] = P([bd, cdd]), and E a quartic read off _gram(sols, rhss),
+    sols = [v, Vd, v2] and rhss = [rhs, bd, cdd].  The fields are [v, rhs,
+    q]; ``step`` forms q afresh, since carried it would drift by
+    roundoff.  The gradient's pairing reads its right-hand side r (ybar =
+    P(r))."""
 
     diagnostics = ("residual_norm", "div_norm")
-    parts = staticmethod(attrgetter("y", "pi"))
-    scratch = staticmethod(lambda b: None)  # a 2-D step product is a new array
 
     def __init__(self, p):
         self.p = p
-        self.inner_v = self.inner_q = partial(space_inner, grid=p.grid)
 
-    def fields(self, s):
+    def reset(self, s):
         v, rhs = corrector_steady(self.p, s)
-        return [v, rhs, div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
+        self.fields = [v, rhs, div_part(s.y, s.pi, self.p.grid, self.p.epsilon)]
 
-    def reform(self, s, d, eta, fields):
-        """q at s - eta d afresh: carried, it would drift by roundoff.
-        At epsilon = 0 q is div y alone, and the pressure is not formed."""
-        pi = s.pi - eta * d[1] if self.p.epsilon else None
-        fields[2] = div_part(s.y - eta * d[0], pi, self.p.grid, self.p.epsilon)
+    def energy(self):
+        v, rhs, q = self.fields
+        vv, qq = self.pairings = space_inner(v, rhs, self.p.grid), space_inner(q, q, self.p.grid)
+        return 0.5 * (vv + qq)
 
-    def measure(self, s, fields, pairings):
-        (v, _, q), (v_sq, div_sq) = fields, pairings
-        if self.p.epsilon:
-            dv = q - self.p.epsilon * s.pi
-            div_sq = space_inner(dv, dv, self.p.grid)
-        ybar, pibar, info = gradient_steady(self.p, s, v, q)
-        return [ybar, pibar], [info["rhs"], pibar], info["norm_sq"], {
+    def measure(self, s):
+        p, (v, _, q), (v_sq, div_sq) = self.p, self.fields, self.pairings
+        if p.epsilon:
+            dv = q - p.epsilon * s.pi
+            div_sq = space_inner(dv, dv, p.grid)
+        ybar, pibar, r, norm_sq = gradient_steady(p, s, v, q)
+
+        def pair(x):
+            return space_inner(r, x[0], p.grid) + space_inner(pibar, x[1], p.grid)
+
+        return [ybar, pibar], pair, norm_sq, {
             "residual_norm": np.sqrt(max(v_sq, 0.0)), "div_norm": np.sqrt(max(div_sq, 0.0))}
 
-    def line(self, s, fields, d):
-        p, g, (v, rhs, q) = self.p, self.p.grid, fields
+    def line(self, s, d):
+        p, g, (v, rhs, q) = self.p, self.p.grid, self.fields
         # [v, Vd, v2] and [rhs, bd, cdd], each stacked in one array for _gram
-        sols, rhss = np.empty((2, 3) + s.y.shape)
+        self.sols, self.rhss = sols, rhss = np.empty((2, 3) + s.y.shape)
         sols[0], rhss[0] = v, rhs
         bd, cdd = rhss[1:]
         cross = _line_convection(s.y, d[0], g, out=cdd)
@@ -294,10 +288,24 @@ class _SteadyLine:
         poisson_solve(g, rhss[1:], out=sols[1:])
         gram = _gram(sols, rhss, g)
         qd = div_part(d[0], d[1], g, p.epsilon)
-        coef = (-gram[0, 1] - space_inner(q, qd, g),
+        return (-gram[0, 1] - space_inner(q, qd, g),
                 0.5 * (gram[1, 1] + space_inner(qd, qd, g)) - gram[0, 2],
                 gram[1, 2], 0.5 * gram[2, 2])
-        return coef, [sols[1:], rhss[1:], ()]
+
+    def step(self, s, d, eta):
+        """The fields at s - eta d.  At epsilon = 0 q is div y alone, and
+        the pressure is not formed."""
+        for field, incs in zip(self.fields, (self.sols, self.rhss)):
+            for k, a in enumerate(incs[1:], 1):
+                a *= eta**k  # in place: the increments are spent after this
+                field -= a
+        del self.sols, self.rhss  # spent: freed before the next line allocates its own
+        pi = s.pi - eta * d[1] if self.p.epsilon else None
+        self.fields[2] = div_part(s.y - eta * d[0], pi, self.p.grid, self.p.epsilon)
+
+    def advance(self, s, d, eta):
+        s.y -= np.multiply(d[0], eta)
+        s.pi -= np.multiply(d[1], eta)
 
 
 def descend_steady(p: SteadyProblem, cfg: SteadyConfig, s_init=None, observer=None):

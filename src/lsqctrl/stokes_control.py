@@ -25,8 +25,7 @@ the exact projector so projection semantics stay tested at small scale.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import attrgetter
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,8 +92,7 @@ class ControlProblem:
         if not np.isfinite(self.y0).all():
             raise ValueError("y0 contains non-finite values")
         self.mask.validate(self.grid)
-        ind = self.mask.indicator(self.grid)
-        self._mask_arr = ind[:1].copy() if (ind == ind[:1]).all() else ind
+        self._mask_arr = self.mask.indicator(self.grid)
 
     @property
     def fixed_traces(self):
@@ -102,8 +100,7 @@ class ControlProblem:
 
     def mask_array(self):
         """The support's 0/1 node weights, broadcastable onto vector
-        fields: (nt+1, 1, ny, nx), or one (1, 1, ny, nx) slice of them
-        when the support is the same at every level."""
+        fields (``SupportMask.indicator``)."""
         return self._mask_arr
 
 
@@ -309,57 +306,53 @@ class _StokesLine:
     right-hand side, an assembled dual vector) and q is q - eta qd, so
     E(s - eta d) - E(s) = -eta (v.bd + <q, qd>) + eta^2 (Vd.bd + <qd, qd>) / 2.
 
-    The line allocates the run's workspace once, here: the carried
-    fields [v, rhs, q], which ``fields`` and ``refresh`` write; two
-    storage triplets shaped as (y, pi, f); and one vector field W of
+    The line allocates the run's workspace once, here: the fields [v,
+    rhs, q], which ``reset`` and ``refresh`` write and ``step`` moves;
+    two storage triplets shaped as (y, pi, f); and one vector field W of
     scratch, with Ws its first scalar field.  A storage triplet holds a
     gradient, which the rule may make its direction, or a line's (Vd,
-    qd, bd), which the rule scales and spends.  A gradient is written
+    qd, bd), which ``step`` scales and spends.  A gradient is written
     into the last line's spent triplet.  A line writes into the triplet
     that is not the direction: it is free then, because the rule keeps
-    no gradient beside its direction on this line (it gets no dual), and
-    the direction it replaces is no longer read.  So CG runs on its
+    no gradient beside its direction on this line (it gets no pairing),
+    and the direction it replaces is no longer read.  So CG runs on its
     direction and one storage triplet, and steepest descent alternates
     between the two.  W holds nothing between calls: each use writes it
-    before reading it, and ``scratch`` lends it to the rule's step.
+    before reading it, ``advance``'s product eta * d too.
     """
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
-    parts = staticmethod(attrgetter("y", "pi", "f"))
-    reform = None
-    inner_v = staticmethod(lambda a, b: float(np.vdot(a, b)))
 
     def __init__(self, p):
         grid = p.grid
         vector, scalar = (grid.nt + 1, 2, grid.ny, grid.nx), (grid.nt + 1, grid.ny, grid.nx)
         self.p = p
-        self.inner_q = partial(st_inner, grid=grid)
         self.W = np.empty(vector)
         self.Ws = _scalar_part(self.W)
-        self.carried = [np.empty(vector), np.empty(vector), np.empty(scalar)]
+        self.fields = [np.empty(vector), np.empty(vector), np.empty(scalar)]
         self.store = [(np.empty(vector), np.empty(scalar), np.empty(vector)) for _ in range(2)]
         self.spent = self.store[0]  # the triplet the next gradient is written into
         # y(T), once formed: in null-control mode every direction vanishes there
         self.yT_norm = None
 
-    def fields(self, s):
-        v, rhs, q = self.carried
+    def reset(self, s):
+        v, rhs, q = self.fields
         corrector(self.p, s, out=(v, rhs), work=self.W)
         div_part(s.y, s.pi, self.p.grid, self.p.epsilon, out=q, work=self.Ws)
-        return [v, rhs, q]
 
     def refresh(self, s):
         remove_slice_means(s.pi, out=s.pi)
-        return self.fields(s)
+        self.reset(s)
 
-    def scratch(self, a):
-        """W, lent for one product shaped like a (a vector or scalar field)."""
-        return self.W if a.ndim == self.W.ndim else self.Ws
+    def energy(self):
+        v, rhs, q = self.fields
+        vv, qq = self.pairings = float(np.vdot(v, rhs)), st_inner(q, q, self.p.grid)
+        return 0.5 * (vv + qq)
 
-    def measure(self, s, fields, pairings):
-        p, grid, (v, rhs, q) = self.p, self.p.grid, fields
+    def measure(self, s):
+        p, grid, (v, rhs, q) = self.p, self.p.grid, self.fields
         g, gn_sq = gradient_a0(p, s, CorrectorField(v, rhs), q=q, out=self.spent, work=self.W)
-        div_sq = pairings[1]
+        div_sq = self.pairings[1]
         if p.epsilon:
             dv = np.multiply(s.pi, p.epsilon, out=self.Ws)
             np.subtract(q, dv, out=dv)
@@ -370,15 +363,24 @@ class _StokesLine:
             "div_norm": np.sqrt(div_sq), "yT_norm": self.yT_norm,
             "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
 
-    def line(self, s, fields, d):
-        p, grid, (v, _, q) = self.p, self.p.grid, fields
+    def line(self, s, d):
+        p, grid, (v, _, q) = self.p, self.p.grid, self.fields
         Vd, qd, bd = self.spent = next(t for t in self.store if t[0] is not d[0])
         _direction_rhs(p, *d, out=bd, work=self.W)
         spacetime_solve_weak(grid, bd, out=Vd, work=self.W)
         div_part(d[0], d[1], grid, p.epsilon, out=qd, work=self.Ws)
-        coef = (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
+        return (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
                 0.5 * (float(np.vdot(Vd, bd)) + st_inner(qd, qd, grid)), 0.0, 0.0)
-        return coef, [(Vd,), (bd,), (qd,)]
+
+    def step(self, s, d, eta):
+        Vd, qd, bd = self.spent
+        for field, inc in zip(self.fields, (Vd, bd, qd)):
+            inc *= eta  # in place: the increments are spent after this
+            field -= inc
+
+    def advance(self, s, d, eta):
+        for a, b in zip((s.y, s.pi, s.f), d):
+            a -= np.multiply(b, eta, out=self.W if b.ndim == self.W.ndim else self.Ws)
 
 
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
@@ -402,5 +404,5 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
                          cfg.tol_kernel)
     report = run_descent(rule, cfg.max_iter, cfg.tol_energy, cfg.tol_energy_rel,
                          cfg.tol_grad, observer)
-    report.extras["corrector"] = CorrectorField(*rule.fields[:2])
+    report.extras["corrector"] = CorrectorField(*rule.line.fields[:2])
     return rule.state, report

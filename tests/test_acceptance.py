@@ -180,7 +180,7 @@ def test_criterion_3_gradient_correctness():
     ps = sn.SteadyProblem(gs, 1.0, f)
     st = sn.SteadyState(gs, 0.4 * rng.standard_normal((2, gs.ny, gs.nx)),
                         rng.standard_normal((gs.ny, gs.nx)))
-    ybar, pibar, _ = sn.gradient_steady(ps, st)
+    ybar, pibar, _, _ = sn.gradient_steady(ps, st)
     dY = rng.standard_normal((2, gs.ny, gs.nx))
     dPi = rng.standard_normal((gs.ny, gs.nx))
     dPi -= dPi.mean()

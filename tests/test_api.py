@@ -33,7 +33,8 @@ MODULES = (
 # the second increment metric with the switches that selected it, and the
 # test-only surface: the report's converged flag, a field-form solve, the
 # gradient-sign switch, the diagnostics bundle and the second temporal
-# stiffness; the unsteady oracles moved to lsqctrl.oracles
+# stiffness; the unsteady oracles moved to lsqctrl.oracles; the velocity
+# gradient tensor that gradient_steady now forms itself
 REMOVED = {
     "lsqctrl.abstract_descent": ("armijo_search", "_CONVERGED"),
     "lsqctrl.discretization": ("quadrature_l2", "shifted_poisson_solve", "velocity_a0_inner",
@@ -50,7 +51,7 @@ REMOVED = {
                                         "_swap_xy", "div_parts", "trace_norms"),
     "lsqctrl.oracles": ("_sympy", "_lambdify", "_sample_spacetime"),
     "lsqctrl.steady_nse": ("pressure_residual_indicator", "_ExactStepRule", "_line_quartic",
-                           "_quartic_argmin"),
+                           "_quartic_argmin", "_grad_tensor"),
     "lsqctrl.stokes_control": ("split_iteration", "pressure_update_step",
                                "pressure_stationary_point", "_PressureRule",
                                "_heat_forward", "_div_cost", "_pressure_cost_gradient",
@@ -93,9 +94,12 @@ def test_no_unused_module_level_imports(path):
 
 
 def test_removed_options_are_gone():
+    import numpy as np
+
     from lsqctrl import abstract_descent, cli, oracles
+    from lsqctrl import steady_nse as sn
     from lsqctrl import stokes_control as sc
-    from lsqctrl.discretization import SpaceTimeGrid, a0, stencils
+    from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid, SupportMask, a0, stencils
 
     fields = {f.name for f in dataclasses.fields(sc.SolveConfig)}
     assert fields.isdisjoint({"inner_max_iter", "inner_tol_grad"})
@@ -112,6 +116,20 @@ def test_removed_options_are_gone():
                 "forcing_exprs_steady"} & set(dir(oracles.ManufacturedCase))
     assert "converged" not in {f.name for f in dataclasses.fields(abstract_descent.DescentReport)}
     assert not hasattr(SpaceTimeGrid, "n_levels")
+    # the line builders own their arrays and lend none to the step rule,
+    # which reads no pairing helper of theirs
+    g = SpaceTimeGrid(4, 4, 4)
+    p = sc.ControlProblem(g, 1.0, np.zeros((2, 4, 4)), SupportMask(0.0, 1.0, 0.0, 1.0))
+    ps = sn.SteadyProblem(SpatialGrid(4, 4), 1.0, np.zeros((2, 4, 4)))
+    rules = [abstract_descent.ExactLineRule(sc._StokesLine(p), sc.lift_sA(p), cg=True),
+             abstract_descent.ExactLineRule(sn._SteadyLine(ps), sn.SteadyState.zeros(ps.grid),
+                                            cg=True)]
+    for rule in rules:
+        rule.measure([])
+        for name in ("parts", "scratch", "reform", "inner_v", "inner_q"):
+            assert not hasattr(rule.line, name), (type(rule.line).__name__, name)
+        for name in ("_pairing", "energy", "fields", "pairings", "gdual"):
+            assert not hasattr(rule, name), name
 
 
 def test_benchmark_tracer_targets_resolve():

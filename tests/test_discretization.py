@@ -469,22 +469,6 @@ class TestTimeBasis:
                 assert mode_denominators(g, fixed, rule) is got
 
 
-def dense_a0_gram(g):
-    """Independent dense assembly of the A0 velocity Gram (all levels)."""
-    import scipy.linalg as sla
-
-    def lap1d(n, h):
-        return (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-                - np.diag(np.ones(n - 1), -1)) / h**2
-
-    L = np.kron(lap1d(g.ny, g.hy), np.eye(g.nx)) + np.kron(np.eye(g.ny), lap1d(g.nx, g.hx))
-    K = oracles._time_ops(g)[0]
-    W = np.diag(g.time_weights())
-    N = g.n_space
-    area = g.hx * g.hy
-    return area * (np.kron(W, np.eye(N) + L) + np.kron(K, sla.inv(L)))
-
-
 class TestA0Metric:
     def test_zero_directions(self):
         g = SpaceTimeGrid(4, 4, 4)
@@ -502,7 +486,7 @@ class TestA0Metric:
 
     def test_dense_gram_agreement(self):
         g = SpaceTimeGrid(4, 4, 4)
-        M = dense_a0_gram(g)
+        M = oracles.dense_a0_gram(g)
         rng = np.random.default_rng(13)
         for _ in range(5):
             u1 = Triplet.zeros(g)
@@ -528,7 +512,7 @@ class TestA0Metric:
     @pytest.mark.parametrize("fixed", ["both", "initial"])
     def test_velocity_riesz_solves_dense_system(self, fixed):
         g = SpaceTimeGrid(4, 4, 4)
-        M = dense_a0_gram(g)
+        M = oracles.dense_a0_gram(g)
         sl = level_slice(g, fixed)
         N = g.n_space
         idx = np.concatenate(

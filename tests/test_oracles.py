@@ -292,7 +292,7 @@ class TestFdCheck:
         from lsqctrl.steady_nse import gradient_steady
         from lsqctrl.discretization import h1_seminorm_sq, space_inner
 
-        ybar, pibar, _ = gradient_steady(p, s)
+        ybar, pibar, _, _ = gradient_steady(p, s)
         dY = rng.standard_normal((2, g.ny, g.nx))
         dPi = rng.standard_normal((g.ny, g.nx))
         dPi -= dPi.mean()

@@ -199,7 +199,7 @@ class TestGradientSteady:
     def test_stationary_zero_state(self):
         g = SpatialGrid(6, 6)
         p = SteadyProblem(g, 1.0, np.zeros((2, g.ny, g.nx)))
-        ybar, pibar, _ = gradient_steady(p, SteadyState.zeros(g))
+        ybar, pibar, _, _ = gradient_steady(p, SteadyState.zeros(g))
         assert np.abs(ybar).max() == 0.0 and np.abs(pibar).max() == 0.0
 
     def test_fd_ladder(self):
@@ -210,7 +210,7 @@ class TestGradientSteady:
         p = small_data_problem(g, amp=1.0)
         s = SteadyState(g, 0.4 * rng.standard_normal((2, g.ny, g.nx)),
                         rng.standard_normal((g.ny, g.nx)))
-        ybar, pibar, _ = gradient_steady(p, s)
+        ybar, pibar, _, _ = gradient_steady(p, s)
         dY = rng.standard_normal((2, g.ny, g.nx))
         dPi = rng.standard_normal((g.ny, g.nx))
         dPi -= dPi.mean()
@@ -240,7 +240,7 @@ class TestGradientSteady:
         p = SteadyProblem(g, 1.0, f)
         s = SteadyState(g, y, piv)
         v, _ = corrector_steady(p, s)
-        ybar, pibar, _ = gradient_steady(p, s, v)
+        ybar, pibar, _, _ = gradient_steady(p, s, v)
         L, Dx, Dy, Gx, Gy = _space_ops(g)
         n = g.n_space
         # dense first-variation vector in the y block
@@ -336,18 +336,19 @@ def random_line(kit, direction, seed=7):
     """An exact-line rule at a random state after it has chosen its step
     along the metric gradient ('steepest'), the CG direction of the third
     iterate ('cg') or a random one ('random').  Returns the rule (its
-    state not yet stepped, its direction rule.dir), the record with the
-    step and copies of the fields at the state."""
+    state not yet stepped, its direction rule.dir, its line's fields
+    stepped), the record with the step and copies of the fields at the
+    state."""
     rng = np.random.default_rng(seed)
     rule = ExactLineRule(kit.line, kit.state(rng), cg=direction == "cg")
     steps = 1 if direction == "random" else 3
     for k in range(steps):
         record = rule.measure([])
-        fields = [f.copy() for f in rule.fields]
+        fields = [f.copy() for f in kit.line.fields]
         if direction == "random":
             d = kit.direction(rng)
             # pointed downhill: E'(0) = c1 < 0
-            sign = -np.sign(kit.line.line(rule.state, rule.fields, d)[0][0])
+            sign = -np.sign(kit.line.line(rule.state, d)[0])
             rule.g = [sign * a for a in d]
         assert rule.choose(record) is None
         if k < steps - 1:
@@ -356,10 +357,16 @@ def random_line(kit, direction, seed=7):
 
 
 def line_polynomial(rule, record, fields):
-    """Coefficients c0..c4 of E along rule.state - eta rule.dir, and the
-    line's field increments."""
-    coef, incs = rule.line.line(rule.state, fields, rule.dir)
-    return np.array([record["E"], *coef]), incs
+    """Coefficients c0..c4 of E along rule.state - eta rule.dir, built by
+    the line from the given fields at the state (its own have taken the
+    step); the line keeps its own fields."""
+    line = rule.line
+    stepped, line.fields = line.fields, fields
+    try:
+        coef = line.line(rule.state, rule.dir)
+    finally:
+        line.fields = stepped
+    return np.array([record["E"], *coef])
 
 
 class TestExactStep:
@@ -371,7 +378,7 @@ class TestExactStep:
     def test_polynomial_matches_energy(self, kind, direction):
         kit = KITS[kind]()
         rule, record, fields = random_line(kit, direction)
-        coef, _ = line_polynomial(rule, record, fields)
+        coef = line_polynomial(rule, record, fields)
         eta_star = _quartic_argmin(coef)
         assert eta_star > 0
         for eta in eta_star * np.array([0.0, 0.3, 1.0, 1.7, 3.2]):
@@ -383,7 +390,7 @@ class TestExactStep:
         kit = KITS[kind]()
         rule, record, _ = random_line(kit, direction)
         rule.advance(record)
-        v, rhs = rule.fields[:2]
+        v, rhs = rule.line.fields[:2]
         fresh_v, fresh_rhs = kit.corrector(rule.state)
         assert kit.norm(v - fresh_v) <= 1e-12 * kit.norm(fresh_v)
         assert np.linalg.norm(rhs - fresh_rhs) <= 1e-12 * np.linalg.norm(fresh_rhs)
@@ -401,15 +408,46 @@ class TestExactStep:
         assert e_star <= min(scan)
         assert e_star < scan[0]
 
+    @pytest.mark.parametrize("kind", KITS)
+    def test_rule_holds_no_array_but_directions_and_gradients(self, kind):
+        # every array of a line is its builder's: beside the direction and
+        # the gradients it combines, the CG rule keeps scalars only, at
+        # every stage of an iterate
+        kit = KITS[kind]()
+        rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
+
+        def holds_array(x):
+            return isinstance(x, np.ndarray) or (
+                isinstance(x, (list, tuple)) and any(map(holds_array, x)))
+
+        def arrays_held():
+            return [name for name, x in vars(rule).items()
+                    if name not in ("dir", "g", "gprev") and holds_array(x)]
+
+        history = []
+        for _ in range(4):
+            record = rule.measure(history)
+            history.append(record)
+            assert arrays_held() == []
+            assert rule.choose(record) is None
+            assert arrays_held() == []
+            rule.advance(record)
+            assert arrays_held() == []
+        # the rule did combine directions: a kept direction, and on the
+        # steady line the gradient for the next PR+ pairing
+        assert holds_array(rule.dir)
+        assert holds_array(rule.gprev) == (kind == "steady")
+
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_gram_entries_are_the_h1_pairings(self, direction):
         # h1_pairing(a, P(r)) = space_inner(a, r): the Gram product of the
         # line's fields with their right-hand sides holds their pairings
         rule, record, fields = random_line(SteadyKit(), direction)
-        (v, rhs), (sols, rhss, *_) = fields[:2], line_polynomial(rule, record, fields)[1]
-        g = rule.state.grid
-        V = [v, *sols]
-        G = steady_nse._gram(np.stack(V), np.stack([rhs, *rhss]), g)
+        line_polynomial(rule, record, fields)
+        # the stacked [v, Vd, v2] and [rhs, bd, cdd] of the line at the state
+        V, g = rule.line.sols, rule.state.grid
+        assert np.array_equal(V[0], fields[0]) and np.array_equal(rule.line.rhss[0], fields[1])
+        G = steady_nse._gram(V, rule.line.rhss, g)
         for i in range(3):
             for j in range(3):
                 assert G[i, j] == pytest.approx(h1_pairing(V[i], V[j], g), rel=1e-12), (i, j)
@@ -419,7 +457,7 @@ class TestExactStep:
         kit = SteadyKit()
         rule, record, _ = random_line(kit, direction)
         rule.advance(record)
-        carried = rule.fields[1]
+        carried = rule.line.fields[1]
         fresh = -steady_nse._momentum_residual(kit.p, rule.state)
         assert np.linalg.norm(carried - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
@@ -437,8 +475,7 @@ class TestExactStep:
     def test_gradient_rhs_carries_the_pairings(self, problem):
         rule, _, (v, rhs, *_) = random_line(SteadyKit(), "random")
         s, g = rule.state, problem.grid
-        ybar, _, info = gradient_steady(problem, s, v)
-        r = info["rhs"]
+        ybar, _, r, _ = gradient_steady(problem, s, v)
         a = np.random.default_rng(3).standard_normal(ybar.shape)
         assert space_inner(a, r, g) == pytest.approx(h1_pairing(a, ybar, g), rel=1e-12)
         assert space_inner(v, rhs, g) == pytest.approx(h1_seminorm_sq(v, g), rel=1e-12)
@@ -474,7 +511,9 @@ class TestExactStep:
         g = problem.grid
         rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
         record = rule.measure([])
-        (ybar, pibar), gn_sq, (r, _) = rule.g, rule.gn_sq, rule.gdual
+        (ybar, pibar), gn_sq = rule.g, rule.gn_sq
+        v, _, q = kit.line.fields
+        r = gradient_steady(problem, rule.state, v, q)[2]  # the gradient's right-hand side
         # a zero previous gradient of norm gn_sq makes beta exactly 1
         rule.gprev = [np.zeros_like(ybar), np.zeros_like(pibar)]
         rule.gn_sq_prev = rule.pn_sq_prev = gn_sq
@@ -499,11 +538,11 @@ class TestExactStep:
         kit = SteadyKit()
         rule = ExactLineRule(kit.line, kit.state(np.random.default_rng(7)), cg=True)
         record = rule.measure([])
-        fields = [f.copy() for f in rule.fields]
+        fields = [f.copy() for f in kit.line.fields]
         assert rule.choose(record) is None
-        coef, _ = line_polynomial(rule, record, fields)
+        coef = line_polynomial(rule, record, fields)
         assert record["step"] == _quartic_argmin(coef)
-        (v, rhs, q), e = rule.fields, rule.e
+        (v, rhs, q), e = kit.line.fields, rule.e
         rule.advance(record)
         trial = rule.state
         fresh = -steady_nse._momentum_residual(problem, trial)
@@ -517,7 +556,8 @@ class TestExactStep:
         assert np.array_equal(q, div_part(trial.y, trial.pi, g, problem.epsilon))
         following = rule.measure([record])
         assert following["div_norm"] == np.sqrt(space_inner(dv, dv, g))
-        assert following["E"] == e == energy_steady(problem, trial, v, rhs) < record["E"]
+        assert following["E"] == e == 0.5 * (
+            space_inner(v, rhs, g) + space_inner(q, q, g)) < record["E"]
 
     def test_one_corrector_solve_per_run(self, problem, monkeypatch):
         counts = {"corrector_steady": 0, "poisson_solve": 0}

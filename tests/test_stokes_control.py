@@ -610,11 +610,12 @@ class TestRecycledFields:
                                                ("direct", 0.0)])
     def test_poisoned_out_arrays_leave_the_run_bit_identical(self, monkeypatch, mode, epsilon):
         # NaN in the whole workspace as the line allocates it, in W before
-        # each use, in the triplet each gradient is written into, and in
-        # every storage triplet but the direction before each line: the
-        # fixed-trace levels, the frozen control of direct mode and the
-        # pressure means must all be overwritten, and nothing read that a
-        # call before wrote, or the run would differ from an unpoisoned one
+        # each use (the step's product too), in the triplet each gradient
+        # is written into, and in every storage triplet but the direction
+        # before each line: the fixed-trace levels, the frozen control of
+        # direct mode and the pressure means must all be overwritten, and
+        # nothing read that a call before wrote, or the run would differ
+        # from an unpoisoned one
         g = SpaceTimeGrid(8, 8, 8)
         s0 = None
         if mode == "direct":
@@ -634,35 +635,41 @@ class TestRecycledFields:
 
         def init(line, p):
             original["__init__"](line, p)
-            poison(line.W, *line.carried, *(a for t in line.store for a in t))
+            poison(line.W, *line.fields, *(a for t in line.store for a in t))
 
-        def measure(line, s, fields, pairings):
+        def measure(line, s):
             calls["measure"] += 1
             poison(line.W, *line.spent)
-            return original["measure"](line, s, fields, pairings)
+            return original["measure"](line, s)
 
         def refresh(line, s):
             calls["refresh"] += 1
             poison(line.W)
             return original["refresh"](line, s)
 
-        def line_(line, s, fields, d):
+        def line_(line, s, d):
             calls["line"] += 1
             poison(line.W, *(a for t in line.store if t[0] is not d[0] for a in t))
-            return original["line"](line, s, fields, d)
+            return original["line"](line, s, d)
+
+        def advance(line, s, d, eta):
+            calls["advance"] += 1
+            poison(line.W)
+            return original["advance"](line, s, d, eta)
 
         original = {name: getattr(line_cls, name) for name in ("__init__", "measure",
-                                                               "refresh", "line")}
+                                                               "refresh", "line", "advance")}
         for algorithm in ("cg", "steepest"):
             cfg = sc.SolveConfig(max_iter=40, refresh_every=10, algorithm=algorithm)
             s_ref, rep_ref = sc.descend(p, cfg, s_init=s0)
             with monkeypatch.context() as m:
                 for name, method in (("__init__", init), ("measure", measure),
-                                     ("refresh", refresh), ("line", line_)):
+                                     ("refresh", refresh), ("line", line_),
+                                     ("advance", advance)):
                     m.setattr(line_cls, name, method)
                 calls.clear()
                 s, rep = sc.descend(p, cfg, s_init=s0)
-            assert calls == {"measure": 41, "refresh": 4, "line": 40}, algorithm
+            assert calls == {"measure": 41, "refresh": 4, "line": 40, "advance": 40}, algorithm
             assert_same_report(rep_ref, rep)
             for name in ("y", "pi", "f"):
                 assert np.array_equal(getattr(s_ref, name), getattr(s, name)), (algorithm, name)
