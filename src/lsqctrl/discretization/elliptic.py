@@ -78,19 +78,22 @@ def sine_eigenvalues(grid: SpaceTimeGrid):
     return out
 
 
-def poisson_solve(grid, rhs, out=None):
+def poisson_solve(grid, rhs, out=None, work=None):
     """Solve -lap g = rhs with homogeneous Dirichlet walls.
 
     Works on slices, space-time arrays and vector fields alike (the
     trailing two axes are spatial).  The discrete 5-point system is
     solved exactly, so the residual is at roundoff level.  out, if
-    given, receives g (see sine_transform).
+    given, receives g, and work, if given, the transforms' products
+    along x: arrays shaped like rhs (see sine_transform).  out may be
+    rhs itself; work must be neither.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
         raise ValueError("poisson_solve: rhs contains non-finite values")
-    lam = sine_eigenvalues(grid)
-    return sine_transform(sine_transform(rhs) / lam, out=out)
+    g = sine_transform(rhs, out=out, work=work)
+    g /= sine_eigenvalues(grid)
+    return sine_transform(g, out=g, work=work)
 
 
 def level_slice(grid, fixed):

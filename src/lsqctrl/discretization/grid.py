@@ -150,7 +150,10 @@ class SupportMask:
             raise ValueError("time window needs both t0 and t1")
         if self.t0 is not None and not (0.0 <= self.t0 < self.t1 <= grid.T_final):
             raise ValueError("time window must be inside [0, T]")
-        if not self.indicator(grid).any():
+        # the support is the rectangle's nodes at the window's levels, so
+        # it is empty if either is: the (nt+1)-level indicator is not built
+        if not (self.spatial_indicator(grid).any()
+                and (self.t0 is None or self._time_indicator(grid).any())):
             raise ValueError("support contains no space-time grid node")
 
     def spatial_indicator(self, grid: SpaceTimeGrid):
@@ -167,10 +170,13 @@ class SupportMask:
         space = self.spatial_indicator(grid)[None, None]
         if self.t0 is None:
             return space
+        return self._time_indicator(grid)[:, None, None, None] * space
+
+    def _time_indicator(self, grid: SpaceTimeGrid):
+        """(nt+1,) 0/1 array over the time levels of the window."""
         tol = 1e-12 * grid.T_final
         ts = grid.ts()
-        w = ((ts >= self.t0 - tol) & (ts <= self.t1 + tol)).astype(float)
-        return w[:, None, None, None] * space
+        return ((ts >= self.t0 - tol) & (ts <= self.t1 + tol)).astype(float)
 
 
 def _check_values(grid, values, components):

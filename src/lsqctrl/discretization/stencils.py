@@ -36,8 +36,10 @@ the integer stencil and the pressure products are scaled in the one pass
 that follows them, so the constants G2 annihilates still map to exact
 zeros.  At scale 1 every result is bit for bit the unscaled one.
 
-``st_inner`` sums the interior time levels and the two end levels as
-three dot products, so a pairing makes no field-sized temporary.
+The pairings are BLAS dot products and make no field-sized temporary:
+``space_inner`` is one ``np.vdot`` over the whole slice, components
+included, and ``st_inner`` sums the interior time levels and the two
+end levels as three.
 
 ``dx``, ``dy``, ``laplace``, ``grad_pressure``, its transpose and
 ``div_part`` take ``out=``, and those that form a second term take
@@ -209,10 +211,11 @@ def grad_pressure_transpose(v, grid, out=None, scale=1.0, work=None):
 # ---------------------------------------------------------------------------
 
 def space_inner(a, b, grid):
-    """Nodal L2(Omega) inner product of two slices (components summed).
-    The array's own sum is np.sum's add.reduce without its Python-level
-    dispatch, which cost a third of the call on a 32x32 slice."""
-    return grid.hx * grid.hy * float((np.asarray(a) * b).sum())
+    """Nodal L2(Omega) inner product of two slices (components summed):
+    one BLAS dot over the flattened arrays, without a product array.
+    The two must hold the same number of values; np.vdot raises
+    otherwise, and does not broadcast."""
+    return grid.hx * grid.hy * float(np.vdot(a, b))
 
 
 def st_inner(a, b, grid):

@@ -137,9 +137,10 @@ class SteadyConfig:
 
 def _flux_divergence(f, grid):
     """dx f[0] + dy f[1] over stacked x- and y-fluxes: one dx and one dy
-    product for every field in the stack."""
+    product for every field in the stack.  The dy product is formed in
+    f[0], spent once dx has read it."""
     c = dx(f[0], grid)
-    c += dy(f[1], grid)
+    c += dy(f[1], grid, out=f[0])
     return c
 
 
@@ -193,39 +194,43 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
         v, _ = corrector_steady(p, s)
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = -grad_pressure_transpose(v, g)
+    pibar = grad_pressure_transpose(v, g, scale=-1.0)
     if p.epsilon:
         pibar += p.epsilon * q
     remove_slice_means(pibar, out=pibar)
 
-    vx, vy = dx(v, g), dy(v, g)  # (dv_i/dx_j): vx[i] is j = x, vy[i] j = y
-    shear = vy[0] + vx[1]
-    sv = np.empty_like(s.y)
-    np.multiply(2 * vx[0], s.y[0], out=sv[0])
-    sv[0] += shear * s.y[1]
-    np.multiply(shear, s.y[0], out=sv[1])
-    sv[1] += 2 * vy[1] * s.y[1]
+    # the strain terms 2 e(v) y, formed in the derivatives' own arrays:
+    # (vxx, vyx) = dv/dx and (vxy, vyy) = dv/dy, vij = dv_i/dx_j
+    (vxx, vyx), (vxy, vyy) = dx(v, g), dy(v, g)
+    shear = np.add(vxy, vyx, out=vxy)
+    vxx *= 2
+    vxx *= s.y[0]
+    vxx += np.multiply(shear, s.y[1], out=vyx)
+    vyy *= 2
+    vyy *= s.y[1]
+    vyy += np.multiply(shear, s.y[0], out=shear)
     r = laplace(v, g)
     r *= p.nu
-    r += sv
-    r[0] -= dx(q, g)
-    r[1] -= dy(q, g)
+    r[0] += vxx
+    r[1] += vyy
+    r[0] -= dx(q, g, out=vyx)
+    r[1] -= dy(q, g, out=shear)
     ybar = poisson_solve(g, r)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, r, max(norm_sq, 0.0)
 
 
-def _line_convection(y, d, grid, out):
+def _line_convection(y, d, grid, out, flux):
     """convection(y, d) + convection(d, y), returned, and convection(d, d),
-    written to out, from one flux divergence of their stacked fluxes."""
-    f = np.empty((2, 4) + y.shape[1:])  # [x, y] fluxes of [cross, dd]
-    for fj, yj, dj in zip(f, y, d):
-        np.multiply(y, dj, out=fj[:2])
-        fj[:2] += d * yj
-        np.multiply(d, dj, out=fj[2:])
-    c = _flux_divergence(f, grid)
-    out[...] = c[2:]
-    return c[:2]
+    written to out, from one flux divergence of their stacked fluxes,
+    formed in flux: (2, 2) + y.shape, the [x, y] fluxes of [cross, dd]."""
+    for (cross, dd), yj, dj in zip(flux, y, d):
+        np.multiply(y, dj, out=cross)
+        cross += d * yj
+        np.multiply(d, dj, out=dd)
+    c = _flux_divergence(flux, grid)
+    out[...] = c[1]
+    return c[0]
 
 
 def _gram(fields, rhss, grid):
@@ -246,12 +251,29 @@ class _SteadyLine:
     sols = [v, Vd, v2] and rhss = [rhs, bd, cdd].  The fields are [v, rhs,
     q]; ``step`` forms q afresh, since carried it would drift by
     roundoff.  The gradient's pairing reads its right-hand side r (ybar =
-    P(r))."""
+    P(r)).
+
+    The line allocates its workspace once, here: the stacks sols and
+    rhss, whose row 0 ``line`` fills from the fields and whose other rows
+    ``step`` scales and spends; the line's fluxes, whose x-fluxes, once
+    spent, are the scratch of its Poisson solve; qd, the direction's q;
+    the next velocity y - eta d, which ``step`` forms for q and
+    ``advance`` copies into the state (the state keeps its own arrays,
+    so no workspace block outlives the run); and W and Ws, a vector and
+    a scalar field of scratch that hold nothing between calls.
+    """
 
     diagnostics = ("residual_norm", "div_norm")
 
     def __init__(self, p):
+        g = p.grid
+        vector, scalar = (2, g.ny, g.nx), (g.ny, g.nx)
         self.p = p
+        # [v, Vd, v2] and [rhs, bd, cdd], each stacked in one array for _gram
+        self.sols, self.rhss = np.empty((2, 3) + vector)
+        self.flux = np.empty((2, 2) + vector)
+        self.qd, self.Ws = np.empty((2,) + scalar)
+        self.W, self.y_next = np.empty((2,) + vector)
 
     def reset(self, s):
         v, rhs = corrector_steady(self.p, s)
@@ -277,17 +299,17 @@ class _SteadyLine:
 
     def line(self, s, d):
         p, g, (v, rhs, q) = self.p, self.p.grid, self.fields
-        # [v, Vd, v2] and [rhs, bd, cdd], each stacked in one array for _gram
-        self.sols, self.rhss = sols, rhss = np.empty((2, 3) + s.y.shape)
+        sols, rhss, W = self.sols, self.rhss, self.W
         sols[0], rhss[0] = v, rhs
         bd, cdd = rhss[1:]
-        cross = _line_convection(s.y, d[0], g, out=cdd)
-        np.multiply(laplace(d[0], g), p.nu, out=bd)
+        cross = _line_convection(s.y, d[0], g, cdd, self.flux)
+        laplace(d[0], g, out=bd, work=W)
+        bd *= p.nu
         bd -= cross
-        bd -= grad_pressure(d[1], g)
-        poisson_solve(g, rhss[1:], out=sols[1:])
+        bd -= grad_pressure(d[1], g, out=W)
+        poisson_solve(g, rhss[1:], out=sols[1:], work=self.flux[0])
         gram = _gram(sols, rhss, g)
-        qd = div_part(d[0], d[1], g, p.epsilon)
+        qd = div_part(d[0], d[1], g, p.epsilon, out=self.qd, work=self.Ws)
         return (-gram[0, 1] - space_inner(q, qd, g),
                 0.5 * (gram[1, 1] + space_inner(qd, qd, g)) - gram[0, 2],
                 gram[1, 2], 0.5 * gram[2, 2])
@@ -299,12 +321,13 @@ class _SteadyLine:
             for k, a in enumerate(incs[1:], 1):
                 a *= eta**k  # in place: the increments are spent after this
                 field -= a
-        del self.sols, self.rhss  # spent: freed before the next line allocates its own
+        y = np.multiply(d[0], eta, out=self.y_next)
+        np.subtract(s.y, y, out=y)
         pi = s.pi - eta * d[1] if self.p.epsilon else None
-        self.fields[2] = div_part(s.y - eta * d[0], pi, self.p.grid, self.p.epsilon)
+        div_part(y, pi, self.p.grid, self.p.epsilon, out=self.fields[2], work=self.Ws)
 
     def advance(self, s, d, eta):
-        s.y -= np.multiply(d[0], eta)
+        np.copyto(s.y, self.y_next)
         s.pi -= np.multiply(d[1], eta)
 
 

@@ -153,3 +153,35 @@ def test_benchmark_tracer_targets_resolve():
             missing.append(f"{module}.{attr}")
     assert len(tracing.SPEC) > 0
     assert missing == []
+
+
+def test_solvers_reach_the_sine_transform_through_its_module(monkeypatch):
+    """The benchmark cuts its timed solves into calibration segments at
+    calls of elliptic.sine_transform, made through the module attribute,
+    and its tracer counts the same calls: a counter set there sees every
+    iterate of a steady and of an unsteady descent."""
+    import numpy as np
+
+    from lsqctrl import steady_nse as sn
+    from lsqctrl import stokes_control as sc
+    from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid, SupportMask, elliptic
+
+    calls = []
+    original = elliptic.sine_transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "sine_transform", counted)
+    gs = SpatialGrid(6, 6)
+    f = 0.1 * np.random.default_rng(0).standard_normal((2, gs.ny, gs.nx))
+    _, steady = sn.descend_steady(sn.SteadyProblem(gs, 1.0, f), sn.SteadyConfig(max_iter=3))
+    steady_calls = len(calls)
+    g = SpaceTimeGrid(4, 4, 4)
+    y0 = np.random.default_rng(1).standard_normal((2, g.ny, g.nx))
+    p = sc.ControlProblem(g, 1.0, y0, SupportMask(0.0, 0.5, 0.0, 1.0))
+    _, unsteady = sc.descend(p, sc.SolveConfig(max_iter=3))
+    assert steady.iterates_count == unsteady.iterates_count == 4
+    assert steady_calls >= steady.iterates_count
+    assert len(calls) - steady_calls >= unsteady.iterates_count

@@ -26,7 +26,7 @@ from lsqctrl.cli import (
     read_raw,
     write_raw,
 )
-from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid
+from lsqctrl.discretization import SpaceTimeGrid, SpatialGrid, SupportMask
 from lsqctrl.oracles import default_steady_case, manufactured_steady
 
 
@@ -324,6 +324,30 @@ class TestRuns:
                      "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
                      "--solver.max_iter=3", "--control.omega=0,0.4,0,1"])
         assert code == 3
+
+    def test_windowed_run_builds_the_support_indicator_once(self, tmp_path, monkeypatch):
+        # the (nt+1)-level indicator is built by the problem alone; the
+        # CLI's and the problem's validate test the rectangle and the
+        # window apart, and still reject either when it holds no node
+        calls = []
+        original = SupportMask.indicator
+
+        def counted(mask, grid):
+            calls.append(mask)
+            return original(mask, grid)
+
+        monkeypatch.setattr(SupportMask, "indicator", counted)
+        code = main(["stokes-control", f"--io.out_dir={tmp_path}",
+                     "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+                     "--solver.max_iter=3", "--control.omega=0,0.4,0,1,0.25,0.75"])
+        assert code == 3
+        assert calls == [SupportMask(0.0, 0.4, 0.0, 1.0, 0.25, 0.75)]
+        g = SpaceTimeGrid(4, 4, 4)
+        for mask in (SupportMask(0.0, 1.0, 0.0, 1.0, 0.3, 0.32),  # between two levels
+                     SupportMask(0.0, 0.01, 0.0, 0.01, 0.25, 0.75)):  # between two nodes
+            with pytest.raises(ValueError, match="no space-time grid node"):
+                mask.validate(g)
+        assert len(calls) == 1
 
     def test_abstract_demo_matches_oracle(self, tmp_path):
         code = main(["abstract-demo", f"--io.out_dir={tmp_path}", "--seed=3",

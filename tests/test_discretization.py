@@ -272,6 +272,39 @@ class TestQuadrature:
             tracemalloc.stop()
         assert peak < a[0].nbytes
 
+    @pytest.mark.parametrize("components", [(), (2,)], ids=["slice", "vector-slice"])
+    def test_space_inner_matches_the_product_sum(self, components):
+        # the dot against the product-then-sum it replaced; positive
+        # fields, so that no cancellation hides the comparison
+        g = SpaceTimeGrid(7, 5, 2, Lx=0.7)
+        a, b = np.random.default_rng(len(components)).uniform(
+            0.5, 1.5, (2, *components, g.ny, g.nx))
+        for x, y in ((a, b), (a, a)):
+            ref = g.hx * g.hy * float((x * y).sum())
+            assert space_inner(x, y, g) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_space_inner_makes_no_field_temporary(self):
+        g = SpaceTimeGrid(32, 32, 2)
+        a, b = np.random.default_rng(0).standard_normal((2, 2, g.ny, g.nx))
+        space_inner(a, b, g)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            space_inner(a, b, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < a[0].nbytes
+
+    def test_space_inner_rejects_inputs_of_different_sizes(self):
+        # a dot does not broadcast: a vector slice against one of its
+        # components is an error, not a pairing
+        g = SpaceTimeGrid(4, 4, 2)
+        v = np.ones((2, g.ny, g.nx))
+        with pytest.raises(ValueError):
+            space_inner(v, v[0], g)
+
 
 class TestPoisson:
     def test_zero_rhs(self):

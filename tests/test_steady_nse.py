@@ -462,11 +462,41 @@ class TestExactStep:
         assert np.linalg.norm(carried - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_advance_moves_the_state_to_the_stepped_point(self, direction):
+        # the velocity the step formed for q is the one advance takes
+        rule, record, _ = random_line(SteadyKit(), direction)
+        s, d, eta = rule.state, rule.dir, record["step"]
+        y, pi = s.y - eta * d[0], s.pi - eta * d[1]
+        rule.advance(record)
+        assert np.array_equal(s.y, y) and np.array_equal(s.pi, pi)
+
+    @pytest.mark.parametrize("cg", [False, True], ids=["steepest", "cg"])
+    def test_line_writes_one_workspace_across_a_run(self, cg):
+        kit = SteadyKit()
+        line = kit.line
+        rule = ExactLineRule(line, kit.state(np.random.default_rng(7)), cg=cg)
+        workspace = (line.sols, line.rhss, line.flux)
+        history = []
+        for _ in range(4):
+            record = rule.measure(history)
+            history.append(record)
+            v, rhs = (f.copy() for f in line.fields[:2])
+            assert rule.choose(record) is None
+            assert all(a is b for a, b in zip((line.sols, line.rhss, line.flux), workspace))
+            # this line's stacks and fluxes are in them: row 0 holds the
+            # fields it was built from, and the y-fluxes of dd are d d_y
+            # (the x-fluxes are spent as the solve's scratch)
+            assert np.array_equal(line.sols[0], v) and np.array_equal(line.rhss[0], rhs)
+            d_y = rule.dir[0]
+            assert np.array_equal(line.flux[1, 1], d_y * d_y[1])
+            rule.advance(record)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_fused_convection_matches_the_oracle(self, direction):
         rule, _, _ = random_line(SteadyKit(), direction)
         s, d_y, g = rule.state, rule.dir[0], rule.state.grid
-        cdd = np.empty_like(d_y)
-        cross = steady_nse._line_convection(s.y, d_y, g, out=cdd)
+        cdd, flux = np.empty_like(d_y), np.empty((2, 2) + d_y.shape)
+        cross = steady_nse._line_convection(s.y, d_y, g, cdd, flux)
         ref_cross = convection(s.y, d_y, g) + convection(d_y, s.y, g)
         ref_cdd = convection(d_y, d_y, g)
         for got, ref in ((cross, ref_cross), (cdd, ref_cdd)):
