@@ -33,8 +33,9 @@ import tempfile
 from pathlib import Path
 
 # the four reference runs, then runs that reach the epsilon terms, a
-# time-windowed support, field snapshots, steady steepest descent and a
-# non-cubic grid
+# time-windowed support, field snapshots, steady steepest descent, a
+# non-cubic grid and the 64^3 workspace (the benchmark's cli-control64
+# run at seed 0: 4 iterates)
 RUNS = {
     "control16-cg": ["stokes-control", "--grid.nx=16", "--grid.ny=16", "--grid.nt=16",
                      "--physics.nu=1.0", "--control.omega=0.0,0.3333,0.0,1.0",
@@ -61,6 +62,10 @@ RUNS = {
     "control-24x20x18-cg": ["stokes-control", "--grid.nx=24", "--grid.ny=20", "--grid.nt=18",
                             "--solver.algorithm=cg", "--solver.tol_energy_rel=1e-3",
                             "--solver.max_iter=400"],
+    "control64-cg": ["stokes-control", "--grid.nx=64", "--grid.ny=64", "--grid.nt=64",
+                     f"--control.omega=0,{1 / 3!r},0,1", "--solver.algorithm=cg",
+                     "--solver.tol_energy_rel=1e-3", "--solver.max_iter=200",
+                     "--io.dump_every=0", "--problem.amplitude=1.0"],
 }
 
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

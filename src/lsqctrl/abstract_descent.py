@@ -396,17 +396,19 @@ class ExactLineRule:
       the state first and forms them;
     * ``energy()`` gives E of the fields and keeps both terms of 2E for
       the diagnostics;
-    * ``measure(state)`` gives the Riesz gradient (ordered as the
-      state's y, pi and, if unsteady, f), its pairing ``pair(x) = <g,
-      x>`` or None, its squared norm and the values of the keys named in
+    * ``measure(state)`` gives the Riesz gradient as a list of arrays
+      (the steady [ybar, pibar], or the one buffer that holds the
+      unsteady (y, pi, f)), its pairing ``pair(x) = <g, x>`` or None,
+      its squared norm and the values of the keys named in
       ``diagnostics``;
     * ``line(state, d)`` gives c1..c4 of E(eta) - E(0) along state - eta
       d and keeps the fields' increments; ``step(state, d, eta)`` moves
       the fields to state - eta d, spending them;
     * ``advance(state, d, eta)`` moves the state to state - eta d.
 
-    The rule writes one array, the direction: it builds it in place in
-    its last direction, or takes the gradient's arrays as the direction.
+    The rule writes one list of arrays, the direction: it builds it in
+    place in its last direction, one pass per array, or takes the
+    gradient's arrays as the direction.
     It drops the gradient unless a later PR+ pairing reads it (it has a
     pairing); the line may write into what the rule no longer holds.
 
@@ -441,7 +443,7 @@ class ExactLineRule:
             raise DescentDivergence(
                 f"energy increased at iteration {it}: {history[-1]['E']} -> {e}")
         self.g, self.pair, self.gn_sq, diagnostics = self.line.measure(self.state)
-        return {"E": e, "grad_norm": np.sqrt(self.gn_sq), **diagnostics}
+        return {"E": e, "grad_norm": math.sqrt(self.gn_sq), **diagnostics}
 
     def _direction(self):
         """The direction, built in place in the last one, and its squared
@@ -472,7 +474,7 @@ class ExactLineRule:
             raise ValueError("exact step: non-finite energy polynomial")
         if self.kernel_ratios:
             td_sq = max(2.0 * coef[2], 0.0)
-            ratio = record["kernel_ratio"] = np.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
+            ratio = record["kernel_ratio"] = math.sqrt(td_sq / pn_sq) if pn_sq > 0 else 0.0
             if (self.tol_kernel and ratio <= self.tol_kernel) or td_sq <= 1e-28 * self.gn_sq:
                 return "kernel_stall"
         if d is self.g and not coef[1] < 0:

@@ -188,6 +188,16 @@ def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
     return out
 
 
+@lru_cache(maxsize=64)
+def _solve_plan(grid, fixed, rule, ndim):
+    """The time basis of a trace constraint and the operator's per-mode
+    denominators, shaped (m, 1, ..., ny, nx) to broadcast over an
+    ndim-dimensional field: what one _st_solve looks up, in one lookup."""
+    denom = mode_denominators(grid, fixed, rule)
+    return time_basis(grid, fixed), denom.reshape(denom.shape[:1] + (1,) * (ndim - 3)
+                                                  + denom.shape[1:])
+
+
 def _st_solve(grid, bvec, rule, fixed, out=None, work=None):
     """Diagonalized solve of a space-time operator on the given levels.
 
@@ -199,17 +209,19 @@ def _st_solve(grid, bvec, rule, fixed, out=None, work=None):
     them for the call: they must be C-contiguous, distinct, and neither
     may be bvec, which is only read.  Both are written before they are
     read, so they may hold anything, such as a field the caller has
-    spent; after the call work holds nothing the caller needs.
+    spent; after the call work holds nothing the caller needs.  The
+    basis and the denominators come from one cached lookup
+    (``_solve_plan``).  The transforms go through ``TimeBasis.to_modes``
+    and ``from_modes``, once each, and the module's ``sine_transform``,
+    twice, so that a wrapper set on any of them sees every solve.
     """
     bvec = np.asarray(bvec, dtype=float)
-    tb = time_basis(grid, fixed)
+    tb, denom = _solve_plan(grid, fixed, rule, bvec.ndim)
     if out is None:
         out = np.empty(bvec.shape)
     chat = tb.to_modes(bvec, out=np.empty(bvec.shape) if work is None else work)
     sine_transform(chat, out=chat, work=out)
-    denom = mode_denominators(grid, fixed, rule)
-    # broadcast the per-mode (ny, nx) denominators across component axes
-    chat /= denom.reshape(denom.shape[:1] + (1,) * (chat.ndim - denom.ndim) + denom.shape[1:])
+    chat /= denom
     return tb.from_modes(sine_transform(chat, out=chat, work=out), out=out)
 
 

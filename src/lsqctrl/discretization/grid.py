@@ -196,7 +196,10 @@ class Triplet:
 
     Used both for admissible states (velocity traces pinned to the data)
     and for descent directions (homogeneous traces); which constraints
-    apply is decided by the solver that owns the triplet.
+    apply is decided by the solver that owns the triplet.  A triplet
+    built by ``empty`` keeps its three parts in one array, ``buffer``,
+    so that a pass over the whole triplet is one numpy call; others have
+    no buffer.
     """
 
     grid: SpaceTimeGrid
@@ -204,10 +207,25 @@ class Triplet:
     pi: np.ndarray
     f: np.ndarray
 
+    buffer = None  # the one C-contiguous array the parts view, if built by empty
+
     def __post_init__(self):
         self.y = _check_values(self.grid, self.y, 2)
         self.pi = _check_values(self.grid, self.pi, 0)
         self.f = _check_values(self.grid, self.f, 2)
+
+    @classmethod
+    def empty(cls, grid):
+        """A triplet whose parts are views of one new C-contiguous float64
+        array, its ``buffer``, laid out as (y, pi, f); the values are not
+        set.  The unsteady solver builds every triplet it owns here."""
+        n = (grid.nt + 1) * grid.ny * grid.nx
+        buf = np.empty(5 * n)
+        vector, scalar = (grid.nt + 1, 2, grid.ny, grid.nx), (grid.nt + 1, grid.ny, grid.nx)
+        t = cls.unchecked(grid, buf[:2 * n].reshape(vector), buf[2 * n:3 * n].reshape(scalar),
+                          buf[3 * n:].reshape(vector))
+        t.buffer = buf
+        return t
 
     @classmethod
     def zeros(cls, grid):
@@ -224,7 +242,13 @@ class Triplet:
         return t
 
     def copy(self):
-        return Triplet(self.grid, self.y.copy(), self.pi.copy(), self.f.copy())
+        """The triplet in one new buffer, its parts checked as in
+        __post_init__ (a part may have been replaced since the build)."""
+        t = Triplet.empty(self.grid)
+        t.y[...] = _check_values(self.grid, self.y, 2)
+        t.pi[...] = _check_values(self.grid, self.pi, 0)
+        t.f[...] = _check_values(self.grid, self.f, 2)
+        return t
 
     def axpy(self, alpha, other):
         """In-place self += alpha * other."""

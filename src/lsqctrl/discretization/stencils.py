@@ -22,11 +22,13 @@ Two flavours of first derivative coexist:
   stencil is second order for smooth interior data and annihilates
   constants, which keeps the zero-mean pressure quotient clean.  Its
   matrix is kept as the integer stencil 2h G and the product is divided
-  by 2h afterwards.  The integer rows sum to zero exactly, so a constant
-  whose multiples by 3 and 4 are exact, such as 1, maps to exact zeros
-  at every spacing (other constants to roundoff, 1.8e-16 for 0.1); the
-  rounded entries -3/(2h), 4/(2h), -1/(2h) would leave up to 1e-14 on
-  the constant 1 at spacings such as h = 0.7/6.
+  by 2h afterwards, both components in one pass by the (2, 1, 1) array
+  [2hx, 2hy] (over scale, see below): the same division per element as
+  one pass per component.  The integer rows sum to zero exactly, so a
+  constant whose multiples by 3 and 4 are exact, such as 1, maps to
+  exact zeros at every spacing (other constants to roundoff, 1.8e-16
+  for 0.1); the rounded entries -3/(2h), 4/(2h), -1/(2h) would leave up
+  to 1e-14 on the constant 1 at spacings such as h = 0.7/6.
 
 ``dx``, ``dy``, ``laplace``, ``grad_pressure`` and its transpose take a
 ``scale`` factor, so a caller that weights the result (the unsteady
@@ -179,17 +181,25 @@ def grad_pressure(s, grid, scale=1.0, out=None):
     One-sided second-order rows next to each wall, centered inside;
     constants are in the kernel (exactly for a constant such as 1, see
     the module docstring).  Each component is the integer product over
-    2h / scale.  Into out, if given (a vector field).
+    2h / scale, divided in one pass for both (``_pressure_divisors``).
+    Into out, if given (a vector field).
     """
     s = np.asarray(s)
     if out is None:
         out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
-    gx, gy = out[..., 0, :, :], out[..., 1, :, :]
-    np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=gx)
-    np.matmul(_operators(grid.ny, grid.hy).G2, s, out=gy)
-    gx /= 2.0 * grid.hx / scale
-    gy /= 2.0 * grid.hy / scale
+    np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=out[..., 0, :, :])
+    np.matmul(_operators(grid.ny, grid.hy).G2, s, out=out[..., 1, :, :])
+    out /= _pressure_divisors(grid.hx, grid.hy, scale)
     return out
+
+
+@lru_cache(maxsize=64)
+def _pressure_divisors(hx, hy, scale):
+    """Read-only (2, 1, 1) array [2hx/scale, 2hy/scale]: grad_pressure's
+    divisors of its two components, applied in one pass."""
+    d = np.array([2.0 * hx / scale, 2.0 * hy / scale]).reshape(2, 1, 1)
+    d.flags.writeable = False
+    return d
 
 
 def grad_pressure_transpose(v, grid, out=None, scale=1.0, work=None):

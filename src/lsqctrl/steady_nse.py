@@ -179,7 +179,7 @@ def energy_steady(p: SteadyProblem, s: SteadyState, v=None):
     return 0.5 * (h1_seminorm_sq(v, p.grid) + space_inner(q, q, p.grid))
 
 
-def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
+def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None, work=None):
     """Riesz gradient of E in H_0^1 x L^2(U).
 
     Pressure component: adjoint divergence of the corrector (+ eps
@@ -187,21 +187,28 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     the assembled first-variation functional, ybar = P(r).  q is div y
     + eps*pi of s, if known.  Returns (ybar, pibar, r, norm_sq): r is the
     solve's right-hand side, so that h1_pairing(a, ybar) = space_inner(a,
-    r), and norm_sq the squared metric norm.
+    r), and norm_sq the squared metric norm.  ybar, pibar and r are new
+    arrays; the scratch products (dx v, dy v, and the work of the
+    Laplacian, the Poisson solve and the pressure's transpose) go to
+    work, a C-contiguous (2, 2) stack of vector slices, if given (the
+    line lends its idle fluxes), else to a new one.
     """
     g = p.grid
     if v is None:
         v, _ = corrector_steady(p, s)
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
-    pibar = grad_pressure_transpose(v, g, scale=-1.0)
+    if work is None:
+        work = np.empty((2, 2) + v.shape)
+    (dxv, dyv), (lap_work, solve_work) = work
+    pibar = grad_pressure_transpose(v, g, scale=-1.0, work=dxv[0])
     if p.epsilon:
-        pibar += p.epsilon * q
+        pibar += np.multiply(q, p.epsilon, out=dxv[0])
     remove_slice_means(pibar, out=pibar)
 
     # the strain terms 2 e(v) y, formed in the derivatives' own arrays:
     # (vxx, vyx) = dv/dx and (vxy, vyy) = dv/dy, vij = dv_i/dx_j
-    (vxx, vyx), (vxy, vyy) = dx(v, g), dy(v, g)
+    (vxx, vyx), (vxy, vyy) = dx(v, g, out=dxv), dy(v, g, out=dyv)
     shear = np.add(vxy, vyx, out=vxy)
     vxx *= 2
     vxx *= s.y[0]
@@ -209,13 +216,13 @@ def gradient_steady(p: SteadyProblem, s: SteadyState, v=None, q=None):
     vyy *= 2
     vyy *= s.y[1]
     vyy += np.multiply(shear, s.y[0], out=shear)
-    r = laplace(v, g)
+    r = laplace(v, g, work=lap_work)
     r *= p.nu
     r[0] += vxx
     r[1] += vyy
     r[0] -= dx(q, g, out=vyx)
     r[1] -= dy(q, g, out=shear)
-    ybar = poisson_solve(g, r)
+    ybar = poisson_solve(g, r, work=solve_work)
     norm_sq = space_inner(ybar, r, g) + space_inner(pibar, pibar, g)
     return ybar, pibar, r, max(norm_sq, 0.0)
 
@@ -289,7 +296,7 @@ class _SteadyLine:
         if p.epsilon:
             dv = q - p.epsilon * s.pi
             div_sq = space_inner(dv, dv, p.grid)
-        ybar, pibar, r, norm_sq = gradient_steady(p, s, v, q)
+        ybar, pibar, r, norm_sq = gradient_steady(p, s, v, q, work=self.flux)
 
         def pair(x):
             return space_inner(r, x[0], p.grid) + space_inner(pibar, x[1], p.grid)

@@ -24,6 +24,7 @@ to the functional.  The dense engine in ``abstract_descent`` retains
 the exact projector so projection semantics stay tested at small scale.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,6 +94,8 @@ class ControlProblem:
             raise ValueError("y0 contains non-finite values")
         self.mask.validate(self.grid)
         self._mask_arr = self.mask.indicator(self.grid)
+        # the weights times hx*hy*ht: 0 or that product, exactly
+        self._weighted_mask = self._mask_arr * (self.grid.hx * self.grid.hy * self.grid.ht)
 
     @property
     def fixed_traces(self):
@@ -188,11 +191,13 @@ def _negated_residual(p: ControlProblem, y, pi, f, include_control=True, out=Non
     B the time pairing (``_dt_matrix``), W the trapezoid weights, L the
     5-point Laplacian and G the pressure gradient.  The sign and the
     weights add no pass over the Laplacian and pressure terms: nu hx hy ht
-    scales L's 1-D matrices, formed per call (``stencils._times``), and
-    the integer pressure products are scaled by -hx hy ht in the one pass
-    after them (so the constants G2 annihilates stay exact zeros).  The
-    trapezoid's end weights are two halvings of the end levels.  Every
-    term is the exact negation of its term in r.  b goes to out, if
+    scales L's 1-D matrices, formed per call (``stencils._times``), the
+    integer pressure products are scaled by -hx hy ht in the one pass
+    after them (so the constants G2 annihilates stay exact zeros), and
+    the support weights carry hx hy ht, folded in once per problem (the
+    weights are 0 or 1, so that is exact).  The trapezoid's end weights
+    are one halving of both end levels.  Every term is the exact
+    negation of its term in r.  b goes to out, if
     given; each term after the first is formed in work, a C-contiguous
     vector field (a new one unless given), before it is added.
     """
@@ -203,11 +208,8 @@ def _negated_residual(p: ControlProblem, y, pi, f, include_control=True, out=Non
     b = laplace(y, grid, scale=p.nu * c, out=out, work=work)
     b += grad_pressure(pi, grid, scale=-c, out=work)
     if include_control:
-        np.multiply(p.mask_array(), f, out=work)
-        work *= c
-        b += work
-    b[0] *= 0.5
-    b[-1] *= 0.5
+        b += np.multiply(p._weighted_mask, f, out=work)
+    b[::grid.nt] *= 0.5
     b -= _dt_weak_vector(y, grid, work)
     return b
 
@@ -238,8 +240,11 @@ def lift_sA(p: ControlProblem) -> Triplet:
         eta = 1.0 - grid.ts() / grid.T_final
     else:
         eta = np.ones(grid.nt + 1)
-    y = eta[:, None, None, None] * p.y0[None]
-    return Triplet.unchecked(grid, y, grid.scalar_zeros(), grid.vector_zeros())
+    s = Triplet.empty(grid)  # built in its buffer: the state exists once
+    np.multiply(eta[:, None, None, None], p.y0[None], out=s.y)
+    s.pi.fill(0.0)
+    s.f.fill(0.0)
+    return s
 
 
 def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work=None):
@@ -249,23 +254,21 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support.  The
     velocity component solves the metric problem with the H^-1 term.  q
-    is div y + eps*pi of s, if known.  out, if given, is a (y, pi, f)
-    tuple of C-contiguous arrays shaped like s's parts that receives the
-    gradient, and work a C-contiguous vector field; each is new unless
-    given.  The velocity's dual is formed in work, and g.pi and g.f hold
-    its terms and the Riesz solve's modes before their own values are
+    is div y + eps*pi of s, if known.  out, if given, is a triplet of
+    C-contiguous arrays that receives the gradient, and work a
+    C-contiguous vector field; each is new unless given.  The velocity's
+    dual is formed in work, and g.f holds its terms (c grad q as one
+    vector field) and the Riesz solve's modes before its own values are
     written.  Every element of out is written, and work before it is
     read, so all may hold anything (the descent passes its line's spent
-    fields and scratch).
+    storage triplet and scratch).
     """
     grid = p.grid
     v = (corr or corrector(p, s)).v
     c = grid.hx * grid.hy * grid.ht
     sl = level_slice(grid, p.fixed_traces)
 
-    if out is None:
-        out = (np.empty(s.y.shape), np.empty(s.pi.shape), np.empty(s.f.shape))
-    g = Triplet.unchecked(grid, *out)
+    g = Triplet.empty(grid) if out is None else out
     rvec = np.empty(v.shape) if work is None else work
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
@@ -273,8 +276,9 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work
     # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q; of the
     # two half-weight end levels only the last, in direct mode, is unknown
     laplace(v, grid, scale=p.nu * c, out=rvec, work=g.f)
-    rvec[:, 0] -= dx(q, grid, scale=c, out=g.pi)
-    rvec[:, 1] -= dy(q, grid, scale=c, out=g.pi)
+    dx(q, grid, scale=c, out=g.f[:, 0])
+    dy(q, grid, scale=c, out=g.f[:, 1])
+    rvec -= g.f
     rvec[-1] *= 0.5
     rvec -= _dt_adjoint_vector(v, grid, g.f)
     g.y[:sl.start] = 0.0  # the fixed traces
@@ -306,31 +310,40 @@ class _StokesLine:
     right-hand side, an assembled dual vector) and q is q - eta qd, so
     E(s - eta d) - E(s) = -eta (v.bd + <q, qd>) + eta^2 (Vd.bd + <qd, qd>) / 2.
 
-    The line allocates the run's workspace once, here: the fields [v,
-    rhs, q], which ``reset`` and ``refresh`` write and ``step`` moves;
-    two storage triplets shaped as (y, pi, f); and one vector field W of
-    scratch, with Ws its first scalar field.  A storage triplet holds a
-    gradient, which the rule may make its direction, or a line's (Vd,
-    qd, bd), which ``step`` scales and spends.  A gradient is written
+    The line allocates the run's workspace once, here, each triplet in
+    one buffer (``Triplet.empty``): the carried fields, which ``reset``
+    and ``refresh`` write and ``step`` moves, laid out as (v, q, rhs) in
+    the buffer ``carried`` and listed as [v, rhs, q] in ``fields``; two
+    storage triplets, shaped as (y, pi, f); and one vector field W of
+    scratch, with Ws its first scalar field.  The state, built by
+    ``descend`` in a buffer of its own, is the fourth triplet.  A
+    gradient or a direction is a storage triplet's buffer, as the list
+    [buffer], so the rule combines two of them in one pass.
+
+    A storage triplet holds a gradient, which the rule may make its
+    direction, or a line's (Vd, qd, bd), laid out as the fields, so that
+    ``step`` scales and spends them in two passes.  A gradient is written
     into the last line's spent triplet.  A line writes into the triplet
     that is not the direction: it is free then, because the rule keeps
     no gradient beside its direction on this line (it gets no pairing),
     and the direction it replaces is no longer read.  So CG runs on its
     direction and one storage triplet, and steepest descent alternates
-    between the two.  W holds nothing between calls: each use writes it
-    before reading it, ``advance``'s product eta * d too.
+    between the two.  ``advance`` forms eta * d in the spent triplet,
+    free once ``step`` has applied it, and subtracts it from the state.
+    W holds nothing between calls: each use writes it before reading it.
     """
 
     diagnostics = ("div_norm", "yT_norm", "f_norm")
 
     def __init__(self, p):
         grid = p.grid
-        vector, scalar = (grid.nt + 1, 2, grid.ny, grid.nx), (grid.nt + 1, grid.ny, grid.nx)
         self.p = p
-        self.W = np.empty(vector)
+        self.W = np.empty((grid.nt + 1, 2, grid.ny, grid.nx))
         self.Ws = _scalar_part(self.W)
-        self.fields = [np.empty(vector), np.empty(vector), np.empty(scalar)]
-        self.store = [(np.empty(vector), np.empty(scalar), np.empty(vector)) for _ in range(2)]
+        carried = Triplet.empty(grid)
+        self.carried = carried.buffer
+        self.fields = [carried.y, carried.f, carried.pi]  # v, rhs, q
+        self.store = (Triplet.empty(grid), Triplet.empty(grid))
         self.spent = self.store[0]  # the triplet the next gradient is written into
         # y(T), once formed: in null-control mode every direction vanishes there
         self.yT_norm = None
@@ -358,29 +371,30 @@ class _StokesLine:
             np.subtract(q, dv, out=dv)
             div_sq = st_inner(dv, dv, grid)
         if self.yT_norm is None or p.mode == "direct":
-            self.yT_norm = np.sqrt(space_inner(s.y[-1], s.y[-1], grid))
-        return [g.y, g.pi, g.f], None, gn_sq, {
-            "div_norm": np.sqrt(div_sq), "yT_norm": self.yT_norm,
-            "f_norm": np.sqrt(st_inner(s.f, s.f, grid))}
+            self.yT_norm = math.sqrt(space_inner(s.y[-1], s.y[-1], grid))
+        return [g.buffer], None, gn_sq, {
+            "div_norm": math.sqrt(div_sq), "yT_norm": self.yT_norm,
+            "f_norm": math.sqrt(st_inner(s.f, s.f, grid))}
 
     def line(self, s, d):
         p, grid, (v, _, q) = self.p, self.p.grid, self.fields
-        Vd, qd, bd = self.spent = next(t for t in self.store if t[0] is not d[0])
-        _direction_rhs(p, *d, out=bd, work=self.W)
+        dirn, self.spent = self.store if d[0] is self.store[0].buffer else self.store[::-1]
+        if d[0] is not dirn.buffer:
+            raise ValueError("the direction is not a storage triplet of the line")
+        Vd, qd, bd = self.spent.y, self.spent.pi, self.spent.f
+        _direction_rhs(p, dirn.y, dirn.pi, dirn.f, out=bd, work=self.W)
         spacetime_solve_weak(grid, bd, out=Vd, work=self.W)
-        div_part(d[0], d[1], grid, p.epsilon, out=qd, work=self.Ws)
+        div_part(dirn.y, dirn.pi, grid, p.epsilon, out=qd, work=self.Ws)
         return (-(float(np.vdot(v, bd)) + st_inner(q, qd, grid)),
                 0.5 * (float(np.vdot(Vd, bd)) + st_inner(qd, qd, grid)), 0.0, 0.0)
 
     def step(self, s, d, eta):
-        Vd, qd, bd = self.spent
-        for field, inc in zip(self.fields, (Vd, bd, qd)):
-            inc *= eta  # in place: the increments are spent after this
-            field -= inc
+        inc = self.spent.buffer
+        inc *= eta  # in place: the increments are spent after this
+        self.carried -= inc
 
     def advance(self, s, d, eta):
-        for a, b in zip((s.y, s.pi, s.f), d):
-            a -= np.multiply(b, eta, out=self.W if b.ndim == self.W.ndim else self.Ws)
+        s.buffer -= np.multiply(d[0], eta, out=self.spent.buffer)
 
 
 def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
@@ -399,6 +413,7 @@ def descend(p: ControlProblem, cfg: SolveConfig, s_init: Triplet | None = None,
     ``run_descent``); records carry ``kernel_ratio``, ``div_norm``,
     ``yT_norm`` and ``f_norm``.
     """
+    # the state in one buffer, built there: the lift or the copy is the only one
     s = lift_sA(p) if s_init is None else s_init.copy()
     rule = ExactLineRule(_StokesLine(p), s, cfg.algorithm == "cg", cfg.refresh_every,
                          cfg.tol_kernel)

@@ -153,6 +153,28 @@ class TestStencils:
         with pytest.raises(ValueError, match="shape"):  # one slice is no space-time field
             Triplet(g, z.y[0], z.pi[0], z.f[0])
 
+    def test_empty_lays_the_parts_out_in_one_buffer(self):
+        # (y, pi, f) in this order, as views of one C-contiguous buffer;
+        # copy builds a new one from the parts (a part may have been
+        # replaced since) and checks them as the constructor does
+        g = SpaceTimeGrid(4, 3, 2)
+        t = Triplet.empty(g)
+        n = (g.nt + 1) * g.ny * g.nx
+        assert t.buffer.shape == (5 * n,) and t.buffer.flags.c_contiguous
+        t.buffer[:] = np.arange(5 * n)
+        for part, start in ((t.y, 0), (t.pi, 2 * n), (t.f, 3 * n)):
+            assert part.flags.c_contiguous and np.shares_memory(part, t.buffer)
+            assert np.array_equal(part.ravel(), np.arange(start, start + part.size))
+        assert Triplet(g, t.y, t.pi, t.f).buffer is None
+        t.f = np.full(t.f.shape, 7.0)
+        c = t.copy()
+        assert not np.shares_memory(c.buffer, t.buffer)
+        assert all(np.shares_memory(a, c.buffer) for a in (c.y, c.pi, c.f))
+        assert np.array_equal(c.buffer[:3 * n], t.buffer[:3 * n]) and (c.f == 7.0).all()
+        t.pi[0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            t.copy()
+
     def test_h1_pairings_match_padded_diff_formulas(self):
         # the edge differences are built without a padded copy, and a
         # field paired with itself is differenced once: same bits as the

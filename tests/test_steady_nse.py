@@ -307,8 +307,12 @@ class StokesKit:
         return perturbed_state(self.p, rng)
 
     def direction(self, rng):
+        # a direction of the line is one of its storage triplets' buffers:
+        # here the one the gradient just measured is not in
         d = random_direction(self.p, rng)
-        return [d.y, d.pi, d.f]
+        t = next(t for t in self.line.store if t is not self.line.spent)
+        t.y[...], t.pi[...], t.f[...] = d.y, d.pi, d.f
+        return [t.buffer]
 
     def energy(self, s):
         return energy(self.p, s)
@@ -322,7 +326,9 @@ class StokesKit:
 
     @staticmethod
     def along(s, d, eta):
-        return Triplet(s.grid, s.y - eta * d[0], s.pi - eta * d[1], s.f - eta * d[2])
+        t = Triplet.empty(s.grid)
+        np.subtract(s.buffer, eta * d[0], out=t.buffer)
+        return t
 
 
 KITS = {"steady": SteadyKit, "unsteady": StokesKit}
@@ -349,7 +355,9 @@ def random_line(kit, direction, seed=7):
             d = kit.direction(rng)
             # pointed downhill: E'(0) = c1 < 0
             sign = -np.sign(kit.line.line(rule.state, d)[0])
-            rule.g = [sign * a for a in d]
+            for a in d:
+                a *= sign  # in place: an unsteady direction stays in its storage
+            rule.g = d
         assert rule.choose(record) is None
         if k < steps - 1:
             rule.advance(record)

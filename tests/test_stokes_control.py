@@ -609,13 +609,14 @@ class TestRecycledFields:
     @pytest.mark.parametrize("mode, epsilon", [("null_control", 0.0), ("null_control", 0.01),
                                                ("direct", 0.0)])
     def test_poisoned_out_arrays_leave_the_run_bit_identical(self, monkeypatch, mode, epsilon):
-        # NaN in the whole workspace as the line allocates it, in W before
-        # each use (the step's product too), in the triplet each gradient
-        # is written into, and in every storage triplet but the direction
-        # before each line: the fixed-trace levels, the frozen control of
-        # direct mode and the pressure means must all be overwritten, and
-        # nothing read that a call before wrote, or the run would differ
-        # from an unpoisoned one
+        # NaN in the whole workspace as the line allocates it (each
+        # triplet's buffer whole), in W before each use, in the triplet each
+        # gradient is written into, in every storage triplet but the
+        # direction before each line, and in the spent one before each
+        # advance, which forms the step's product there: the fixed-trace
+        # levels, the frozen control of direct mode and the pressure means
+        # must all be overwritten, and nothing read that a call before
+        # wrote, or the run would differ from an unpoisoned one
         g = SpaceTimeGrid(8, 8, 8)
         s0 = None
         if mode == "direct":
@@ -635,11 +636,11 @@ class TestRecycledFields:
 
         def init(line, p):
             original["__init__"](line, p)
-            poison(line.W, *line.fields, *(a for t in line.store for a in t))
+            poison(line.W, line.carried, *(t.buffer for t in line.store))
 
         def measure(line, s):
             calls["measure"] += 1
-            poison(line.W, *line.spent)
+            poison(line.W, line.spent.buffer)
             return original["measure"](line, s)
 
         def refresh(line, s):
@@ -649,12 +650,12 @@ class TestRecycledFields:
 
         def line_(line, s, d):
             calls["line"] += 1
-            poison(line.W, *(a for t in line.store if t[0] is not d[0] for a in t))
+            poison(line.W, *(t.buffer for t in line.store if t.buffer is not d[0]))
             return original["line"](line, s, d)
 
         def advance(line, s, d, eta):
             calls["advance"] += 1
-            poison(line.W)
+            poison(line.W, line.spent.buffer)
             return original["advance"](line, s, d, eta)
 
         original = {name: getattr(line_cls, name) for name in ("__init__", "measure",
@@ -740,6 +741,85 @@ class TestRecycledFields:
         assert max(rises[1:]) < scalar
 
 
+class TestOneBufferPerTriplet:
+    """The state, the carried fields and the two storage triplets are each
+    one C-contiguous array, with their parts as views of it, so that a
+    pass over a triplet is one numpy call."""
+
+    @staticmethod
+    def assert_one_buffer(buffer, parts):
+        assert buffer.ndim == 1 and buffer.flags.c_contiguous and buffer.dtype == np.float64
+        assert sum(a.size for a in parts) == buffer.size
+        offset = 0
+        for a in parts:  # in this order, each one block of the buffer
+            assert a.flags.c_contiguous and np.shares_memory(a, buffer)
+            assert np.shares_memory(a, buffer[offset:offset + a.size])
+            assert not np.shares_memory(a, buffer[offset + a.size:])
+            offset += a.size
+
+    @pytest.mark.parametrize("algorithm", ["cg", "steepest"])
+    def test_state_and_line_buffers(self, algorithm):
+        p = small_problem()
+        s = sc.lift_sA(p)
+        self.assert_one_buffer(s.buffer, (s.y, s.pi, s.f))
+        c = s.copy()
+        self.assert_one_buffer(c.buffer, (c.y, c.pi, c.f))
+        assert not np.shares_memory(c.buffer, s.buffer)
+        line = sc._StokesLine(p)
+        rule = ExactLineRule(line, s, cg=algorithm == "cg")
+        history = []
+        for _ in range(4):
+            record = rule.measure(history)
+            history.append(record)
+            assert rule.choose(record) is None
+            # the direction is a storage triplet's buffer, and the spent
+            # triplet the other one
+            (d,) = rule.dir
+            assert d is not line.spent.buffer and any(d is t.buffer for t in line.store)
+            rule.advance(record)
+            assert rule.state is s
+            self.assert_one_buffer(s.buffer, (s.y, s.pi, s.f))
+            # the fields laid out as the increments (Vd, qd, bd)
+            v, rhs, q = line.fields
+            self.assert_one_buffer(line.carried, (v, q, rhs))
+            for t in line.store:
+                self.assert_one_buffer(t.buffer, (t.y, t.pi, t.f))
+        buffers = [s.buffer, line.carried, line.W, *(t.buffer for t in line.store)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
+                       for b in buffers[i + 1:])
+
+
+class TestSolveCalls:
+    def test_two_space_time_solves_per_iterate_through_the_hooks(self, monkeypatch):
+        # The benchmark's tracer wraps TimeBasis.to_modes/from_modes on the
+        # class and cuts its timed solves at calls of the module attribute
+        # elliptic.sine_transform: at control16's size every iterate makes
+        # two solves (the Riesz gradient, and the line's corrector or, at
+        # the start, the state's), each one to_modes, one from_modes and
+        # two sine_transform calls, all seen there
+        from lsqctrl.discretization import elliptic
+
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(elliptic, "sine_transform",
+                            counted("sine_transform", elliptic.sine_transform))
+        for name in ("to_modes", "from_modes"):
+            monkeypatch.setattr(elliptic.TimeBasis, name,
+                                counted(name, getattr(elliptic.TimeBasis, name)))
+        g = SpaceTimeGrid(16, 16, 16)
+        p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0))
+        _, rep = sc.descend(p, sc.SolveConfig(max_iter=20, refresh_every=0, algorithm="cg"))
+        n = rep.iterates_count
+        assert n == 21 and rep.reason == "max_iter"
+        assert calls == {"to_modes": 2 * n, "from_modes": 2 * n, "sine_transform": 4 * n}
+
+
 class TestQuadraticLine:
     def test_exact_search_keeps_successive_gradients_orthogonal(self):
         # On the quadratic E exact-search CG keeps <g_k, g_{k-1}>_A0 = 0,
@@ -751,7 +831,10 @@ class TestQuadraticLine:
         for _ in range(30):
             record = rule.measure(history)
             history.append(record)
-            g = Triplet(p.grid, *(a.copy() for a in rule.g))
+            # the gradient is one buffer, laid out as a triplet's
+            (buffer,) = rule.g
+            g = Triplet.empty(p.grid)
+            np.copyto(g.buffer, buffer)
             gn_sq = rule.gn_sq
             assert inner_a0(g, g) == pytest.approx(gn_sq, rel=1e-10)
             if prev is not None:
