@@ -19,7 +19,10 @@ a run whose ``trace.csv`` differs, the lines that follow its hash line
 give the row counts of both traces and the largest relative difference
 |a - b| / max(|a|, |b|) in each column over the rows both hold, so a
 change at roundoff reads as numbers rather than as a hash mismatch;
-they also say whether ``fields/`` and the exit codes agree.
+they also say whether ``fields/`` and the exit codes agree.  Before
+the runs, a table gives the line count of every module under
+``src/lsqctrl`` in both checkouts and the difference, the lines a
+refactor removed.
 """
 
 import argparse
@@ -127,6 +130,22 @@ def compare_traces(data, other):
     return lines
 
 
+def module_lines(src):
+    """Line count of every module under src/lsqctrl, by its path there."""
+    pkg = src / "src" / "lsqctrl"
+    return {path.relative_to(pkg).as_posix(): len(path.read_bytes().splitlines())
+            for path in pkg.rglob("*.py")}
+
+
+def compare_sizes(here, there):
+    """Lines that give both checkouts' module sizes and the difference."""
+    rows = [(name, here.get(name, 0), there.get(name, 0))
+            for name in sorted(here.keys() | there.keys())]
+    rows.append(("total", sum(here.values()), sum(there.values())))
+    return [f"{'src/lsqctrl':30s} {'here':>6s} {'there':>6s} {'diff':>6s}"] + [
+        f"{name:30s} {a:6d} {b:6d} {a - b:+6d}" for name, a, b in rows]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="root of a checkout of this repository")
@@ -135,6 +154,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     src = args.src.resolve()
     other_src = args.against.resolve() if args.against else None
+    if other_src is not None:
+        print("\n".join(compare_sizes(module_lines(src), module_lines(other_src))), flush=True)
     for name, cli_args in RUNS.items():
         code, trace, fields = run(src, cli_args)
         print(f"{name:30s} exit={code} trace.csv={trace_digest(trace)} fields={fields}",

@@ -356,7 +356,8 @@ def _unsteady(cfg: RunConfig, mode):
     s_init = None
     if exact is not None:
         s_init = sc.lift_sA(problem)
-        s_init.f = exact.f.copy()
+        with _blame("problem.amplitude"):  # the scaled control may overflow where y0 does not
+            s_init.f = exact.f
 
     def solve(observer):
         return sc.descend(problem, scfg, s_init=s_init, observer=observer)

@@ -190,69 +190,61 @@ def _check_values(grid, values, components):
     return arr
 
 
-@dataclass
+_PARTS = {"y": 2, "pi": 0, "f": 2}  # the parts of a triplet and their components
+
+
 class Triplet:
     """A velocity/pressure/control triple on one grid.
 
     Used both for admissible states (velocity traces pinned to the data)
     and for descent directions (homogeneous traces); which constraints
-    apply is decided by the solver that owns the triplet.  A triplet
-    built by ``empty`` keeps its three parts in one array, ``buffer``,
-    so that a pass over the whole triplet is one numpy call; others have
-    no buffer.
+    apply is decided by the solver that owns the triplet.  Every triplet
+    keeps its three parts in one C-contiguous float64 array, ``buffer``,
+    laid out as (y, pi, f), so that a pass over the whole triplet is one
+    numpy call; ``y``, ``pi`` and ``f`` are views of it.  Assigning a
+    part (``t.f = values``) checks the values as the constructor does
+    and copies them into that view.
     """
 
-    grid: SpaceTimeGrid
-    y: np.ndarray
-    pi: np.ndarray
-    f: np.ndarray
+    def __init__(self, grid: SpaceTimeGrid, y, pi, f):
+        self._allocate(grid)
+        self.y, self.pi, self.f = y, pi, f
 
-    buffer = None  # the one C-contiguous array the parts view, if built by empty
-
-    def __post_init__(self):
-        self.y = _check_values(self.grid, self.y, 2)
-        self.pi = _check_values(self.grid, self.pi, 0)
-        self.f = _check_values(self.grid, self.f, 2)
-
-    @classmethod
-    def empty(cls, grid):
-        """A triplet whose parts are views of one new C-contiguous float64
-        array, its ``buffer``, laid out as (y, pi, f); the values are not
-        set.  The unsteady solver builds every triplet it owns here."""
+    def _allocate(self, grid):
         n = (grid.nt + 1) * grid.ny * grid.nx
         buf = np.empty(5 * n)
         vector, scalar = (grid.nt + 1, 2, grid.ny, grid.nx), (grid.nt + 1, grid.ny, grid.nx)
-        t = cls.unchecked(grid, buf[:2 * n].reshape(vector), buf[2 * n:3 * n].reshape(scalar),
-                          buf[3 * n:].reshape(vector))
-        t.buffer = buf
+        # set directly: __setattr__ copies into the parts, which do not exist yet
+        self.__dict__.update(grid=grid, buffer=buf, y=buf[:2 * n].reshape(vector),
+                             pi=buf[2 * n:3 * n].reshape(scalar), f=buf[3 * n:].reshape(vector))
+
+    def __setattr__(self, name, value):
+        if name not in _PARTS:
+            return object.__setattr__(self, name, value)
+        part = self.__dict__[name]
+        if value is not part:  # t.f *= a assigns the view to itself
+            part[...] = _check_values(self.grid, value, _PARTS[name])
+
+    @classmethod
+    def empty(cls, grid):
+        """A triplet in a new buffer whose values are not set.  The
+        unsteady solver builds every triplet it owns here."""
+        t = cls.__new__(cls)
+        t._allocate(grid)
         return t
 
     @classmethod
     def zeros(cls, grid):
         """The zero triplet."""
-        return cls.unchecked(grid, grid.vector_zeros(), grid.scalar_zeros(), grid.vector_zeros())
-
-    @classmethod
-    def unchecked(cls, grid, y, pi, f):
-        """The triplet of these arrays as they are, without the checks of
-        __post_init__: for arrays shaped by construction, whose values
-        may still be written."""
-        t = cls.__new__(cls)
-        t.grid, t.y, t.pi, t.f = grid, y, pi, f
+        t = cls.empty(grid)
+        t.buffer.fill(0.0)
         return t
 
     def copy(self):
-        """The triplet in one new buffer, its parts checked as in
-        __post_init__ (a part may have been replaced since the build)."""
+        """The triplet in a new buffer.  Its values are checked first: a
+        part may have been written in place since it was assigned."""
+        if not np.isfinite(self.buffer).all():
+            raise ValueError("field contains non-finite values")
         t = Triplet.empty(self.grid)
-        t.y[...] = _check_values(self.grid, self.y, 2)
-        t.pi[...] = _check_values(self.grid, self.pi, 0)
-        t.f[...] = _check_values(self.grid, self.f, 2)
+        np.copyto(t.buffer, self.buffer)
         return t
-
-    def axpy(self, alpha, other):
-        """In-place self += alpha * other."""
-        self.y += alpha * other.y
-        self.pi += alpha * other.pi
-        self.f += alpha * other.f
-        return self

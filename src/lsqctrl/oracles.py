@@ -318,7 +318,7 @@ class DenseAssembly:
         g = self.grid
         n = g.n_space
         dy, dpi, _ = self.dims
-        y = x[:dy].reshape(-1, 2, g.ny, g.nx).copy()
+        y = x[:dy].reshape(-1, 2, g.ny, g.nx)
         pic = x[dy : dy + dpi].reshape(-1, n - 1)
         pi = (pic @ self.pressure_basis.T).reshape(-1, g.ny, g.nx)
         f = np.zeros((len(y), 2, n))
@@ -507,19 +507,14 @@ class FdReport:
 def fd_check(functional, point, direction, steps, reference=None):
     """Central-difference ladder of a scalar functional along a direction.
 
-    point/direction support numpy arithmetic (plain arrays or objects
-    with copy/axpy like Triplet).  With a reference derivative the
-    report carries relative errors; otherwise consecutive agreement.
+    point/direction are numpy arrays (a Triplet's ``buffer`` for the
+    unsteady functionals).  With a reference derivative the report
+    carries relative errors; otherwise consecutive agreement.
     """
     steps = np.asarray(list(steps), dtype=float)
     est = []
     for h in steps:
-        if hasattr(point, "axpy"):
-            plus = point.copy().axpy(h, direction)
-            minus = point.copy().axpy(-h, direction)
-        else:
-            plus = point + h * direction
-            minus = point - h * direction
+        plus, minus = point + h * direction, point - h * direction
         est.append((functional(plus) - functional(minus)) / (2 * h))
     est = np.array(est)
     if reference is not None:

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestRuns:
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["l2_error"] <= 0.3
+
+    def test_direct_manufactured_peak_memory(self, tmp_path):
+        # tracemalloc peak of a short manufactured stokes-direct run at 24^3,
+        # in vector fields ((nt+1, 2, ny, nx) float64, 230 kB here): 16.45
+        # with the exact control written into the lift's own f, that is the
+        # manufactured triplet, the lift, the descent's copy of it (2.5
+        # fields each) and the descent's workspace (8.5); 17.45 while the
+        # lift's f was replaced by a copy of the control and so held twice.
+        argv = ["stokes-direct", f"--io.out_dir={tmp_path}", "--grid.nx=24", "--grid.ny=24",
+                "--grid.nt=24", "--problem.manufactured=true", "--solver.algorithm=cg",
+                "--solver.max_iter=4"]
+        main(argv)  # the cached operators and bases are built here, not measured
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak <= 16.95 * SpaceTimeGrid(24, 24, 24).vector_zeros().nbytes
 
     def test_steady_run_schema(self, tmp_path):
         code = main(["steady-nse", f"--io.out_dir={tmp_path}",
@@ -475,6 +498,9 @@ class TestProcessLevel:
          "--problem.amplitude=1e308"],
         ["stokes-direct", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
          "--problem.manufactured=true", "--problem.amplitude=1e308"],
+        # the scaled control overflows where y0 does not
+        ["stokes-direct", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4",
+         "--problem.manufactured=true", "--problem.amplitude=1e307"],
         ["steady-nse", "--problem.manufactured=true", "--problem.amplitude=1e308"],
         # the dense engine has only the exact steepest step
         ["abstract-demo", "--solver.algorithm=cg"],

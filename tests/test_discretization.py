@@ -154,23 +154,40 @@ class TestStencils:
             Triplet(g, z.y[0], z.pi[0], z.f[0])
 
     def test_empty_lays_the_parts_out_in_one_buffer(self):
-        # (y, pi, f) in this order, as views of one C-contiguous buffer;
-        # copy builds a new one from the parts (a part may have been
-        # replaced since) and checks them as the constructor does
+        # (y, pi, f) in this order, as views of one new C-contiguous buffer,
+        # and so does every other way to build a triplet
         g = SpaceTimeGrid(4, 3, 2)
-        t = Triplet.empty(g)
         n = (g.nt + 1) * g.ny * g.nx
-        assert t.buffer.shape == (5 * n,) and t.buffer.flags.c_contiguous
-        t.buffer[:] = np.arange(5 * n)
-        for part, start in ((t.y, 0), (t.pi, 2 * n), (t.f, 3 * n)):
-            assert part.flags.c_contiguous and np.shares_memory(part, t.buffer)
-            assert np.array_equal(part.ravel(), np.arange(start, start + part.size))
-        assert Triplet(g, t.y, t.pi, t.f).buffer is None
-        t.f = np.full(t.f.shape, 7.0)
-        c = t.copy()
-        assert not np.shares_memory(c.buffer, t.buffer)
-        assert all(np.shares_memory(a, c.buffer) for a in (c.y, c.pi, c.f))
-        assert np.array_equal(c.buffer[:3 * n], t.buffer[:3 * n]) and (c.f == 7.0).all()
+        src = Triplet.empty(g)
+        src.buffer[:] = np.arange(5 * n)
+        built, copied = Triplet(g, src.y, src.pi, src.f), src.copy()
+        assert np.array_equal(built.buffer, src.buffer) and np.array_equal(copied.buffer, src.buffer)
+        for t in (Triplet.empty(g), Triplet.zeros(g), built, copied):
+            assert t.buffer.shape == (5 * n,) and t.buffer.flags.c_contiguous
+            assert not np.shares_memory(t.buffer, src.buffer)
+            t.buffer[:] = np.arange(5 * n)
+            for part, start in ((t.y, 0), (t.pi, 2 * n), (t.f, 3 * n)):
+                assert part.flags.c_contiguous and np.shares_memory(part, t.buffer)
+                assert np.array_equal(part.ravel(), np.arange(start, start + part.size))
+
+    def test_part_assignment_copies_checked_values_into_the_buffer(self):
+        g = SpaceTimeGrid(4, 3, 2)
+        t = Triplet.zeros(g)
+        f = t.f
+        values = np.full(f.shape, 7.0)
+        t.f = values
+        assert t.f is f and (t.buffer[-f.size:] == 7.0).all() and not t.buffer[:-f.size].any()
+        values[0] = 1.0  # copied, not kept
+        assert (t.f == 7.0).all()
+        t.f *= 0.5  # in place: the view is assigned to itself
+        assert t.f is f and (t.f == 3.5).all()
+        for bad in (2.0, np.ones((g.ny, g.nx))):  # no broadcast: a part is a whole field
+            with pytest.raises(ValueError, match="shape"):
+                t.pi = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            t.y = np.full(t.y.shape, np.nan)
+        assert not t.y.any() and (t.f == 3.5).all()
+        # a part written in place is checked when the triplet is copied
         t.pi[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             t.copy()
