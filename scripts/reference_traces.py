@@ -1,9 +1,10 @@
 """Hash the reference runs of a source tree, for refactors that must
-keep every run bit-identical.
+keep every run bit-identical, and tell a roundoff-level trace change
+from a real one.
 
 Usage:
 
-    python3 scripts/reference_traces.py SRC_DIR [--against OTHER_SRC]
+    python3 scripts/reference_traces.py SRC_DIR [--against OTHER_SRC [--envelope K]]
 
 SRC_DIR is a checkout of this repository (its ``src`` is put on
 PYTHONPATH).  Each config is run as ``python -m lsqctrl.cli`` in a
@@ -23,17 +24,36 @@ they also say whether ``fields/`` and the exit codes agree.  Before
 the runs, a table gives the line count of every module under
 ``src/lsqctrl`` in both checkouts and the difference, the lines a
 refactor removed.
+
+With ``--envelope K`` (K even) every run that has a
+``problem.amplitude`` key is made K more times in OTHER_SRC, at
+amplitude 1 +- j 2^-52 for j = 1..K/2: inputs one to a few ulps away,
+whose traces show how far OTHER_SRC's own roundoff carries.  The
+envelope is the per-row, per-column maximum relative difference of
+those traces from OTHER_SRC's own.  Per band of rows (0-9, 10-49,
+50-99, 100-199, 200+) the run then reports the largest relative
+difference of SRC_DIR's trace from OTHER_SRC's, the envelope's largest
+value and their ratio, the multiple, and the column whose own two
+maxima have the largest ratio.  A change at roundoff reads near 1; a
+real change reads far above it, until the envelope itself reaches the
+change.  The report also gives the first row where the envelope
+exceeds 1e-12, and each side's exit code and ``reason``,
+``iterations``, ``E_last`` and ``l2_error`` from ``summary.json``.  A run without the key
+(``abstract-demo``) has no envelope: it must stay byte-identical.  The
+tool decides nothing; its output is read beside the change.
 """
 
 import argparse
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 # the four reference runs, then runs that reach the epsilon terms, a
 # time-windowed support, field snapshots, steady steepest descent, a
@@ -73,6 +93,22 @@ RUNS = {
 
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+BANDS = ((0, 10), (10, 50), (50, 100), (100, 200), (200, math.inf))
+AMPLITUDE = "--problem.amplitude="
+# subcommands whose configs have a problem.amplitude key
+AMPLITUDE_RUNS = ("stokes-control", "stokes-direct", "steady-nse")
+SUMMARY_KEYS = ("reason", "iterations", "E_last", "l2_error")
+
+
+class Run(NamedTuple):
+    """What one CLI run leaves: its exit code, trace.csv bytes (None if
+    not written), fields/ digest and summary.json (None if not written)."""
+
+    code: int
+    trace: bytes | None
+    fields: str
+    summary: dict | None
+
 
 def fields_digest(folder):
     """One sha256 over the names and bytes of every file in folder."""
@@ -85,17 +121,17 @@ def fields_digest(folder):
 
 
 def run(src, args):
-    """Exit code, trace.csv bytes (None if not written) and fields/
-    digest of one CLI run."""
+    """One CLI run of the checkout src, in a fresh temporary directory."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"), **dict.fromkeys(THREADS, "1"))
     with tempfile.TemporaryDirectory(prefix="lsqctrl-ref-") as tmp:
         out = Path(tmp) / "out"
         proc = subprocess.run([sys.executable, "-m", "lsqctrl.cli", *args,
                                f"--io.out_dir={out}"], cwd=tmp, env=env,
                               capture_output=True, text=True)
-        trace = out / "trace.csv"
-        return (proc.returncode, trace.read_bytes() if trace.is_file() else None,
-                fields_digest(out / "fields"))
+        trace, summary = out / "trace.csv", out / "summary.json"
+        return Run(proc.returncode, trace.read_bytes() if trace.is_file() else None,
+                   fields_digest(out / "fields"),
+                   json.loads(summary.read_text()) if summary.is_file() else None)
 
 
 def trace_digest(data):
@@ -114,20 +150,103 @@ def relative_difference(a, b):
     return abs(x - y) / scale if scale else 0.0
 
 
+def parse_trace(data):
+    """The header and the rows of trace.csv bytes, as lists of cells."""
+    return list(csv.reader(data.decode().splitlines()))
+
+
 def compare_traces(data, other):
     """Lines that report how two differing trace.csv files differ."""
     if data is None or other is None:
         return [f"  trace.csv written: {data is not None} here, {other is not None} there"]
-    (head, *rows), (other_head, *other_rows) = (list(csv.reader(d.decode().splitlines()))
-                                                for d in (data, other))
+    (head, *rows), (other_head, *other_rows) = parse_trace(data), parse_trace(other)
     lines = [f"  rows: {len(rows)} here, {len(other_rows)} there"]
     if head != other_head:
         return lines + [f"  columns differ: {head} here, {other_head} there"]
-    for j, name in enumerate(head):
-        diff = max((relative_difference(a[j], b[j]) for a, b in zip(rows, other_rows)),
-                   default=0.0)
-        lines.append(f"  {name:15s} max rel diff {diff:.3g}")
+    maxima = [max(column) for column in zip(*deviations(data, other))] or [0.0] * len(head)
+    return lines + [f"  {name:15s} max rel diff {diff:.3g}" for name, diff in zip(head, maxima)]
+
+
+def deviations(data, other):
+    """Per-row, per-column relative differences of two traces with the
+    same columns, over the rows both hold (None if either is missing or
+    their columns differ)."""
+    if data is None or other is None:
+        return None
+    (head, *rows), (other_head, *other_rows) = parse_trace(data), parse_trace(other)
+    if head != other_head:
+        return None
+    return [[relative_difference(a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(rows, other_rows)]
+
+
+def envelope(base, perturbed):
+    """Per-row, per-column maximum of the deviations of the perturbed
+    traces from base, over the runs that reach each row."""
+    env = []
+    for trace in perturbed:
+        for r, row in enumerate(deviations(base, trace) or []):
+            if r == len(env):
+                env.append(row)
+            else:
+                env[r] = [max(a, b) for a, b in zip(env[r], row)]
+    return env
+
+
+def perturbed_args(args, j):
+    """args with problem.amplitude set to 1 + j 2^-52."""
+    amplitude = 1.0 + j * 2.0**-52
+    return [a for a in args if not a.startswith(AMPLITUDE)] + [f"{AMPLITUDE}{amplitude!r}"]
+
+
+def ratio(d, e):
+    """d as a multiple of e: 0 where d is 0, inf where only e is."""
+    return d / e if e else (math.inf if d else 0.0)
+
+
+def band_report(head, dev, env):
+    """Lines that compare a change's deviations with the envelope, band
+    by band, over the rows both reach: the band maxima, their ratio, and
+    the column whose own maxima have the largest ratio."""
+    n = min(len(dev), len(env))
+    lines = [f"  {'rows':10s} {'deviation':>10s} {'envelope':>10s} {'multiple':>9s}  worst column"]
+    for lo, hi in BANDS:
+        if lo >= n:
+            break
+        d, e = dev[lo:min(hi, n)], env[lo:min(hi, n)]
+        top_d, top_e = max(map(max, d)), max(map(max, e))
+        cols = [ratio(a, b) for a, b in zip(map(max, zip(*d)), map(max, zip(*e)))]
+        worst = max(range(len(cols)), key=cols.__getitem__)
+        name = f"{lo}-{hi - 1}" if hi < math.inf else f"{lo}+"
+        lines.append(f"  {name:10s} {top_d:10.2g} {top_e:10.2g} {ratio(top_d, top_e):9.2f}  "
+                     + (f"{head[worst]} {cols[worst]:.2f}" if cols[worst] else "-"))
+    first = next((r for r, row in enumerate(env) if max(row) > 1e-12), None)
+    lines.append(f"  rows compared: {n}; first row where the envelope exceeds 1e-12: "
+                 f"{'none' if first is None else first}")
     return lines
+
+
+def summary_line(side, result):
+    """A side's exit code and end-of-run quantities from summary.json."""
+    summary = result.summary or {}
+    cells = [f"{key} {summary.get(key, '-')}" for key in SUMMARY_KEYS]
+    return f"  {side:6s} exit {result.code}, " + ", ".join(cells)
+
+
+def envelope_report(other_src, cli_args, here, there, k):
+    """Lines that read a change's trace against the envelope of the
+    other checkout's roundoff, over k perturbed runs of it."""
+    lines = [summary_line("here", here), summary_line("there", there)]
+    if cli_args[0] not in AMPLITUDE_RUNS:
+        return lines + [f"  no amplitude key: byte-identical "
+                        f"{'yes' if here.trace == there.trace else 'NO'}"]
+    perturbed = [run(other_src, perturbed_args(cli_args, sign * j)).trace
+                 for j in range(1, k // 2 + 1) for sign in (1, -1)]
+    dev, env = deviations(here.trace, there.trace), envelope(there.trace, perturbed)
+    if not dev or not env:
+        return lines + ["  no envelope: a trace is missing or its columns differ"]
+    return lines + [f"  envelope of {k} runs at amplitude 1 +- j 2^-52"] + band_report(
+        parse_trace(there.trace)[0], dev, env)
 
 
 def module_lines(src):
@@ -151,24 +270,31 @@ def main(argv=None):
     parser.add_argument("src", type=Path, help="root of a checkout of this repository")
     parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
                         help="a second checkout: report how each run's trace differs")
+    parser.add_argument("--envelope", type=int, metavar="K", default=0,
+                        help="read each difference against K perturbed runs of OTHER_SRC")
     args = parser.parse_args(argv)
+    if args.envelope and (args.against is None or args.envelope < 2 or args.envelope % 2):
+        parser.error("--envelope K needs --against and an even K >= 2")
     src = args.src.resolve()
     other_src = args.against.resolve() if args.against else None
     if other_src is not None:
         print("\n".join(compare_sizes(module_lines(src), module_lines(other_src))), flush=True)
     for name, cli_args in RUNS.items():
-        code, trace, fields = run(src, cli_args)
-        print(f"{name:30s} exit={code} trace.csv={trace_digest(trace)} fields={fields}",
-              flush=True)
+        here = run(src, cli_args)
+        print(f"{name:30s} exit={here.code} trace.csv={trace_digest(here.trace)} "
+              f"fields={here.fields}", flush=True)
         if other_src is None:
             continue
-        other_code, other_trace, other_fields = run(other_src, cli_args)
-        if other_code != code:
-            print(f"  exit {code} here, {other_code} there")
-        if other_trace != trace:
-            print("\n".join(compare_traces(trace, other_trace)))
-        print(f"  fields/ {'identical' if other_fields == fields else 'differ'}, "
-              f"trace.csv {'identical' if other_trace == trace else 'differs'}", flush=True)
+        there = run(other_src, cli_args)
+        if there.code != here.code:
+            print(f"  exit {here.code} here, {there.code} there")
+        if there.trace != here.trace:
+            print("\n".join(compare_traces(here.trace, there.trace)))
+        print(f"  fields/ {'identical' if there.fields == here.fields else 'differ'}, "
+              f"trace.csv {'identical' if there.trace == here.trace else 'differs'}", flush=True)
+        if args.envelope:
+            print("\n".join(envelope_report(other_src, cli_args, here, there, args.envelope)),
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -205,7 +205,8 @@ def _trace_observer(path, header, dump_every=0, dump=None):
     Each call writes and flushes one row: the record's values under the
     header's column names, 0.0 for a column the record lacks (no step
     taken, no kernel ratio).  For iterates k with k % dump_every == 0,
-    ``dump(f"iter{k:06d}", state)`` then snapshots the iterate.
+    ``dump(f"iter{k:06d}", state)`` then snapshots the iterate.  The
+    observer's ``rows`` counts the rows written.
     """
     columns = header.split(",")[1:]
     with open(path, "w") as fh:
@@ -216,9 +217,11 @@ def _trace_observer(path, header, dump_every=0, dump=None):
             k = record["iter"]
             fh.write(",".join([str(k)] + [_fmt(record.get(c, 0.0)) for c in columns]) + "\n")
             fh.flush()
+            observe.rows += 1
             if dump_every and k % dump_every == 0:
                 dump(f"iter{k:06d}", state)
 
+        observe.rows = 0
         yield observe
 
 
@@ -469,7 +472,7 @@ def run(cfg: RunConfig):
     call, ``wall_s``, and ``ms_per_iter`` over its iterates; the times
     stay out of ``trace.csv``, which reruns reproduce bit for bit.
     A solver failure (a ValueError of the solve too) or a non-finite
-    summary value exits 4.
+    summary value exits 4, with a summary of its own (``_write_failure``).
     """
     from .abstract_descent import DescentDivergence
 
@@ -485,8 +488,7 @@ def run(cfg: RunConfig):
             state, rep = solve(observe)
             wall_s = time.perf_counter() - start
     except (DescentDivergence, ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 4
+        return _write_failure(out, str(exc), observe.rows, time.perf_counter() - start)
     if dump:
         dump("final", state)
     summary = {"iterations": rep.iterates_count, "reason": rep.reason,
@@ -502,10 +504,25 @@ def run(cfg: RunConfig):
             code = max(code, 3)
     bad = [key for key, x in summary.items() if isinstance(x, float) and not math.isfinite(x)]
     if bad:
-        print(f"solver failure: non-finite summary value: {', '.join(bad)}", file=sys.stderr)
-        return 4
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+        return _write_failure(out, f"non-finite summary value: {', '.join(bad)}", observe.rows,
+                              wall_s, bad)
+    _write_summary(out, summary)
     return code
+
+
+def _write_summary(out, summary):
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+
+
+def _write_failure(out, error, rows, wall_s, non_finite=()):
+    """Report a solver failure on stderr and in a strict-JSON summary:
+    ``reason`` solver_failure, the ``error`` text, the ``iterations`` the
+    trace holds, ``wall_s`` up to the failure and each non-finite
+    summary value by name, as null.  Returns the exit code, 4."""
+    print(f"solver failure: {error}", file=sys.stderr)
+    _write_summary(out, {"reason": "solver_failure", "error": error, "iterations": rows,
+                         "wall_s": wall_s, **dict.fromkeys(non_finite)})
+    return 4
 
 
 def main(argv=None):

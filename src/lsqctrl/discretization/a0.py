@@ -13,13 +13,18 @@ which diagonalizes in the same sine/temporal eigenbasis as the
 space-time corrector operator, so Riesz solves are exact.
 """
 
+import numpy as np
+
 from .elliptic import _st_solve
 
 __all__ = ["a0_velocity_riesz"]
 
 
-def _exact_denominator(grid, lam_t, lam_x):
-    return grid.hx * grid.hy * (1.0 + lam_x + lam_t / lam_x)
+def _exact_denominator(grid, lam_t, lam_x, out):
+    out[...] = lam_x
+    np.divide(lam_t, out, out=out)
+    out += 1.0 + lam_x
+    out *= grid.hx * grid.hy
 
 
 def a0_velocity_riesz(grid, rvec, fixed, out=None, work=None):

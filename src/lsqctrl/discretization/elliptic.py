@@ -8,10 +8,11 @@ time derivative with natural boundary conditions) diagonalizes in a
 closed-form cosine/sine basis in time (DCT-I, DST-I or DST-III, by trace
 constraint), applied as one matrix product over the time levels.  Each
 solve is therefore a fixed sequence of orthogonal matrix products plus a
-diagonal division by cached per-mode denominators: deterministic,
-bitwise reproducible at a fixed thread count, and accurate to machine
-precision, which keeps the residual contracts of the callers trivially
-satisfied.
+diagonal multiplication by the cached reciprocals of the per-mode
+denominators (the poisson solve of the steady path divides by its
+eigenvalues): deterministic, bitwise reproducible at a fixed thread
+count, and accurate to machine precision, which keeps the residual
+contracts of the callers trivially satisfied.
 
 Operator conventions (hx*hy folded into the dual vectors):
 
@@ -35,7 +36,6 @@ __all__ = [
     "poisson_solve",
     "TimeBasis",
     "time_basis",
-    "mode_denominators",
     "level_slice",
     "spacetime_solve_weak",
 ]
@@ -174,16 +174,22 @@ def time_basis(grid: SpaceTimeGrid, fixed: str):
 
 
 @lru_cache(maxsize=64)
-def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
-    """Read-only (m, ny, nx) diagonal of a space-time operator in the
-    time/sine eigenbasis of the given trace constraint.
+def _mode_reciprocals(grid, fixed, rule):
+    """Read-only (m, ny, nx) reciprocals of a space-time operator's
+    diagonal in the time/sine eigenbasis of the given trace constraint.
 
-    rule(grid, lam_t, lam_x) maps the temporal and spatial eigenvalues to
-    the diagonal entry.  It is evaluated once, elementwise, on the
-    (m, 1, 1) temporal against the (ny, nx) spatial eigenvalues.
+    rule(grid, lam_t, lam_x, out) writes the diagonal entries for the
+    (m, 1, 1) temporal against the (ny, nx) spatial eigenvalues into out,
+    in place, so the build makes no temporary as large as the array
+    (the first solve runs while the descent's workspace is live).  A rule
+    copies lam_x into out first: a ufunc that broadcasts both of its
+    inputs takes two iterator buffers (128 kB), one that broadcasts one
+    input takes one.
     """
     lam_t = time_basis(grid, fixed).lam[:, None, None]
-    out = rule(grid, lam_t, sine_eigenvalues(grid))
+    out = np.empty((len(lam_t), grid.ny, grid.nx))
+    rule(grid, lam_t, sine_eigenvalues(grid), out)
+    np.reciprocal(out, out=out)
     out.flags.writeable = False
     return out
 
@@ -191,18 +197,19 @@ def mode_denominators(grid: SpaceTimeGrid, fixed: str, rule):
 @lru_cache(maxsize=64)
 def _solve_plan(grid, fixed, rule, ndim):
     """The time basis of a trace constraint and the operator's per-mode
-    denominators, shaped (m, 1, ..., ny, nx) to broadcast over an
+    reciprocals, viewed as (m, 1, ..., ny, nx) to broadcast over an
     ndim-dimensional field: what one _st_solve looks up, in one lookup."""
-    denom = mode_denominators(grid, fixed, rule)
-    return time_basis(grid, fixed), denom.reshape(denom.shape[:1] + (1,) * (ndim - 3)
-                                                  + denom.shape[1:])
+    recip = _mode_reciprocals(grid, fixed, rule)
+    return time_basis(grid, fixed), recip.reshape(recip.shape[:1] + (1,) * (ndim - 3)
+                                                  + recip.shape[1:])
 
 
 def _st_solve(grid, bvec, rule, fixed, out=None, work=None):
     """Diagonalized solve of a space-time operator on the given levels.
 
     bvec: dual vector shaped (m_levels, ..., ny, nx).  rule is the
-    operator's denominator rule, see mode_denominators.  The transforms
+    operator's denominator rule, see _mode_reciprocals.  The modes are
+    multiplied by the reciprocals of the denominators.  The transforms
     ping-pong between two arrays shaped like bvec: the modes, in work,
     and out, which holds the solution at the end and is returned.  Each
     is a new array unless given.  The caller owns out and work and lends
@@ -210,23 +217,25 @@ def _st_solve(grid, bvec, rule, fixed, out=None, work=None):
     may be bvec, which is only read.  Both are written before they are
     read, so they may hold anything, such as a field the caller has
     spent; after the call work holds nothing the caller needs.  The
-    basis and the denominators come from one cached lookup
+    basis and the reciprocals come from one cached lookup
     (``_solve_plan``).  The transforms go through ``TimeBasis.to_modes``
     and ``from_modes``, once each, and the module's ``sine_transform``,
     twice, so that a wrapper set on any of them sees every solve.
     """
     bvec = np.asarray(bvec, dtype=float)
-    tb, denom = _solve_plan(grid, fixed, rule, bvec.ndim)
+    tb, recip = _solve_plan(grid, fixed, rule, bvec.ndim)
     if out is None:
         out = np.empty(bvec.shape)
     chat = tb.to_modes(bvec, out=np.empty(bvec.shape) if work is None else work)
     sine_transform(chat, out=chat, work=out)
-    chat /= denom
+    chat *= recip
     return tb.from_modes(sine_transform(chat, out=chat, work=out), out=out)
 
 
-def _weak_denominator(grid, lam_t, lam_x):
-    return grid.hx * grid.hy * (lam_t + lam_x)
+def _weak_denominator(grid, lam_t, lam_x, out):
+    out[...] = lam_x
+    out += lam_t
+    out *= grid.hx * grid.hy
 
 
 def spacetime_solve_weak(grid, bvec, out=None, work=None):

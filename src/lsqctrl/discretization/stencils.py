@@ -21,14 +21,14 @@ Two flavours of first derivative coexist:
   so the padded stencil would be inconsistent there; the one-sided
   stencil is second order for smooth interior data and annihilates
   constants, which keeps the zero-mean pressure quotient clean.  Its
-  matrix is kept as the integer stencil 2h G and the product is divided
-  by 2h afterwards, both components in one pass by the (2, 1, 1) array
-  [2hx, 2hy] (over scale, see below): the same division per element as
-  one pass per component.  The integer rows sum to zero exactly, so a
-  constant whose multiples by 3 and 4 are exact, such as 1, maps to
-  exact zeros at every spacing (other constants to roundoff, 1.8e-16
-  for 0.1); the rounded entries -3/(2h), 4/(2h), -1/(2h) would leave up
-  to 1e-14 on the constant 1 at spacings such as h = 0.7/6.
+  matrix is kept as the integer stencil 2h G and the product is
+  multiplied by 1/(2h) afterwards, both components in one pass by the
+  cached (2, 1, 1) array [1/(2hx), 1/(2hy)] (times scale, see below).
+  The integer rows sum to zero exactly, so a constant whose multiples
+  by 3 and 4 are exact, such as 1, maps to exact zeros at every spacing
+  (other constants to roundoff, 1.8e-16 for 0.1); the rounded entries
+  -3/(2h), 4/(2h), -1/(2h) would leave up to 1e-14 on the constant 1 at
+  spacings such as h = 0.7/6.
 
 ``dx``, ``dy``, ``laplace``, ``grad_pressure`` and its transpose take a
 ``scale`` factor, so a caller that weights the result (the unsteady
@@ -36,7 +36,8 @@ residual folds in nu*hx*hy*ht) pays no pass over the field for it.  It
 is folded into a scaled copy of the (n, n) matrix D or L, while G2 stays
 the integer stencil and the pressure products are scaled in the one pass
 that follows them, so the constants G2 annihilates still map to exact
-zeros.  At scale 1 every result is bit for bit the unscaled one.
+zeros, and scale = -1 negates the result exactly.  At scale 1 every
+result is bit for bit the unscaled one.
 
 The pairings are BLAS dot products and make no field-sized temporary:
 ``space_inner`` is one ``np.vdot`` over the whole slice, components
@@ -180,8 +181,8 @@ def grad_pressure(s, grid, scale=1.0, out=None):
 
     One-sided second-order rows next to each wall, centered inside;
     constants are in the kernel (exactly for a constant such as 1, see
-    the module docstring).  Each component is the integer product over
-    2h / scale, divided in one pass for both (``_pressure_divisors``).
+    the module docstring).  Each component is the integer product times
+    scale / 2h, multiplied in one pass for both (``_pressure_factors``).
     Into out, if given (a vector field).
     """
     s = np.asarray(s)
@@ -189,15 +190,15 @@ def grad_pressure(s, grid, scale=1.0, out=None):
         out = np.empty(s.shape[:-2] + (2,) + s.shape[-2:])
     np.matmul(s, _operators(grid.nx, grid.hx).G2T, out=out[..., 0, :, :])
     np.matmul(_operators(grid.ny, grid.hy).G2, s, out=out[..., 1, :, :])
-    out /= _pressure_divisors(grid.hx, grid.hy, scale)
+    out *= _pressure_factors(grid.hx, grid.hy, scale)
     return out
 
 
 @lru_cache(maxsize=64)
-def _pressure_divisors(hx, hy, scale):
-    """Read-only (2, 1, 1) array [2hx/scale, 2hy/scale]: grad_pressure's
-    divisors of its two components, applied in one pass."""
-    d = np.array([2.0 * hx / scale, 2.0 * hy / scale]).reshape(2, 1, 1)
+def _pressure_factors(hx, hy, scale):
+    """Read-only (2, 1, 1) array [scale/(2hx), scale/(2hy)]: grad_pressure's
+    factors of its two components, applied in one pass."""
+    d = np.array([scale / (2.0 * hx), scale / (2.0 * hy)]).reshape(2, 1, 1)
     d.flags.writeable = False
     return d
 
@@ -205,13 +206,14 @@ def _pressure_divisors(hx, hy, scale):
 def grad_pressure_transpose(v, grid, out=None, scale=1.0, work=None):
     """Exact matrix transpose of grad_pressure applied to a vector field,
     times scale; into out, with the y product formed in work, if given
-    (scalar fields shaped like a component of v).  scale = -1 negates
+    (scalar fields shaped like a component of v).  Each product is
+    multiplied by scale / 2h, as in grad_pressure, so scale = -1 negates
     the result exactly."""
     v = np.asarray(v)
     tx = np.matmul(v[..., 0, :, :], _operators(grid.nx, grid.hx).G2, out=out)
-    tx /= 2.0 * grid.hx / scale
+    tx *= scale / (2.0 * grid.hx)
     ty = np.matmul(_operators(grid.ny, grid.hy).G2T, v[..., 1, :, :], out=work)
-    ty /= 2.0 * grid.hy / scale
+    ty *= scale / (2.0 * grid.hy)
     tx += ty
     return tx
 

@@ -167,11 +167,22 @@ def _dt_weak_vector(y, grid, out):
     return out
 
 
-def _dt_adjoint_vector(v, grid, out):
-    """Dual vector in the direction Y of int Y_t . v (exact transpose),
-    into out (C-contiguous, shaped like v)."""
-    np.matmul(_dt_matrix(grid).T, v.reshape(len(v), -1), out=out.reshape(len(v), -1))
-    return out
+@lru_cache(maxsize=64)
+def _gradient_time_matrix(grid, nu):
+    """Read-only (nt+1, nt+1) matrix nu hx hy K - B^T: the gradient's
+    time terms, one product over the level axis of the corrector v.
+
+    K is the Neumann time stiffness (1/ht) tridiag(-1, 2, -1) with end
+    diagonal 1/ht, and B the time pairing (``_dt_matrix``).  The corrector
+    equation A v = rhs, A = hx hy (K (x) I + W (x) (-L)), gives the
+    gradient's Laplacian term as nu hx hy W L v = nu (hx hy K v - rhs).
+    """
+    e = np.full(grid.nt, -1.0 / grid.ht)
+    K = np.diag(e, 1) + np.diag(e, -1) + np.diag(np.full(grid.nt + 1, 2.0 / grid.ht))
+    K[0, 0] = K[-1, -1] = 1.0 / grid.ht
+    M = nu * grid.hx * grid.hy * K - _dt_matrix(grid).T
+    M.flags.writeable = False
+    return M
 
 
 def _scalar_part(W):
@@ -253,18 +264,20 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work
 
     Pressure and control components are closed-form: the adjoint
     divergence of the corrector and its restriction to the support.  The
-    velocity component solves the metric problem with the H^-1 term.  q
-    is div y + eps*pi of s, if known.  out, if given, is a triplet of
-    C-contiguous arrays that receives the gradient, and work a
-    C-contiguous vector field; each is new unless given.  The velocity's
-    dual is formed in work, and g.f holds its terms (c grad q as one
-    vector field) and the Riesz solve's modes before its own values are
-    written.  Every element of out is written, and work before it is
+    velocity component solves the metric problem with the H^-1 term; its
+    time and Laplacian terms are read off the corrector (v, rhs) by
+    A v = rhs (``_gradient_time_matrix``).  q is div y + eps*pi of s, if
+    known.  out, if given, is a triplet of C-contiguous arrays that
+    receives the gradient, and work a C-contiguous vector field; each is
+    new unless given.  The velocity's dual is formed in work, and g.f
+    holds its terms (c grad q, then nu rhs, each as one vector field)
+    and the Riesz solve's modes before its own values are written.  Every element of out is written, and work before it is
     read, so all may hold anything (the descent passes its line's spent
     storage triplet and scratch).
     """
     grid = p.grid
-    v = (corr or corrector(p, s)).v
+    corr = corr or corrector(p, s)
+    v = corr.v
     c = grid.hx * grid.hy * grid.ht
     sl = level_slice(grid, p.fixed_traces)
 
@@ -273,14 +286,17 @@ def gradient_a0(p: ControlProblem, s: Triplet, corr=None, q=None, out=None, work
     if q is None:
         q = div_part(s.y, s.pi, p.grid, p.epsilon)
 
-    # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q; of the
-    # two half-weight end levels only the last, in direct mode, is unknown
-    laplace(v, grid, scale=p.nu * c, out=rvec, work=g.f)
+    # the velocity's dual nu hx hy W L v - B^T v - hx hy W grad q, as
+    # (nu hx hy K - B^T) v - nu rhs - hx hy W grad q; of the two
+    # half-weight end levels of W grad q only the last, in direct mode,
+    # is unknown
     dx(q, grid, scale=c, out=g.f[:, 0])
     dy(q, grid, scale=c, out=g.f[:, 1])
+    g.f[-1] *= 0.5
+    n = len(v)
+    np.matmul(_gradient_time_matrix(grid, p.nu), v.reshape(n, -1), out=rvec.reshape(n, -1))
     rvec -= g.f
-    rvec[-1] *= 0.5
-    rvec -= _dt_adjoint_vector(v, grid, g.f)
+    rvec -= np.multiply(corr.rhs, p.nu, out=g.f)
     g.y[:sl.start] = 0.0  # the fixed traces
     g.y[sl.stop:] = 0.0
     ybar = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces, out=g.y[sl], work=g.f[sl])

@@ -636,8 +636,17 @@ class TestExitCodeContract:
                      "--problem.amplitude=1e150", "--solver.max_iter=20",
                      f"--io.out_dir={tmp_path}"])
         assert code == 4
-        assert "solver failure: " in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "solver failure: " in err
+        # the failure's own summary, strict JSON: the rows the trace holds
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+        assert set(summary) == {"reason", "error", "iterations", "wall_s"}
+        assert summary["reason"] == "solver_failure"
+        assert summary["error"] == err.strip().removeprefix("solver failure: ")
+        assert summary["iterations"] == rows
+        assert summary["wall_s"] >= 0.0
 
     @pytest.mark.parametrize("argv, module, name", [
         (["stokes-control", "--grid.nx=4", "--grid.ny=4", "--grid.nt=4"], sc, "descend"),
@@ -657,8 +666,16 @@ class TestExitCodeContract:
         monkeypatch.setattr(module, name, nan_last)
         code = main(argv + ["--solver.max_iter=3", f"--io.out_dir={tmp_path}"])
         assert code == 4
-        assert "E_last" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
+        err = capsys.readouterr().err.strip().removeprefix("solver failure: ")
+        # E_first too where the run stopped at its first iterate
+        bad = err.removeprefix("non-finite summary value: ").split(", ")
+        assert "E_last" in bad
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+        assert summary == {"reason": "solver_failure", "error": err, "iterations": rows,
+                           "wall_s": summary["wall_s"], **dict.fromkeys(bad)}
+        assert summary["iterations"] >= 1 and summary["wall_s"] >= 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # amplitudes 1e160, 1e300 overflow
     @settings(derandomize=True, deadline=None, max_examples=50)
@@ -698,6 +715,7 @@ class TestExitCodeContract:
             assert code in (0, 2, 3, 4)
             if code == 2:
                 assert not out.exists()
-            summary = out / "summary.json"
-            if summary.exists():
-                json.loads(summary.read_text(), parse_constant=_reject_constant)
+            if code != 2:  # every run that starts writes a strict summary
+                summary = json.loads((out / "summary.json").read_text(),
+                                     parse_constant=_reject_constant)
+                assert (summary["reason"] == "solver_failure") == (code == 4)

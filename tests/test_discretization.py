@@ -33,7 +33,7 @@ from lsqctrl.discretization import (
     time_basis,
 )
 from lsqctrl.discretization import stencils
-from lsqctrl.discretization.elliptic import _sine_matrix, mode_denominators
+from lsqctrl.discretization.elliptic import _mode_reciprocals, _sine_matrix, _solve_plan
 
 
 def stream_bump(grid):
@@ -258,7 +258,7 @@ class TestStencils:
             assert M.flags.c_contiguous and not M.flags.writeable
             with pytest.raises(ValueError):
                 M[0, 0] = 1.0
-        # the product with the integer stencil, divided by 2h afterwards
+        # the product with the integer stencil, times 1/(2h) afterwards
         g = SpaceTimeGrid(n, 4, 2, Lx=0.7)
         s = np.random.default_rng(n).standard_normal((g.nt + 1, g.ny, g.nx))
         assert np.allclose(grad_pressure(s, g)[:, 0], s @ oracles._dx1d_onesided(n, h).T,
@@ -487,6 +487,88 @@ class TestSpacetimeSolve:
 CONSTRAINTS = ["none", "initial", "both"]
 
 
+def within_2_ulp(got, ref):
+    """Elementwise |got - ref| <= 2 ulp(ref)."""
+    return bool(np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref))))
+
+
+class TestReciprocalKernels:
+    """The unsteady kernels multiply by cached reciprocals where they
+    divided; each agrees with the division per element."""
+
+    GRIDS = [(16, 16, 16), (24, 20, 18)]
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0, -0.0123])
+    @pytest.mark.parametrize("nx, ny, nt", GRIDS)
+    def test_pressure_pair_matches_the_division(self, nx, ny, nt, scale):
+        g = SpaceTimeGrid(nx, ny, nt, Lx=0.7, Ly=1.3)
+        ox, oy = stencils._operators(g.nx, g.hx), stencils._operators(g.ny, g.hy)
+        rng = np.random.default_rng(nx + ny)
+        s = rng.standard_normal((g.nt + 1, g.ny, g.nx))
+        ref = np.stack([(s @ ox.G2T) / (2.0 * g.hx / scale),
+                        (oy.G2 @ s) / (2.0 * g.hy / scale)], axis=1)
+        assert within_2_ulp(grad_pressure(s, g, scale=scale), ref)
+        # the transpose's two terms, one at a time, so that their sum
+        # cannot hide a difference
+        v = rng.standard_normal((g.nt + 1, 2, g.ny, g.nx))
+        vx, vy = v.copy(), v.copy()
+        vx[:, 1] = vy[:, 0] = 0.0
+        assert within_2_ulp(grad_pressure_transpose(vx, g, scale=scale),
+                            (v[:, 0] @ ox.G2) / (2.0 * g.hx / scale))
+        assert within_2_ulp(grad_pressure_transpose(vy, g, scale=scale),
+                            (oy.G2T @ v[:, 1]) / (2.0 * g.hy / scale))
+
+    @pytest.mark.parametrize("fixed", CONSTRAINTS)
+    @pytest.mark.parametrize("nx, ny, nt", GRIDS)
+    def test_solve_modes_match_the_division(self, monkeypatch, nx, ny, nt, fixed):
+        # the modes are what the first sine transform returns and the
+        # second one reads: between them, _st_solve's one multiplication
+        from lsqctrl.discretization import elliptic
+
+        g = SpaceTimeGrid(nx, ny, nt, Lx=0.7, T_final=1.3)
+        seen, transform = [], elliptic.sine_transform
+
+        def recorded(a, out=None, work=None):
+            seen.append(a.copy())
+            seen.append(transform(a, out, work).copy())
+            return out
+
+        monkeypatch.setattr(elliptic, "sine_transform", recorded)
+        lam_t, lam_x = time_basis(g, fixed).lam[:, None, None, None], sine_eigenvalues(g)
+        b = np.random.default_rng(nt).standard_normal((len(lam_t), 2, g.ny, g.nx))
+        if fixed == "none":
+            denom = g.hx * g.hy * (lam_t + lam_x)
+            spacetime_solve_weak(g, b)
+        else:
+            denom = g.hx * g.hy * (1.0 + lam_x + lam_t / lam_x)
+            a0_velocity_riesz(g, b, fixed)
+        _, modes, multiplied, _ = seen
+        assert within_2_ulp(multiplied, modes / denom)
+
+    def test_first_solve_builds_its_reciprocals_in_place(self):
+        # The first Riesz solve of a run builds the cached reciprocals while
+        # the descent's workspace is live.  Beyond the array it caches it
+        # allocated 1.0 vector field when each operator of the rule made a
+        # field-sized temporary; built in place, only numpy's ufunc buffer
+        # (64 kB) and (ny, nx) slices remain.
+        from lsqctrl.discretization import a0
+
+        g = SpaceTimeGrid(24, 24, 24, Lx=1.1)  # a grid no other test caches
+        time_basis(g, "both"), sine_eigenvalues(g), _sine_matrix(g.nx)
+        rvec = np.random.default_rng(24).standard_normal((g.nt - 1, 2, g.ny, g.nx))
+        out, work = np.empty_like(rvec), np.empty_like(rvec)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            a0_velocity_riesz(g, rvec, "both", out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cached = _mode_reciprocals(g, "both", a0._exact_denominator).nbytes
+        assert peak - cached <= 0.55 * g.vector_zeros().nbytes
+
+
 class TestTimeBasis:
     @pytest.mark.parametrize("fixed", CONSTRAINTS)
     @pytest.mark.parametrize("nt", [2, 3, 8, 16])
@@ -520,7 +602,7 @@ class TestTimeBasis:
             assert got.shape == a.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_cached_denominators_match_per_mode_stack(self):
+    def test_cached_reciprocals_match_per_mode_stack(self):
         from lsqctrl.discretization import a0, elliptic
 
         g = SpaceTimeGrid(5, 4, 6, Lx=1.3, T_final=0.7)
@@ -535,10 +617,13 @@ class TestTimeBasis:
         for rule, constraints, old in cases:
             for fixed in constraints:
                 ref = np.stack([old(lm, lamx) for lm in time_basis(g, fixed).lam])
-                got = mode_denominators(g, fixed, rule)
-                assert np.array_equal(got, ref)
+                got = _mode_reciprocals(g, fixed, rule)
+                assert np.array_equal(got, 1.0 / ref)
                 assert not got.flags.writeable
-                assert mode_denominators(g, fixed, rule) is got
+                assert _mode_reciprocals(g, fixed, rule) is got
+                # every solve plan views the one cached array
+                for ndim in (3, 4):
+                    assert np.shares_memory(_solve_plan(g, fixed, rule, ndim)[1], got)
 
 
 class TestA0Metric:

@@ -219,10 +219,21 @@ class TestTimePairing:
         y, v = np.random.default_rng(nt).standard_normal((2, g.nt + 1, 2, g.ny, g.nx))
         out = np.empty_like(y)
         lhs = float(np.vdot(sc._dt_weak_vector(y, g, out), v))
-        rhs = float(np.vdot(y, sc._dt_adjoint_vector(v, g, out)))
+        rhs = float(np.vdot(y, np.tensordot(sc._dt_matrix(g).T, v, axes=1)))
         assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1.0)
         # a field constant in time has no time derivative, exactly
         assert not sc._dt_weak_vector(np.ones_like(y), g, out).any()
+
+    @pytest.mark.parametrize("nt", [2, 3, 5, 16])
+    def test_gradient_time_matrix_is_the_stiffness_minus_the_adjoint(self, nt):
+        g = SpaceTimeGrid(3, 5, nt, Lx=0.7, T_final=1.3)
+        M = sc._gradient_time_matrix(g, 0.37)
+        assert M is sc._gradient_time_matrix(g, 0.37)
+        assert not M.flags.writeable
+        # K = (1/ht) tridiag(-1, 2, -1) with end diagonal 1/ht
+        K = (2.0 * np.eye(nt + 1) - np.eye(nt + 1, k=1) - np.eye(nt + 1, k=-1)) / g.ht
+        K[0, 0] = K[-1, -1] = 1.0 / g.ht
+        assert np.array_equal(M, 0.37 * g.hx * g.hy * K - sc._dt_matrix(g).T)
 
 
 ASSEMBLY_CASES = {
@@ -293,6 +304,44 @@ class TestWeightFoldedAssembly:
         pi = np.arange(p.grid.nt + 1)[:, None, None] - 2.5 + np.zeros((p.grid.ny, p.grid.nx))
         zero = np.zeros((p.grid.nt + 1, 2, p.grid.ny, p.grid.nx))
         assert not sc._negated_residual(p, zero, pi, zero).any()
+
+
+class TestGradientReadOff:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    @pytest.mark.parametrize("mode", ["null_control", "direct"])
+    @pytest.mark.parametrize("algorithm", ["cg", "steepest"])
+    def test_carried_gradient_matches_the_laplacian_form(self, monkeypatch, algorithm, mode,
+                                                         epsilon):
+        # gradient_a0 reads nu hx hy W L v off A v = rhs.  At iterate 49, the
+        # last before the refresh, the carried (v, rhs) have taken 49 steps
+        # since they were solved afresh; the gradient from them must still be
+        # the one of the Laplacian form nu hx hy W L v - B^T v - hx hy W grad q
+        p = small_problem(mode, epsilon, n=8)
+        grid, sl = p.grid, level_slice(p.grid, p.fixed_traces)
+        original, errors = sc.gradient_a0, []
+
+        def checked(p, s, corr=None, q=None, out=None, work=None):
+            g, gn_sq = original(p, s, corr, q, out, work)
+            if len(errors) == 49 or not errors:
+                v = corr.v
+                aw = grid.hx * grid.hy * grid.time_weights()[:, None, None, None]
+                rvec = (p.nu * aw * laplace(v, grid)
+                        - np.tensordot(sc._dt_matrix(grid).T, v, axes=1)
+                        - aw * np.stack([dx(q, grid), dy(q, grid)], axis=1))
+                ref = g.copy()  # pi and f read no Laplacian: ref keeps g's
+                ref.y[sl] = a0_velocity_riesz(grid, rvec[sl], p.fixed_traces)
+                diff = g.copy()
+                diff.buffer -= ref.buffer
+                errors.append(np.sqrt(inner_a0(diff, diff) / inner_a0(ref, ref)))
+            else:
+                errors.append(None)
+            return g, gn_sq
+
+        monkeypatch.setattr(sc, "gradient_a0", checked)
+        _, rep = sc.descend(p, sc.SolveConfig(max_iter=49, algorithm=algorithm))
+        assert rep.iterates_count == 50 and rep.reason == "max_iter"
+        assert errors[0] <= 1e-12  # just solved
+        assert errors[49] <= 1e-10
 
 
 class TestEnergy:
@@ -719,7 +768,7 @@ class TestRecycledFields:
         # held at the first of them, with the pressure refreshed every third
         # iterate.  numpy's ufunc buffers are held small for the measurement:
         # at their default 8192 elements, the two that a strided in-place
-        # operation such as grad_pressure's division takes are 128 kB on any
+        # operation such as grad_pressure's scaling takes are 128 kB on any
         # grid, more than one 24^3 scalar field (115 kB).
         g = SpaceTimeGrid(24, 24, 24)
         p = sc.ControlProblem(g, 1.0, bump_y0(g), SupportMask(0.0, 1 / 3, 0.0, 1.0), mode=mode,
